@@ -93,9 +93,12 @@ def _pop_vec3(section: dict, key: str, default, context: str):
     if key not in section:
         return default
     value = section.pop(key)
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{context}.{key}: expected a 3-element list")
-    return tuple(float(v) for v in value)
+    if isinstance(value, (list, tuple)) and len(value) == 3:
+        try:
+            return tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{context}.{key}: expected a list of 3 numbers, got {value!r}")
 
 
 def _reject_unknown(section: dict, context: str) -> None:
@@ -229,7 +232,7 @@ def load_config(path: Path | str | None) -> Settings:
     _reject_unknown(sec, "scenario")
 
     _reject_unknown(doc, "config")
-    return Settings(
+    settings = Settings(
         seed=seed,
         variant=variant,
         threads=threads,
@@ -251,6 +254,12 @@ def load_config(path: Path | str | None) -> Settings:
         diagram_bins=diagram_bins,
         scenario=scenario,
     )
+    try:  # the library's own checks, before any command starts work
+        _pipeline_config(settings)
+        _estimator_config(settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return settings
 
 
 def _apply_overrides(settings: Settings, args: argparse.Namespace) -> Settings:
@@ -305,20 +314,21 @@ class _Manifest:
         io.write_json(self.doc, self.path)
 
 
+def _estimator_config(settings: Settings) -> SyntheticEstimatorConfig:
+    return SyntheticEstimatorConfig(
+        seed=settings.estimator_seed if settings.estimator_seed is not None else settings.seed,
+        sigma_noise=settings.estimator_sigma_noise,
+        sigma_rot=settings.estimator_sigma_rot,
+        miscalibration=settings.estimator_miscalibration,
+        corr=settings.estimator_corr,
+        sigma_floor=settings.estimator_sigma_floor,
+    )
+
+
 def _build_estimator(settings: Settings):
     if settings.estimator_kind == "file":
         return FileEstimator(settings.estimator_path)
-    seed = settings.estimator_seed if settings.estimator_seed is not None else settings.seed
-    return SyntheticEstimator(
-        SyntheticEstimatorConfig(
-            seed=seed,
-            sigma_noise=settings.estimator_sigma_noise,
-            sigma_rot=settings.estimator_sigma_rot,
-            miscalibration=settings.estimator_miscalibration,
-            corr=settings.estimator_corr,
-            sigma_floor=settings.estimator_sigma_floor,
-        )
-    )
+    return SyntheticEstimator(_estimator_config(settings))
 
 
 def _rotation_uncertainty(settings: Settings) -> RotationUncertainty | None:

@@ -63,45 +63,60 @@ class RawEstimate:
         object.__setattr__(self, "corr", c)
 
 
+def indefinite_rows(cov: np.ndarray) -> list[int]:
+    """Indices of the (N, 3, 3) stack's matrices without a Cholesky factor.
+    numpy only reports that some matrix failed, so a failing stack is
+    searched one matrix at a time."""
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return [0] if len(cov) == 1 else [i for i in range(len(cov)) if indefinite_rows(cov[i : i + 1])]
+    return []
+
+
 def assemble_covariance(sigma: np.ndarray, corr: np.ndarray) -> np.ndarray:
     """Covariance from per-axis scales and correlations (xy, xz, yz).
 
     Raises NotPositiveDefinite when the resulting matrix has no Cholesky
     factorization; there is no slack, borderline inputs are rejected.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    corr = np.asarray(corr, dtype=float)
-    cov = np.diag(sigma**2)
-    cov[0, 1] = cov[1, 0] = corr[0] * sigma[0] * sigma[1]
-    cov[0, 2] = cov[2, 0] = corr[1] * sigma[0] * sigma[2]
-    cov[1, 2] = cov[2, 1] = corr[2] * sigma[1] * sigma[2]
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"correlations {corr.tolist()} give an indefinite covariance") from exc
-    return cov
+    cov, failed = _covariances(np.reshape(sigma, (1, 3)), np.reshape(corr, (1, 3)))
+    if failed:
+        raise failed[0]
+    return cov[0]
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """A candidate's error expressed in the vehicle frame."""
+def _covariances(sigma: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, dict[int, NotPositiveDefinite]]:
+    """(N, 3, 3) covariances from (N, 3) per-axis scales and correlations,
+    and the error of each one that is indefinite, keyed by row."""
+    sigma, corr = np.asarray(sigma, dtype=float), np.asarray(corr, dtype=float)
+    cov = np.zeros(sigma.shape + (3,))
+    cov[..., [0, 1, 2], [0, 1, 2]] = sigma**2
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        cov[..., i, j] = cov[..., j, i] = corr[..., k] * sigma[..., i] * sigma[..., j]
+    failed = {
+        i: NotPositiveDefinite(f"correlations {corr[i].tolist()} give an indefinite covariance")
+        for i in indefinite_rows(cov)
+    }
+    return cov, failed
 
-    translation_error: np.ndarray
-    covariance: np.ndarray
-    rotation_error: np.ndarray
 
+def to_vehicle_frame(
+    rotation: np.ndarray, translation_error: np.ndarray, sigma: np.ndarray, corr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, NotPositiveDefinite]]:
+    """Rotate stacked raw estimates out of their candidate frames.
 
-def to_vehicle_frame(raw: RawEstimate) -> ErrorEstimate:
-    """Rotate a raw estimate out of the candidate frame.
-
-    The vehicle-frame error is ``-R.T @ translation_error`` with R the
-    rotation-error matrix, and the covariance is conjugated accordingly.
+    ``rotation`` holds the (N, 3, 3) rotation-error matrices R of N raw
+    estimates and the other arguments their (N, 3) fields.  The error is
+    ``-R.T @ translation_error`` and the covariance is conjugated alike.
+    Returns the errors, the covariances, and the error of each row whose
+    covariance is indefinite, keyed by row.
     """
-    r = quat_to_matrix(raw.rotation_error)
-    cov = assemble_covariance(raw.sigma, raw.corr)
-    vehicle_cov = r.T @ cov @ r
-    vehicle_cov = 0.5 * (vehicle_cov + vehicle_cov.T)
-    return ErrorEstimate(-r.T @ raw.translation_error, vehicle_cov, raw.rotation_error)
+    cov, failed = _covariances(sigma, corr)
+    r_t = np.swapaxes(rotation, -1, -2)
+    vehicle_cov = r_t @ cov @ rotation
+    vehicle_cov = 0.5 * (vehicle_cov + np.swapaxes(vehicle_cov, -1, -2))
+    return (-r_t @ np.asarray(translation_error, dtype=float)[..., None])[..., 0], vehicle_cov, failed
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +286,9 @@ class SyntheticEstimator:
         return _rotvecs_to_quats(rng.normal(0.0, self.config.sigma_rot, (count, 3)))
 
 
+RECORD_FIELDS = ("translation_error", "rotation_error", "sigma", "corr")
+
+
 class FileEstimator:
     """Lookup of precomputed estimates keyed by (payload_key, candidate_index).
 
@@ -280,17 +298,17 @@ class FileEstimator:
     """
 
     def __init__(self, path: Path | str):
-        from .io import read_jsonl
+        from .io import jsonl_line_number, read_jsonl
 
         self._records: dict[tuple[str, int], RawEstimate] = {}
-        for row in read_jsonl(path):
-            key = (str(row["payload_key"]), int(row["candidate_index"]))
-            self._records[key] = RawEstimate(
-                np.asarray(row["translation_error"], dtype=float),
-                np.asarray(row["rotation_error"], dtype=float),
-                np.asarray(row["sigma"], dtype=float),
-                np.asarray(row["corr"], dtype=float),
-            )
+        for number, row in enumerate(read_jsonl(path)):
+            try:
+                key = (str(row["payload_key"]), int(row["candidate_index"]))
+                self._records[key] = RawEstimate(*(np.asarray(row[f], dtype=float) for f in RECORD_FIELDS))
+            except (KeyError, TypeError, ValueError) as exc:
+                line = jsonl_line_number(path, number)
+                reason = f"{type(exc).__name__}: {exc}"
+                raise ValueError(f"{path}:{line}: malformed estimate record ({reason})") from None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -312,14 +330,8 @@ def write_estimate_records(rows, path: Path | str) -> None:
 
     out = []
     for payload_key, candidate_index, raw in rows:
-        out.append(
-            {
-                "payload_key": str(payload_key),
-                "candidate_index": int(candidate_index),
-                "translation_error": [float(v) for v in raw.translation_error],
-                "rotation_error": [float(v) for v in raw.rotation_error],
-                "sigma": [float(v) for v in raw.sigma],
-                "corr": [float(v) for v in raw.corr],
-            }
-        )
+        record = {"payload_key": str(payload_key), "candidate_index": int(candidate_index)}
+        for name in RECORD_FIELDS:
+            record[name] = [float(v) for v in getattr(raw, name)]
+        out.append(record)
     write_jsonl(out, path)

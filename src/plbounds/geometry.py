@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * Quaternions are scalar-first arrays ``[w, x, y, z]``, kept unit-norm and
-  canonicalized to a non-negative scalar part.
+  canonicalized to a non-negative scalar part; the quaternion helpers also
+  take (..., 4) stacks and work row by row.
 * A :class:`Pose` stores the transform that takes map coordinates into the
   sensor frame: ``p_sensor = R(orientation) @ p_map + position``.  The sensor
   sits at ``-R.T @ position`` in map coordinates.
@@ -34,57 +35,73 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 # quaternions
 
 
+def _components(q: np.ndarray) -> np.ndarray:
+    """Last axis first (other axes reversed), undone by ``_assemble``."""
+    return np.asarray(q, dtype=float).T
+
+
+def _assemble(parts: list, tail: tuple[int, ...]) -> np.ndarray:
+    if np.ndim(parts[0]) == 0:
+        return np.array(parts).reshape(tail)
+    out = np.empty(np.shape(parts[0])[::-1] + (len(parts),))
+    for k, part in enumerate(parts):
+        out.T[k] = part
+    return out.reshape(out.shape[:-1] + tail)
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Return the unit quaternion equivalent to ``q`` with w >= 0.
 
-    Raises ValueError if the input norm is too far from a rotation to be
-    trusted (more than 1e-3 away from 1).
+    ``q`` is one quaternion or an (..., 4) stack.  When w vanishes the first
+    non-zero component is made positive.  Raises ValueError if any input
+    norm is too far from a rotation to be trusted (more than 1e-3 from 1).
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-    n = float(np.linalg.norm(q))
-    if not math.isfinite(n) or abs(n - 1.0) > 1e-3:
-        raise ValueError(f"quaternion norm {n} too far from 1")
-    q = q / n
-    # canonical sign: non-negative scalar part, first non-zero component
-    # positive when the scalar part vanishes
-    for c in q:
-        if c != 0.0:
-            if c < 0.0:
-                q = -q
-            break
-    return q
+    q = np.ascontiguousarray(q, dtype=float)
+    if q.shape[-1] != 4:
+        raise ValueError(f"quaternion must have shape (..., 4), got {q.shape}")
+    if q.ndim == 1:  # plain floats: numpy calls on one quaternion cost more than the arithmetic
+        n = float(np.linalg.norm(q))
+        if not abs(n - 1.0) <= 1e-3:
+            raise ValueError(f"quaternion norm {n} too far from 1")
+        return q / (-n if next((c for c in q if c != 0.0), 0.0) < 0.0 else n)
+    # a dot product per row, so a stack normalizes bit for bit like its rows
+    n = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    if not (np.abs(n - 1.0) <= 1e-3).all():
+        raise ValueError(f"quaternion norm {n.flat[np.argmax(np.abs(n - 1.0))]} too far from 1")
+    lead = np.take_along_axis(q, np.argmax(q != 0.0, axis=-1)[..., None], axis=-1)
+    return q / np.where(lead < 0.0, -n, n)
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product ``a * b`` (apply ``b`` first, then ``a``)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton product ``a * b`` (apply ``b`` first, then ``a``), for two
+    quaternions, two equal-shape stacks, or a stack and one quaternion."""
+    aw, ax, ay, az = _components(a)
+    bw, bx, by, bz = _components(b)
+    return _assemble(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        (4,),
     )
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * [1.0, -1.0, -1.0, -1.0]
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion."""
-    w, x, y, z = q
-    return np.array(
+    """Rotation matrix of a unit quaternion; an (..., 4) stack gives (..., 3, 3)."""
+    w, x, y, z = _components(q)
+    return _assemble(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        (3, 3),
     )
 
 
@@ -109,13 +126,14 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
     return quat_normalize(q)
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
+    """Rotation by ``angle`` about ``axis``; an array of angles gives a stack."""
     axis = np.asarray(axis, dtype=float)
     n = float(np.linalg.norm(axis))
     if n == 0.0:
         raise ValueError("axis must be non-zero")
-    half = 0.5 * angle
-    return quat_normalize(np.concatenate(([math.cos(half)], math.sin(half) * axis / n)))
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None]
+    return quat_normalize(np.concatenate((np.cos(half), np.sin(half) * axis / n), axis=-1))
 
 
 def quat_from_rotation_vector(v: np.ndarray) -> np.ndarray:
@@ -127,8 +145,9 @@ def quat_from_rotation_vector(v: np.ndarray) -> np.ndarray:
     return quat_from_axis_angle(v, angle)
 
 
-def quat_from_euler_zyx(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """Intrinsic Z-Y-X composition: yaw about z, then pitch about y, then roll about x."""
+def quat_from_euler_zyx(yaw, pitch, roll) -> np.ndarray:
+    """Intrinsic Z-Y-X composition: yaw about z, then pitch about y, then roll
+    about x.  Arrays of angles give a stack of quaternions."""
     qz = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), yaw)
     qy = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), pitch)
     qx = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), roll)
@@ -215,11 +234,6 @@ class RigidTransform:
 
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
-
-def pose_to_transform(pose: Pose) -> RigidTransform:
-    """Rigid transform of a pose: rotation from the quaternion, translation from the position."""
-    return pose.transform()
 
 
 @dataclass(frozen=True)
@@ -449,7 +463,7 @@ def build_local_map(
     """
     if extents is None:
         extents = CropExtents()
-    local = transform_cloud(cloud, pose_to_transform(pose))
+    local = transform_cloud(cloud, pose.transform())
     cropped = crop_cloud(local, None, extents)
     visible = occlusion_filter(cropped, occlusion_threshold, intrinsics, pixel_radius)
     return project_to_depth_map(visible, intrinsics, rounding)

@@ -65,10 +65,6 @@ class GaussianMixture:
         return np.sqrt(self.variances)
 
 
-def build_gmm(means: np.ndarray, variances: np.ndarray, weights: np.ndarray) -> GaussianMixture:
-    return GaussianMixture(means, variances, weights)
-
-
 def gmm_cdf(mixture: GaussianMixture, x) -> np.ndarray | float:
     """Mixture CDF: the weighted sum of component normal CDFs."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -181,7 +177,7 @@ def protection_levels_all(
     if not (means.shape == variances.shape == weights.shape) or means.ndim != 2 or means.shape[1] != 3:
         raise LengthMismatch("per-axis inputs must share shape (N, 3)")
     values = [
-        protection_level(build_gmm(means[:, d], variances[:, d], weights[:, d]), query)
+        protection_level(GaussianMixture(means[:, d], variances[:, d], weights[:, d]), query)
         for d in range(3)
     ]
     return ProtectionLevels(*values)

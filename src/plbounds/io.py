@@ -123,6 +123,12 @@ def read_jsonl(path: Path | str) -> list:
     return rows
 
 
+def jsonl_line_number(path: Path | str, index: int) -> int:
+    """1-based line of the ``index``-th value ``read_jsonl`` returns."""
+    with open(path) as fh:
+        return [n for n, line in enumerate(fh, start=1) if line.strip()][index]
+
+
 def write_quaternion_lines(quats: np.ndarray, path: Path | str) -> None:
     """JSON-lines file of scalar-first quaternions, one array per line."""
     write_jsonl([[float(c) for c in q] for q in np.asarray(quats, dtype=float)], path)

@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import PlboundsError, TimestepFailure
 from .estimator import Estimator, MeasurementContext, SyntheticEstimator, to_vehicle_frame
-from .geometry import PointCloud, Pose
+from .geometry import PointCloud, Pose, quat_to_matrix
 from .gmm import (
+    GaussianMixture,
     ProtectionLevelQuery,
     ProtectionLevels,
-    build_gmm,
     protection_level,
     protection_levels_all,
 )
@@ -37,7 +37,7 @@ from .metrics import (
     integrity_diagram,
     summarize,
 )
-from .sampling import CandidateOffset, SamplingConfig, apply_offset, sample_candidates
+from .sampling import SamplingConfig, apply_offset, sample_candidates
 from .scenario import Scenario, vehicle_frame_error
 from .uncertainty import (
     ErrorSampleSet,
@@ -70,6 +70,8 @@ class PipelineConfig:
             raise ValueError("threads must be at least 1")
         if self.min_candidates < 2:
             raise ValueError("min_candidates must be at least 2")
+        if self.diagram_bins < 1:
+            raise ValueError("diagram_bins must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -90,61 +92,76 @@ def run_timestep(
     ctx: MeasurementContext,
     estimate_pose: Pose,
     cloud: PointCloud | None,
-    offsets: list[CandidateOffset],
+    offsets: tuple[np.ndarray, np.ndarray] | None,
     rotation_uncertainty: RotationUncertainty,
     config: PipelineConfig,
 ) -> TimestepResult:
     """Protection levels for one timestep under the configured variant.
 
-    Candidates whose estimator call raises a package error are excluded
-    with a diagnostic; fewer than ``min_candidates`` survivors abort the
-    timestep.  Results do not depend on candidate evaluation order.
+    ``offsets`` holds the (N, 3) translations and (N, 4) rotations of the
+    candidates from ``sample_candidates`` (``VAR`` has none).  Candidates
+    whose estimator call raises a package error, or whose covariance is
+    indefinite, are excluded with a diagnostic; fewer than
+    ``min_candidates`` survivors abort the timestep.  Results do not depend
+    on candidate evaluation order.
     """
     if config.variant == "VAR":
         raw = estimator.estimate(ctx.for_candidate(0), estimate_pose, cloud)
-        est = to_vehicle_frame(raw)
-        samples = ErrorSampleSet(
-            est.translation_error[None, :],
-            np.diagonal(est.covariance)[None, :].copy(),
-            np.ones((1, 3)),
-        )
+        fields = (raw.translation_error[None], raw.sigma[None], raw.corr[None])
+        errors, covs, failed = to_vehicle_frame(quat_to_matrix(raw.rotation_error)[None], *fields)
+        if failed:
+            raise failed[0]
+        samples = ErrorSampleSet(errors, np.diagonal(covs, axis1=1, axis2=2).copy(), np.ones((1, 3)))
         pls = protection_levels_all(samples.means, samples.variances, samples.weights, config.query)
         return TimestepResult(ctx.timestamp, pls, 1, 0, samples)
 
-    collected = []
-    diagnostics = []
-    for i, offset in enumerate(offsets):
-        candidate = apply_offset(estimate_pose, offset)
+    translations, rotations = offsets
+    positions, orientations = apply_offset(
+        estimate_pose.position, estimate_pose.orientation, translations, rotations
+    )
+    n = len(translations)
+    # a candidate whose estimator call fails keeps these neutral values,
+    # which pass every check below, and is dropped at the end
+    raw_error, raw_rotation = np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    sigma, corr = np.ones((n, 3)), np.zeros((n, 3))
+    failed: dict[int, PlboundsError] = {}
+    for i in range(n):
         try:
-            raw = estimator.estimate(ctx.for_candidate(i), candidate, cloud)
-            est = to_vehicle_frame(raw)
-            collected.append(transform_error(est, offset.translation, rotation_uncertainty))
+            raw = estimator.estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]), cloud)
         except PlboundsError as exc:
-            diagnostics.append(f"candidate {i} excluded: {exc}")
-    if len(collected) < config.min_candidates:
+            failed[i] = exc
+            continue
+        raw_error[i], raw_rotation[i] = raw.translation_error, raw.rotation_error
+        sigma[i], corr[i] = raw.sigma, raw.corr
+    rotation = quat_to_matrix(raw_rotation)
+    errors, covs, frame_failed = to_vehicle_frame(rotation, raw_error, sigma, corr)
+    means, covs, inflate_failed = transform_error(rotation, errors, covs, translations, rotation_uncertainty)
+    failed = {**inflate_failed, **frame_failed, **failed}  # the first stage to fail names the reason
+    diagnostics = [f"candidate {i} excluded: {failed[i]}" for i in sorted(failed)]
+    keep = np.setdiff1d(np.arange(n), list(failed))
+    if len(keep) < config.min_candidates:
         raise TimestepFailure(
-            f"{len(collected)} usable candidates at t={ctx.timestamp} "
+            f"{len(keep)} usable candidates at t={ctx.timestamp} "
             f"(minimum {config.min_candidates}); {'; '.join(diagnostics)}"
         )
-    means = np.array([s.error for s in collected])
-    variances = np.array([np.diagonal(s.covariance) for s in collected])
+    means = means[keep]
+    variances = np.diagonal(covs[keep], axis1=1, axis2=2).copy()
     if config.variant == "VAR_E":
         weights = np.full(means.shape, 1.0 / means.shape[0])
     else:
         weights = outlier_weights(means)
     samples = ErrorSampleSet(means, variances, weights)
 
-    theta = None
-    excluded_dim = None
+    theta = excluded_dim = None
     if config.variant == "VAR_EO_DIRECTIONAL":
         proj = project_directional(samples)
         theta, excluded_dim = proj.theta, proj.excluded
         horizontal = protection_level(
-            build_gmm(proj.horizontal_means, proj.horizontal_variances, proj.horizontal_weights),
+            GaussianMixture(proj.horizontal_means, proj.horizontal_variances, proj.horizontal_weights),
             config.query,
         )
         vertical = protection_level(
-            build_gmm(proj.vertical_means, proj.vertical_variances, proj.vertical_weights),
+            GaussianMixture(proj.vertical_means, proj.vertical_variances, proj.vertical_weights),
             config.query,
         )
         pls = ProtectionLevels(horizontal, horizontal, vertical)
@@ -153,8 +170,8 @@ def run_timestep(
     return TimestepResult(
         timestamp=ctx.timestamp,
         pl=pls,
-        n_candidates=len(collected),
-        n_excluded=len(diagnostics),
+        n_candidates=len(keep),
+        n_excluded=len(failed),
         samples=samples,
         diagnostics=tuple(diagnostics),
         direction_theta=theta,
@@ -217,11 +234,9 @@ def run_sequence(
         ctx = MeasurementContext(
             timestamp=ts.timestamp, payload_key=ts.payload_key, true_pose=ts.true_pose
         )
-        offsets = (
-            []
-            if config.variant == "VAR"
-            else sample_candidates(config.sampling, [config.seed, 2, ts.index])
-        )
+        offsets = None
+        if config.variant != "VAR":
+            offsets = sample_candidates(config.sampling, [config.seed, 2, ts.index])
         result = run_timestep(
             estimator, ctx, ts.estimate_pose, scenario.cloud, offsets, rotation_uncertainty, config
         )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, quat_from_euler_zyx, quat_multiply, quat_normalize, quat_to_matrix
+from .geometry import quat_from_euler_zyx, quat_multiply, quat_normalize, quat_to_matrix
 
 
 @dataclass(frozen=True)
@@ -32,57 +32,44 @@ class SamplingConfig:
             raise ValueError("need at least two candidates")
 
 
-@dataclass(frozen=True)
-class CandidateOffset:
-    """A rigid perturbation expressed in the frame of the pose it offsets."""
-
-    translation: np.ndarray
-    rotation: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
-            raise ValueError("offset translation must be a finite 3-vector")
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "rotation", quat_normalize(self.rotation))
-
-    @classmethod
-    def zero(cls) -> "CandidateOffset":
-        return cls(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def inverse(self) -> "CandidateOffset":
-        r = quat_to_matrix(self.rotation)
-        return CandidateOffset(-(r.T @ self.translation), np.array([self.rotation[0], *(-self.rotation[1:])]))
+def draw_offsets(rng: np.random.Generator, n: int, t_max: float, r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` rigid offsets: (n, 3) translations uniform within ``t_max`` per
+    axis, then (n, 4) rotations composing per-axis angles uniform within
+    ``r_max`` (one block of translations is drawn before the angles)."""
+    translations = rng.uniform(-t_max, t_max, (n, 3))
+    angles = rng.uniform(-r_max, r_max, (n, 3))
+    # normalized twice, as offsets always were: the second pass can move
+    # the last bit, and archived runs depend on those bits
+    rotations = quat_normalize(quat_from_euler_zyx(angles[:, 2], angles[:, 1], angles[:, 0]))
+    return translations, rotations
 
 
-def sample_candidates(config: SamplingConfig, seed: int) -> list[CandidateOffset]:
+def sample_candidates(config: SamplingConfig, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw exactly ``n_candidates`` offsets, deterministically in (seed, config).
 
-    The generator is PCG64 seeded through SeedSequence; reference outputs are
-    pinned in the test suite.  Draw order is one block of translations
-    followed by one block of per-axis angles (x, y, z per row).
+    Returns (N, 3) translations and (N, 4) scalar-first rotations, each
+    offset expressed in the frame of the pose it perturbs.  The generator is
+    PCG64 seeded through SeedSequence; reference outputs are pinned in the
+    test suite.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     n_random = config.n_candidates - (1 if config.include_estimate else 0)
-    translations = rng.uniform(-config.t_max, config.t_max, (n_random, 3))
-    angles = rng.uniform(-config.r_max, config.r_max, (n_random, 3))
-    offsets = []
+    translations, rotations = draw_offsets(rng, n_random, config.t_max, config.r_max)
     if config.include_estimate:
-        offsets.append(CandidateOffset.zero())
-    for t, (ax, ay, az) in zip(translations, angles):
-        offsets.append(CandidateOffset(t, quat_from_euler_zyx(az, ay, ax)))
-    return offsets
+        translations = np.concatenate((np.zeros((1, 3)), translations))
+        rotations = np.concatenate(([[1.0, 0.0, 0.0, 0.0]], rotations))
+    return translations, rotations
 
 
-def apply_offset(estimate: Pose, offset: CandidateOffset) -> Pose:
-    """Perturb a pose by a rigid offset acting in the pose's own frame.
+def apply_offset(position, orientation, translation, rotation) -> tuple[np.ndarray, np.ndarray]:
+    """Perturb poses, given as (..., 3) positions and (..., 4) orientations,
+    by rigid offsets acting in each pose's own frame; leading axes broadcast.
 
-    The offset composes on the sensor side of the transform, so a pure
-    translation shifts the position by exactly ``offset.translation`` and
-    the known offset cancels exactly in the downstream error transform.
+    Returns the perturbed positions and orientations.  The offset composes
+    on the sensor side of the transform, so a pure translation shifts the
+    position by exactly ``translation`` and the known offset cancels exactly
+    in the downstream error transform.
     """
-    r_off = quat_to_matrix(offset.rotation)
-    return Pose(
-        r_off @ estimate.position + offset.translation,
-        quat_multiply(offset.rotation, estimate.orientation),
-    )
+    r_off = quat_to_matrix(rotation)
+    moved = (r_off @ np.asarray(position, dtype=float)[..., None])[..., 0] + translation
+    return moved, quat_multiply(rotation, orientation)

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .geometry import PointCloud, Pose, matrix_to_quat, quat_from_euler_zyx, quat_to_matrix
-from .sampling import CandidateOffset, apply_offset
+from .geometry import PointCloud, Pose, matrix_to_quat, quat_to_matrix
+from .sampling import apply_offset, draw_offsets
 
 
 @dataclass(frozen=True)
@@ -131,26 +131,14 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     cloud = generate_city_cloud(config, seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
     n = config.n_timesteps
-    translations = rng.uniform(
-        -config.estimate_offset_translation, config.estimate_offset_translation, (n, 3)
+    translations, rotations = draw_offsets(
+        rng, n, config.estimate_offset_translation, config.estimate_offset_rotation
     )
-    angles = rng.uniform(-config.estimate_offset_rotation, config.estimate_offset_rotation, (n, 3))
     timesteps = []
     for k in range(n):
-        timestamp = k * config.dt
-        truth = _travel_pose(config, timestamp)
-        offset = CandidateOffset(
-            translations[k], quat_from_euler_zyx(angles[k, 2], angles[k, 1], angles[k, 0])
-        )
-        timesteps.append(
-            Timestep(
-                index=k,
-                timestamp=timestamp,
-                payload_key=f"t{k:06d}",
-                true_pose=truth,
-                estimate_pose=apply_offset(truth, offset),
-            )
-        )
+        truth = _travel_pose(config, k * config.dt)
+        estimate = Pose(*apply_offset(truth.position, truth.orientation, translations[k], rotations[k]))
+        timesteps.append(Timestep(k, k * config.dt, f"t{k:06d}", truth, estimate))
     return Scenario(seed=seed, cloud=cloud, timesteps=timesteps)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorrectionNotPSD, InsufficientSamples
-from .estimator import ErrorEstimate
+from .estimator import indefinite_rows
 from .geometry import quat_to_matrix
 
 # inverse standard-normal CDF at 3/4: one robust-Z unit equals one
@@ -66,47 +66,33 @@ def precompute_q(rotation_samples: np.ndarray, min_samples: int = MIN_ROTATION_S
         raise InsufficientSamples(
             f"need at least {min_samples} rotation samples, got {samples.shape[0]}"
         )
-    mats = np.empty((samples.shape[0], 3, 3))
-    for idx, quat in enumerate(samples):
-        mats[idx] = quat_to_matrix(quat)
-    mats -= np.eye(3)
+    mats = quat_to_matrix(samples)
+    mats -= np.eye(3)  # in place: a second 100k-sample stack would raise peak memory
     q = np.einsum("mia,mjb->ijab", mats, mats) / samples.shape[0]
     return RotationUncertainty(q)
 
 
-@dataclass(frozen=True)
-class ErrorSample:
-    """One candidate's contribution to the mixture: the estimate's error as
-    seen from that candidate, with the inflated covariance."""
-
-    error: np.ndarray
-    covariance: np.ndarray
-
-
 def transform_error(
-    candidate_estimate: ErrorEstimate,
-    offset_translation: np.ndarray,
+    rotation: np.ndarray, errors: np.ndarray, covariances: np.ndarray, offset_translations: np.ndarray,
     rotation_uncertainty: RotationUncertainty,
-) -> ErrorSample:
-    """Shift a candidate's error by its known offset and inflate the covariance.
+) -> tuple[np.ndarray, np.ndarray, dict[int, CorrectionNotPSD]]:
+    """Shift N candidates' (N, 3) errors by their known (N, 3) offsets and
+    inflate their (N, 3, 3) covariances.
 
-    With R the candidate's rotation-error matrix and t the offset that
-    generated the candidate, the sample mean is ``error - R.T t`` and each
-    covariance entry grows by ``u' q[i, j] u`` for ``u = R.T t``.
+    With R a candidate's rotation-error matrix (``rotation`` stacks them)
+    and t its offset, the sample mean is ``error - R.T t`` and each
+    covariance entry grows by ``u' q[i, j] u`` for ``u = R.T t``.  Returns
+    the means, the covariances, and the error of each row whose inflated
+    covariance is not positive definite, keyed by row.
     """
-    t = np.asarray(offset_translation, dtype=float)
-    if t.shape != (3,):
-        raise ValueError("offset translation must be a 3-vector")
-    r = quat_to_matrix(candidate_estimate.rotation_error)
-    u = r.T @ t
-    correction = np.einsum("a,ijab,b->ij", u, rotation_uncertainty.q, u)
-    cov = candidate_estimate.covariance + correction
-    cov = 0.5 * (cov + cov.T)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise CorrectionNotPSD("corrected covariance is not positive definite") from exc
-    return ErrorSample(candidate_estimate.translation_error - u, cov)
+    t = np.asarray(offset_translations, dtype=float)
+    if t.shape != np.shape(errors):
+        raise ValueError("offset translations must be (N, 3), one per error")
+    u = (np.swapaxes(rotation, -1, -2) @ t[..., None])[..., 0]
+    cov = covariances + np.einsum("na,ijab,nb->nij", u, rotation_uncertainty.q, u)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    failed = {i: CorrectionNotPSD("corrected covariance is not positive definite") for i in indefinite_rows(cov)}
+    return errors - u, cov, failed
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +151,6 @@ class ErrorSampleSet:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_samples(cls, samples: list[ErrorSample], weights: np.ndarray) -> "ErrorSampleSet":
-        means = np.array([s.error for s in samples])
-        variances = np.array([np.diagonal(s.covariance) for s in samples])
-        return cls(means, variances, np.asarray(weights, dtype=float))
 
 
 # ---------------------------------------------------------------------------

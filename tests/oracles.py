@@ -114,6 +114,33 @@ def correction_matrix(quats, u) -> np.ndarray:
     return acc / len(quats)
 
 
+def candidate_sample(translation_error, rotation_error, sigma, corr, offset, rotation_samples):
+    """One candidate's mixture sample, the long way round.
+
+    The raw error is rotated out of the candidate frame with the conjugate
+    quaternion, the covariance is built entry by entry and conjugated, and
+    the rotation inflation is the mean outer product over the rotation
+    samples themselves.  Returns (mean, covariance), or None when a
+    covariance has a non-positive eigenvalue.
+    """
+    q = np.asarray(rotation_error, dtype=float)
+    conj = np.array([q[0], -q[1], -q[2], -q[3]])
+    pair = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+    cov = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            rho = 1.0 if i == j else corr[pair[min(i, j), max(i, j)]]
+            cov[i, j] = rho * sigma[i] * sigma[j]
+    if np.linalg.eigvalsh(cov).min() <= 0.0:
+        return None
+    back = rotation_matrix(conj)  # R.T
+    u = rotate(conj, offset)
+    total = back @ cov @ back.T + correction_matrix(rotation_samples, u)
+    if np.linalg.eigvalsh(total).min() <= 0.0:
+        return None
+    return -rotate(conj, translation_error) - u, total
+
+
 # ---------------------------------------------------------------------------
 # geometry by loops
 

@@ -24,16 +24,15 @@ from plbounds.geometry import (
     build_local_map,
     crop_cloud,
     occlusion_filter,
-    pose_to_transform,
     project_to_depth_map,
     quat_from_euler_zyx,
     quat_to_matrix,
     transform_cloud,
 )
 from plbounds.gmm import (
+    GaussianMixture,
     ProtectionLevelQuery,
     ProtectionLevels,
-    build_gmm,
     gmm_cdf,
     protection_level,
 )
@@ -116,7 +115,7 @@ def test_criterion_1_mixture_cdf_vs_monte_carlo():
         means = rng.normal(0.0, 2.0, n)
         sigmas = rng.uniform(0.05, 2.0, n)
         weights = rng.dirichlet(np.ones(n))
-        mixture = build_gmm(means, sigmas**2, weights)
+        mixture = GaussianMixture(means, sigmas**2, weights)
         component = rng.choice(n, size=1_000_000, p=weights)
         draws = rng.normal(means[component], sigmas[component])
         draws.sort()
@@ -130,7 +129,7 @@ def test_criterion_1_mixture_cdf_vs_monte_carlo():
 
 
 def test_criterion_2_protection_level_solver():
-    std = build_gmm([0.0], [1.0], [1.0])
+    std = GaussianMixture([0.0], [1.0], [1.0])
     got05 = protection_level(std, ProtectionLevelQuery(integrity_risk=0.05))
     got01 = protection_level(std, ProtectionLevelQuery(integrity_risk=0.01))
     err05 = abs(got05 - oracles.normal_quantile(0.975))
@@ -143,7 +142,7 @@ def test_criterion_2_protection_level_solver():
         means = rng.normal(0.0, 1.5, n)
         sigmas = rng.uniform(0.05, 1.2, n)
         weights = rng.dirichlet(np.ones(n))
-        mixture = build_gmm(means, sigmas**2, weights)
+        mixture = GaussianMixture(means, sigmas**2, weights)
         got = protection_level(mixture, ProtectionLevelQuery(integrity_risk=0.01))
         want = oracles.grid_protection_level(means, sigmas, weights, 0.01, fine=1e-5)
         worst = max(worst, abs(got - want))
@@ -233,7 +232,7 @@ def test_criterion_6_outlier_weighting():
             weights = outlier_weights(means[:, None])[:, 0]
         else:
             weights = np.full(means.size, 1.0 / means.size)
-        return protection_level(build_gmm(means, variances, weights), query)
+        return protection_level(GaussianMixture(means, variances, weights), query)
 
     spiked = np.append(clean, 1.0)  # one sample ten noise sigmas out
     delta_robust = abs(bound(spiked, True) - bound(clean, True))
@@ -272,7 +271,7 @@ def test_criterion_7_local_map_geometry():
     auto = build_local_map(
         pose, cloud, intrinsics, extents, occlusion_threshold=0.03, pixel_radius=2.5
     )
-    local = transform_cloud(cloud, pose_to_transform(pose))
+    local = transform_cloud(cloud, pose.transform())
     manual = project_to_depth_map(
         occlusion_filter(crop_cloud(local, None, extents), 0.03, intrinsics, 2.5), intrinsics
     )

@@ -91,6 +91,11 @@ def test_load_config_rejections(tmp_path):
         {"query": {"integrity_risk": 2.0}},
         {"scenario": {"blocks_x": 0}},
         {"limits": {"lateral": -1.0}},
+        {"threads": 0},
+        {"estimator": {"sigma_noise": [0.1, "wide", 0.1]}},
+        {"estimator": {"miscalibration": 0.0}},
+        {"pipeline": {"diagram_bins": 0}},
+        {"pipeline": {"min_candidates": 1}},
     ]
     for idx, doc in enumerate(cases):
         path = tmp_path / f"bad{idx}.json"
@@ -245,6 +250,18 @@ def test_missing_inputs_exit_3(config_path, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,the,right,header\n")
     assert main(["calibrate", str(bad), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_malformed_estimate_record_exits_3(scenario_dir, tmp_path, capsys):
+    estimates = tmp_path / "estimates.jsonl"
+    estimates.write_text('{"payload_key": "t000000", "candidate_index": 0}\n')
+    cfg = dict(RUN_CONFIG)
+    cfg["estimator"] = {"kind": "file", "path": str(estimates)}
+    path = tmp_path / "file_config.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 3
+    assert f"{estimates}:1: malformed estimate record" in capsys.readouterr().err
 
 
 def test_pipeline_failure_exits_4(scenario_dir, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from plbounds.estimator import (
     write_estimate_records,
 )
 from plbounds.geometry import Pose, quat_from_euler_zyx, quat_normalize, quat_to_matrix
-from plbounds.sampling import CandidateOffset, apply_offset
+from plbounds.sampling import apply_offset
 from plbounds.scenario import vehicle_frame_error
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -57,33 +58,57 @@ def test_assemble_covariance_rejects_indefinite():
         assemble_covariance(np.ones(3), np.array([0.9, 0.9, -0.9]))
 
 
+def _vehicle(*raws):
+    """to_vehicle_frame over a stack of raw estimates."""
+    rotation = quat_to_matrix(np.array([raw.rotation_error for raw in raws]))
+    fields = (np.array([getattr(raw, f) for raw in raws]) for f in ("translation_error", "sigma", "corr"))
+    return to_vehicle_frame(rotation, *fields)
+
+
 def test_to_vehicle_frame_identity_rotation():
-    est = to_vehicle_frame(_raw(t=(1.0, -2.0, 3.0), sigma=(0.5, 0.6, 0.7)))
-    assert np.allclose(est.translation_error, [-1.0, 2.0, -3.0])
-    assert np.allclose(est.covariance, np.diag([0.25, 0.36, 0.49]))
+    errors, covs, failed = _vehicle(_raw(t=(1.0, -2.0, 3.0), sigma=(0.5, 0.6, 0.7)))
+    assert np.allclose(errors[0], [-1.0, 2.0, -3.0])
+    assert np.allclose(covs[0], np.diag([0.25, 0.36, 0.49]))
+    assert failed == {}
 
 
 def test_to_vehicle_frame_yaw_quarter_turn():
     yaw90 = quat_from_euler_zyx(math.pi / 2, 0.0, 0.0)
-    est = to_vehicle_frame(_raw(t=(1.0, 0.0, 0.0), q=yaw90, sigma=(1.0, 2.0, 3.0)))
-    assert np.allclose(est.translation_error, [0.0, 1.0, 0.0], atol=1e-12)
+    errors, covs, _ = _vehicle(_raw(t=(1.0, 0.0, 0.0), q=yaw90, sigma=(1.0, 2.0, 3.0)))
+    assert np.allclose(errors[0], [0.0, 1.0, 0.0], atol=1e-12)
     # axis-aligned variances swap under the quarter turn
-    assert np.allclose(np.diagonal(est.covariance), [4.0, 1.0, 9.0], atol=1e-12)
+    assert np.allclose(np.diagonal(covs[0]), [4.0, 1.0, 9.0], atol=1e-12)
 
 
 def test_to_vehicle_frame_preserves_eigenvalues():
     rng = np.random.default_rng(0)
+    raws = []
     for _ in range(20):
         q = rng.normal(size=4)
-        raw = _raw(
-            t=rng.normal(size=3),
-            q=q / np.linalg.norm(q),
-            sigma=rng.uniform(0.2, 2.0, 3),
-            corr=rng.uniform(-0.4, 0.4, 3),
+        raws.append(
+            _raw(
+                t=rng.normal(size=3),
+                q=q / np.linalg.norm(q),
+                sigma=rng.uniform(0.2, 2.0, 3),
+                corr=rng.uniform(-0.4, 0.4, 3),
+            )
         )
+    _, covs, failed = _vehicle(*raws)
+    assert failed == {}
+    for raw, cov in zip(raws, covs):
         before = np.sort(np.linalg.eigvalsh(assemble_covariance(raw.sigma, raw.corr)))
-        after = np.sort(np.linalg.eigvalsh(to_vehicle_frame(raw).covariance))
+        after = np.sort(np.linalg.eigvalsh(cov))
         assert np.allclose(before, after, atol=1e-10)
+
+
+def test_to_vehicle_frame_reports_indefinite_rows():
+    good = _raw(t=(1.0, 0.0, 0.0), sigma=(0.5, 0.5, 0.5))
+    bad = _raw(corr=(0.9, 0.9, -0.9))
+    errors, _, failed = _vehicle(good, bad, good)
+    assert list(failed) == [1]
+    assert isinstance(failed[1], NotPositiveDefinite)
+    assert "give an indefinite covariance" in str(failed[1])
+    assert np.array_equal(errors[0], errors[2])
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +179,12 @@ def test_synthetic_noiseless_reports_offset_exactly():
     rng = np.random.default_rng(2)
     truth = _random_pose(rng)
     rot = rng.normal(size=4) * 0.3 + [1, 0, 0, 0]
-    offset = CandidateOffset(rng.normal(size=3), rot / np.linalg.norm(rot))
-    candidate = apply_offset(truth, offset)
+    offset_t, offset_q = rng.normal(size=3), quat_normalize(rot / np.linalg.norm(rot))
+    candidate = Pose(*apply_offset(truth.position, truth.orientation, offset_t, offset_q))
     ctx = MeasurementContext(timestamp=1.5, payload_key="k", true_pose=truth)
     raw = _noiseless().estimate(ctx, candidate)
-    assert np.allclose(raw.translation_error, -offset.translation, atol=1e-10)
-    assert np.allclose(raw.rotation_error, offset.rotation, atol=1e-10)
+    assert np.allclose(raw.translation_error, -offset_t, atol=1e-10)
+    assert np.allclose(raw.rotation_error, offset_q, atol=1e-10)
 
 
 def test_synthetic_noiseless_vehicle_error_chain():
@@ -169,22 +194,20 @@ def test_synthetic_noiseless_vehicle_error_chain():
     truth = _random_pose(rng)
     ctx = MeasurementContext(timestamp=0.25, payload_key="k", true_pose=truth)
     raw = _noiseless().estimate(ctx, truth)
-    est = to_vehicle_frame(raw)
-    assert np.allclose(est.translation_error, np.zeros(3), atol=1e-10)
+    errors, _, _ = _vehicle(raw)
+    assert np.allclose(errors[0], np.zeros(3), atol=1e-10)
 
-    offset = CandidateOffset(rng.normal(size=3), quat_from_euler_zyx(0.1, -0.05, 0.2))
-    candidate = apply_offset(truth, offset)
+    offset_q = quat_from_euler_zyx(0.1, -0.05, 0.2)
+    candidate = Pose(*apply_offset(truth.position, truth.orientation, rng.normal(size=3), offset_q))
     raw = _noiseless().estimate(ctx, candidate)
-    est = to_vehicle_frame(raw)
+    errors, _, _ = _vehicle(raw)
     # the raw output is the candidate's displacement in the candidate frame
     r_cand = quat_to_matrix(candidate.orientation)
     center = lambda pose: -quat_to_matrix(pose.orientation).T @ pose.position
     expect_raw = r_cand @ (center(candidate) - center(truth))
     assert np.allclose(raw.translation_error, expect_raw, atol=1e-10)
     # rotated back out, it is exactly the candidate's true vehicle-frame error
-    assert np.allclose(
-        est.translation_error, vehicle_frame_error(truth, candidate), atol=1e-10
-    )
+    assert np.allclose(errors[0], vehicle_frame_error(truth, candidate), atol=1e-10)
 
 
 def test_synthetic_requires_true_pose():
@@ -275,3 +298,16 @@ def test_file_estimator_round_trip(tmp_path):
         est.estimate(ctx.for_candidate(9), Pose.identity())
     with pytest.raises(InfeasibleContext):
         est.estimate(MeasurementContext(timestamp=1.0, payload_key="t000001"), Pose.identity())
+
+
+def test_file_estimator_names_line_of_malformed_record(tmp_path):
+    path = tmp_path / "est.jsonl"
+    write_estimate_records([("t000001", 0, _raw())], path)
+    good = path.read_text()
+    record = json.loads(good)
+    del record["translation_error"]
+    # blank lines are skipped, yet still counted in the reported line
+    for bad, blank_lines in ((json.dumps(record), 1), ("[1, 2, 3]", 0), ('"text"', 2)):
+        path.write_text(good + "\n" * blank_lines + bad + "\n")
+        with pytest.raises(ValueError, match=f"est.jsonl:{2 + blank_lines}: malformed estimate record"):
+            FileEstimator(path)

@@ -17,7 +17,6 @@ from plbounds.geometry import (
     crop_cloud,
     matrix_to_quat,
     occlusion_filter,
-    pose_to_transform,
     project_to_depth_map,
     quat_conjugate,
     quat_from_axis_angle,
@@ -65,6 +64,39 @@ def test_quat_normalize_rejects_far_from_unit():
     # small drift is renormalized
     q = quat_normalize(np.array([1.0 + 5e-4, 0.0, 0.0, 0.0]))
     assert math.isclose(np.linalg.norm(q), 1.0, abs_tol=1e-15)
+
+
+def test_quaternion_stacks_match_one_at_a_time():
+    # a stack must give each row's single-quaternion result bit for bit:
+    # archived runs depend on those bits
+    rng = np.random.default_rng(9)
+    q = rng.normal(size=(40, 4))
+    q *= (1.0 + rng.uniform(-5e-4, 5e-4, (40, 1))) / np.linalg.norm(q, axis=1, keepdims=True)
+    q[0] = [0.0, -0.6, 0.0, 0.8]  # vanishing scalar part
+    b = rng.normal(size=(40, 4))
+    angles = rng.uniform(-0.5, 0.5, (40, 3))
+    stacked = (
+        quat_normalize(q),
+        quat_to_matrix(q),
+        quat_multiply(q, b),
+        quat_multiply(q, b[0]),
+        quat_from_euler_zyx(*angles.T),
+    )
+    for i in range(40):
+        single = (
+            quat_normalize(q[i]),
+            quat_to_matrix(q[i]),
+            quat_multiply(q[i], b[i]),
+            quat_multiply(q[i], b[0]),
+            quat_from_euler_zyx(*angles[i]),
+        )
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got[i], want)
+    assert np.array_equal(quat_to_matrix(q.reshape(2, 20, 4)), stacked[1].reshape(2, 20, 3, 3))
+    assert np.array_equal(quat_normalize(q.reshape(2, 20, 4)), stacked[0].reshape(2, 20, 4))
+    assert quat_to_matrix(np.empty((0, 4))).shape == (0, 3, 3)
+    with pytest.raises(ValueError):
+        quat_normalize(np.vstack((q, [[2.0, 0.0, 0.0, 0.0]])))
 
 
 def test_quat_matrix_round_trip():
@@ -347,7 +379,7 @@ def test_build_local_map_equals_composition():
     combined = build_local_map(pose, cloud, k, extents, occlusion_threshold=0.05)
     manual = project_to_depth_map(
         occlusion_filter(
-            crop_cloud(transform_cloud(cloud, pose_to_transform(pose)), None, extents),
+            crop_cloud(transform_cloud(cloud, pose.transform()), None, extents),
             0.05,
             k,
             2.0,

@@ -8,7 +8,6 @@ from plbounds.gmm import (
     GaussianMixture,
     ProtectionLevelQuery,
     ProtectionLevels,
-    build_gmm,
     gmm_cdf,
     gmm_quantile,
     protection_level,
@@ -73,7 +72,7 @@ def test_mixture_accepts_weight_sum_within_tolerance():
 
 
 def test_cdf_matches_oracle_and_is_scalar_for_scalars():
-    m = build_gmm([-1.0, 2.0], [0.5, 2.0], [0.3, 0.7])
+    m = GaussianMixture([-1.0, 2.0], [0.5, 2.0], [0.3, 0.7])
     val = gmm_cdf(m, 0.7)
     assert isinstance(val, float)
     want = oracles.mixture_cdf(0.7, [-1.0, 2.0], np.sqrt([0.5, 2.0]), [0.3, 0.7])
@@ -86,7 +85,7 @@ def test_cdf_matches_oracle_and_is_scalar_for_scalars():
 
 
 def test_single_component_cdf_reduces_to_normal():
-    m = build_gmm([2.0], [4.0], [1.0])
+    m = GaussianMixture([2.0], [4.0], [1.0])
     for z, phi in NORMAL_TABLE:
         assert abs(gmm_cdf(m, 2.0 + 2.0 * z) - phi) <= 1e-15
 
@@ -96,15 +95,15 @@ def test_single_component_cdf_reduces_to_normal():
 
 
 def test_quantile_standard_normal():
-    m = build_gmm([0.0], [1.0], [1.0])
+    m = GaussianMixture([0.0], [1.0], [1.0])
     assert abs(gmm_quantile(m, 0.975) - Z_975) <= 2e-4
     assert abs(gmm_quantile(m, 0.025) + Z_975) <= 2e-4
     assert abs(gmm_quantile(m, 0.5)) <= 2e-4
 
 
 def test_quantile_shift_scale_equivariance():
-    m0 = build_gmm([0.0, 1.0], [1.0, 4.0], [0.4, 0.6])
-    m1 = build_gmm([3.0, 3.0 + 2.0 * 1.0], [4.0 * 1.0, 4.0 * 4.0], [0.4, 0.6])
+    m0 = GaussianMixture([0.0, 1.0], [1.0, 4.0], [0.4, 0.6])
+    m1 = GaussianMixture([3.0, 3.0 + 2.0 * 1.0], [4.0 * 1.0, 4.0 * 4.0], [0.4, 0.6])
     for p in (0.01, 0.25, 0.9, 0.995):
         q0 = gmm_quantile(m0, p, tolerance=1e-10)
         q1 = gmm_quantile(m1, p, tolerance=1e-10)
@@ -112,8 +111,8 @@ def test_quantile_shift_scale_equivariance():
 
 
 def test_quantile_negation_symmetry():
-    m_pos = build_gmm([-1.0, 2.0], [0.5, 1.5], [0.25, 0.75])
-    m_neg = build_gmm([1.0, -2.0], [0.5, 1.5], [0.25, 0.75])
+    m_pos = GaussianMixture([-1.0, 2.0], [0.5, 1.5], [0.25, 0.75])
+    m_neg = GaussianMixture([1.0, -2.0], [0.5, 1.5], [0.25, 0.75])
     for p in (0.005, 0.1, 0.5, 0.9, 0.995):
         a = gmm_quantile(m_pos, p, tolerance=1e-9)
         b = gmm_quantile(m_neg, 1.0 - p, tolerance=1e-9)
@@ -128,7 +127,7 @@ def test_quantile_matches_grid_oracle():
         sigmas = rng.uniform(0.05, 1.5, size=n)
         weights = rng.uniform(0.2, 1.0, size=n)
         weights /= weights.sum()
-        m = build_gmm(means, sigmas**2, weights)
+        m = GaussianMixture(means, sigmas**2, weights)
         for p in (0.005, 0.025, 0.5, 0.975, 0.995):
             got = gmm_quantile(m, p)
             want = oracles.grid_quantile(means, sigmas, weights, p, fine=1e-5)
@@ -136,14 +135,14 @@ def test_quantile_matches_grid_oracle():
 
 
 def test_quantile_probability_domain():
-    m = build_gmm([0.0], [1.0], [1.0])
+    m = GaussianMixture([0.0], [1.0], [1.0])
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
             gmm_quantile(m, bad)
 
 
 def test_quantile_non_convergence():
-    m = build_gmm([0.0], [1.0], [1.0])
+    m = GaussianMixture([0.0], [1.0], [1.0])
     with pytest.raises(NonConvergence):
         gmm_quantile(m, 0.975, tolerance=1e-12, max_iterations=1)
 
@@ -153,7 +152,7 @@ def test_quantile_non_convergence():
 
 
 def test_protection_level_standard_normal():
-    m = build_gmm([0.0], [1.0], [1.0])
+    m = GaussianMixture([0.0], [1.0], [1.0])
     assert abs(protection_level(m, ProtectionLevelQuery(integrity_risk=0.05)) - Z_975) <= 1e-3
     assert abs(protection_level(m, ProtectionLevelQuery(integrity_risk=0.01)) - Z_995) <= 1e-3
 
@@ -161,13 +160,13 @@ def test_protection_level_standard_normal():
 def test_protection_level_two_tight_components():
     # nearly point masses at -2 and +2: both tail quantiles land at
     # magnitude 2 for any reasonable risk
-    m = build_gmm([-2.0, 2.0], [1e-12, 1e-12], [0.5, 0.5])
+    m = GaussianMixture([-2.0, 2.0], [1e-12, 1e-12], [0.5, 0.5])
     assert abs(protection_level(m, ProtectionLevelQuery(integrity_risk=0.01)) - 2.0) <= 2e-4
 
 
 def test_protection_level_dominated_by_wider_tail():
-    narrow = build_gmm([0.0], [1.0], [1.0])
-    shifted = build_gmm([0.0, 3.0], [1.0, 1.0], [0.9, 0.1])
+    narrow = GaussianMixture([0.0], [1.0], [1.0])
+    shifted = GaussianMixture([0.0, 3.0], [1.0, 1.0], [0.9, 0.1])
     q = ProtectionLevelQuery(integrity_risk=0.01)
     assert protection_level(shifted, q) > protection_level(narrow, q)
 
@@ -180,7 +179,7 @@ def test_protection_level_matches_grid_oracle():
         sigmas = rng.uniform(0.1, 1.0, size=n)
         weights = rng.uniform(0.2, 1.0, size=n)
         weights /= weights.sum()
-        m = build_gmm(means, sigmas**2, weights)
+        m = GaussianMixture(means, sigmas**2, weights)
         got = protection_level(m, ProtectionLevelQuery(integrity_risk=0.01))
         want = oracles.grid_protection_level(means, sigmas, weights, 0.01, fine=1e-5)
         assert abs(got - want) <= 2e-4 + 1e-5
@@ -214,7 +213,7 @@ def test_protection_levels_all_matches_per_column():
     q = ProtectionLevelQuery(integrity_risk=0.05)
     pls = protection_levels_all(means, variances, weights, q)
     for d, value in enumerate(pls.as_array()):
-        single = protection_level(build_gmm(means[:, d], variances[:, d], weights[:, d]), q)
+        single = protection_level(GaussianMixture(means[:, d], variances[:, d], weights[:, d]), q)
         assert value == single
 
 
@@ -243,6 +242,6 @@ def test_protection_level_bounded_by_support(data, risk):
     sigmas = np.array([d[1] for d in data])
     weights = np.array([d[2] for d in data])
     weights /= weights.sum()
-    m = build_gmm(means, sigmas**2, weights)
+    m = GaussianMixture(means, sigmas**2, weights)
     pl = protection_level(m, ProtectionLevelQuery(integrity_risk=risk))
     assert 0.0 <= pl <= np.max(np.abs(means)) + 10.0 * sigmas.max() + 1e-3

@@ -152,12 +152,12 @@ def test_candidate_exclusion_and_failure():
     result = run_timestep(
         flaky, ctx, ts.estimate_pose, None, offsets, RotationUncertainty.zero(), config
     )
-    assert result.n_candidates == len(offsets) - 2
+    assert result.n_candidates == len(offsets[0]) - 2
     assert result.n_excluded == 2
     assert len(result.diagnostics) == 2
     assert "candidate 0 excluded" in result.diagnostics[0]
 
-    broken = FlakyEstimator(_noiseless(), frozenset(range(len(offsets))))
+    broken = FlakyEstimator(_noiseless(), frozenset(range(len(offsets[0]))))
     with pytest.raises(TimestepFailure):
         run_timestep(
             broken, ctx, ts.estimate_pose, None, offsets, RotationUncertainty.zero(), config

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from plbounds.errors import CorrectionNotPSD, InsufficientSamples
-from plbounds.estimator import ErrorEstimate
+from plbounds.estimator import to_vehicle_frame
 from plbounds.geometry import quat_from_euler_zyx, quat_to_matrix
 from plbounds.uncertainty import (
     MIN_ROTATION_SAMPLES,
     ROBUST_GAMMA,
     DirectionalErrors,
-    ErrorSample,
     ErrorSampleSet,
     RotationUncertainty,
     outlier_weights,
@@ -67,24 +66,31 @@ def test_rotation_uncertainty_validation():
 # transforming candidate errors
 
 
-def _estimate(error, cov, rotation=(1.0, 0.0, 0.0, 0.0)):
-    return ErrorEstimate(np.asarray(error, float), np.asarray(cov, float), np.asarray(rotation, float))
+def _transform(errors, covs, offsets, tensor, rotations=None):
+    """transform_error over stacked candidates (identity rotations by default)."""
+    errors = np.asarray(errors, float)
+    if rotations is None:
+        rotations = np.tile([1.0, 0.0, 0.0, 0.0], (len(errors), 1))
+    rotation = quat_to_matrix(np.asarray(rotations, float))
+    return transform_error(rotation, errors, np.asarray(covs, float), np.asarray(offsets, float), tensor)
 
 
 def test_transform_error_identity_rotation_shifts_mean():
-    est = _estimate([1.0, 2.0, 3.0], np.diag([0.1, 0.2, 0.3]))
-    sample = transform_error(est, np.array([0.5, 0.5, 0.5]), RotationUncertainty.zero())
-    assert np.allclose(sample.error, [0.5, 1.5, 2.5])
-    assert np.allclose(sample.covariance, np.diag([0.1, 0.2, 0.3]))
+    means, covs, failed = _transform(
+        [[1.0, 2.0, 3.0]], [np.diag([0.1, 0.2, 0.3])], [[0.5, 0.5, 0.5]], RotationUncertainty.zero()
+    )
+    assert np.allclose(means[0], [0.5, 1.5, 2.5])
+    assert np.allclose(covs[0], np.diag([0.1, 0.2, 0.3]))
+    assert failed == {}
 
 
 def test_transform_error_rotates_the_offset():
     # rotation error is a +90 degree yaw, so the offset x-hat maps through
     # R.T to -y-hat and the sample error is +y-hat
     yaw90 = quat_from_euler_zyx(np.pi / 2, 0.0, 0.0)
-    est = _estimate([0.0, 0.0, 0.0], np.eye(3), yaw90)
-    sample = transform_error(est, np.array([1.0, 0.0, 0.0]), RotationUncertainty.zero())
-    assert np.allclose(sample.error, [0.0, 1.0, 0.0], atol=1e-12)
+    zero = RotationUncertainty.zero()
+    means, _, _ = _transform([np.zeros(3)], [np.eye(3)], [[1.0, 0.0, 0.0]], zero, [yaw90])
+    assert np.allclose(means[0], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_transform_error_correction_matches_outer_product_oracle():
@@ -93,35 +99,61 @@ def test_transform_error_correction_matches_outer_product_oracle():
     rng = np.random.default_rng(2)
     quats = _perturbation_quats(rng, 1000, scale=0.1)
     tensor = precompute_q(quats)
-    for _ in range(5):
-        t = rng.normal(size=3) * 2.0
-        est = _estimate(rng.normal(size=3), np.eye(3))
-        sample = transform_error(est, t, tensor)
-        want = np.eye(3) + oracles.correction_matrix(quats, t)  # identity rotation: u = t
-        assert np.allclose(sample.covariance, 0.5 * (want + want.T), atol=1e-10)
+    t = rng.normal(size=(5, 3)) * 2.0
+    _, covs, _ = _transform(rng.normal(size=(5, 3)), np.tile(np.eye(3), (5, 1, 1)), t, tensor)
+    for row, cov in zip(t, covs):
+        want = np.eye(3) + oracles.correction_matrix(quats, row)  # identity rotation: u = t
+        assert np.allclose(cov, 0.5 * (want + want.T), atol=1e-10)
 
 
 def test_transform_error_correction_inflates_variance():
     rng = np.random.default_rng(3)
     tensor = precompute_q(_perturbation_quats(rng, 2000, scale=0.1))
-    est = _estimate([0.0, 0.0, 0.0], np.diag([0.01, 0.01, 0.01]))
-    t = np.array([2.0, -1.0, 0.5])
-    inflated = transform_error(est, t, tensor)
-    baseline = transform_error(est, t, RotationUncertainty.zero())
-    assert np.all(np.diagonal(inflated.covariance) >= np.diagonal(baseline.covariance))
-    assert np.diagonal(inflated.covariance).max() > 0.01
+    args = ([np.zeros(3)], [np.diag([0.01, 0.01, 0.01])], [[2.0, -1.0, 0.5]])
+    _, inflated, _ = _transform(*args, tensor)
+    _, baseline, _ = _transform(*args, RotationUncertainty.zero())
+    assert np.all(np.diagonal(inflated[0]) >= np.diagonal(baseline[0]))
+    assert np.diagonal(inflated[0]).max() > 0.01
 
 
 def test_transform_error_rejects_indefinite_covariance():
-    est = _estimate([0.0, 0.0, 0.0], np.diag([-1.0, 1.0, 1.0]))
-    with pytest.raises(CorrectionNotPSD):
-        transform_error(est, np.zeros(3), RotationUncertainty.zero())
+    covs = [np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.eye(3)]
+    means, _, failed = _transform(np.ones((3, 3)), covs, np.zeros((3, 3)), RotationUncertainty.zero())
+    assert list(failed) == [1]
+    assert isinstance(failed[1], CorrectionNotPSD)
+    assert np.array_equal(means[[0, 2]], np.ones((2, 3)))
 
 
 def test_transform_error_validates_offset_shape():
-    est = _estimate([0.0, 0.0, 0.0], np.eye(3))
     with pytest.raises(ValueError):
-        transform_error(est, np.zeros(2), RotationUncertainty.zero())
+        _transform([np.zeros(3)], [np.eye(3)], np.zeros((1, 2)), RotationUncertainty.zero())
+
+
+def test_stacked_transforms_match_per_row_oracle():
+    # the stacked frame change and inflation of N candidates, one of them
+    # with indefinite correlations, against the one-candidate reference
+    rng = np.random.default_rng(6)
+    n, bad = 12, 7
+    tensor_quats = _perturbation_quats(rng, 1000, scale=0.1)
+    tensor = precompute_q(tensor_quats)
+    raw_t = rng.normal(size=(n, 3))
+    raw_q = _perturbation_quats(rng, n, scale=0.3)
+    sigma = rng.uniform(0.1, 1.0, (n, 3))
+    corr = rng.uniform(-0.5, 0.5, (n, 3))
+    corr[bad] = [0.9, 0.9, -0.9]
+    offsets = rng.uniform(-1.0, 1.0, (n, 3))
+    rotation = quat_to_matrix(raw_q)
+    errors, covs, frame_failed = to_vehicle_frame(rotation, raw_t, sigma, corr)
+    means, covs, inflate_failed = transform_error(rotation, errors, covs, offsets, tensor)
+    assert list(frame_failed) == [bad]
+    assert set(inflate_failed) <= {bad}  # an indefinite row may fail again; no other row may
+    for i in range(n):
+        want = oracles.candidate_sample(raw_t[i], raw_q[i], sigma[i], corr[i], offsets[i], tensor_quats)
+        if i == bad:
+            assert want is None
+            continue
+        assert np.allclose(means[i], want[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(covs[i], want[1], rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +233,6 @@ def test_error_sample_set_validation():
         ErrorSampleSet(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))  # zero variance
     with pytest.raises(ValueError):
         ErrorSampleSet(np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2)))
-
-
-def test_error_sample_set_from_samples():
-    samples = [
-        ErrorSample(np.array([1.0, 2.0, 3.0]), np.diag([0.1, 0.2, 0.3])),
-        ErrorSample(np.array([4.0, 5.0, 6.0]), np.diag([0.4, 0.5, 0.6])),
-    ]
-    s = ErrorSampleSet.from_samples(samples, np.full((2, 3), 0.5))
-    assert np.array_equal(s.means, [[1, 2, 3], [4, 5, 6]])
-    assert np.allclose(s.variances, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
 
 
 def _sample_set(ex, ey, ez, w=None):
