@@ -21,12 +21,14 @@ from .errors import InfeasibleContext, MissingRecord, NotPositiveDefinite
 from .geometry import (
     PointCloud,
     Pose,
-    matrix_to_quat,
+    quat_conjugate,
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
     quaternion_angular_distance,
 )
+
+RECORD_FIELDS = ("translation_error", "rotation_error", "sigma", "corr")
 
 
 @dataclass(frozen=True)
@@ -46,21 +48,36 @@ class RawEstimate:
     corr: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.translation_error, dtype=float)
-        s = np.asarray(self.sigma, dtype=float)
-        c = np.asarray(self.corr, dtype=float)
-        if t.shape != (3,) or s.shape != (3,) or c.shape != (3,):
-            raise ValueError("translation_error, sigma and corr must be 3-vectors")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("translation_error must be finite")
-        if not np.all(s > 0.0):
-            raise ValueError("sigma must be strictly positive")
-        if np.any(np.abs(c) >= 1.0):
-            raise ValueError("correlations must lie in (-1, 1)")
-        object.__setattr__(self, "translation_error", t)
-        object.__setattr__(self, "rotation_error", quat_normalize(self.rotation_error))
-        object.__setattr__(self, "sigma", s)
-        object.__setattr__(self, "corr", c)
+        fields = check_estimates(self.translation_error, self.rotation_error, self.sigma, self.corr)
+        for name, value in zip(RECORD_FIELDS, fields):
+            object.__setattr__(self, name, value)
+
+
+def check_estimates(
+    translation_error, rotation_error, sigma, corr, rows: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The checks every estimator output passes, on one estimate's fields
+    (``rows`` is ``()``) or on ``rows = (N,)`` stacks of them.
+
+    Raises ValueError unless the translation errors, sigmas and correlations
+    have shape ``rows + (3,)`` and are finite, every sigma is positive,
+    every correlation lies in (-1, 1) and the rotation errors have shape
+    ``rows + (4,)`` and are unit quaternions to within ``quat_normalize``'s
+    tolerance.  Returns the four fields as float arrays, the rotation errors
+    normalized.
+    """
+    t, q, s, c = (np.asarray(a, dtype=float) for a in (translation_error, rotation_error, sigma, corr))
+    if not t.shape == s.shape == c.shape == rows + (3,):
+        raise ValueError(f"translation_error, sigma and corr must have shape {rows + (3,)}")
+    if q.shape != rows + (4,):
+        raise ValueError(f"rotation_error must have shape {rows + (4,)}")
+    if not np.isfinite(t).all():
+        raise ValueError("translation_error must be finite")
+    if not (np.isfinite(s).all() and (s > 0.0).all()):
+        raise ValueError("sigma must be finite and strictly positive")
+    if not (np.abs(c) < 1.0).all():  # false for NaN too
+        raise ValueError("correlations must be finite and lie in (-1, 1)")
+    return t, quat_normalize(q), s, c
 
 
 def indefinite_rows(cov: np.ndarray) -> list[int]:
@@ -194,28 +211,24 @@ class MeasurementContext:
 
 @runtime_checkable
 class Estimator(Protocol):
+    """What the pipeline queries for every candidate pose.
+
+    An estimator may also define ``estimate_batch(ctx, positions,
+    orientations, cloud)``: the answers for the (N, 3) positions and (N, 4)
+    orientations of a timestep's candidates 0..N-1 in one call, as the
+    stacked ``(translation_error, rotation_error, sigma, corr)`` fields,
+    each row passed through ``check_estimates`` and equal to what
+    ``estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]))``
+    returns.  The pipeline then makes that one call per timestep, and a
+    package error it raises excludes every candidate with that reason.
+    """
+
     def estimate(self, ctx: MeasurementContext, candidate: Pose, cloud: PointCloud | None) -> RawEstimate:
         ...
 
 
 def _float_key(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
-
-
-def _call_generator(seed: int, ctx: MeasurementContext, candidate: Pose) -> np.random.Generator:
-    """Deterministic per-call stream keyed by seed, timestamp and candidate.
-
-    The candidate enters through its index when the caller assigned one,
-    otherwise through the bits of its pose, so results depend on which
-    candidate is evaluated but never on evaluation order or thread count.
-    """
-    key = [seed, _float_key(ctx.timestamp)]
-    if ctx.candidate_index is not None:
-        key.append(int(ctx.candidate_index))
-    else:
-        key.extend(_float_key(v) for v in candidate.position)
-        key.extend(_float_key(v) for v in candidate.orientation)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def _rotvecs_to_quats(rotvecs: np.ndarray) -> np.ndarray:
@@ -254,6 +267,12 @@ class SyntheticEstimator:
     scale ``sigma_rot``) is layered on top; the reported sigma is the noise
     scale times ``miscalibration``, so values below 1 simulate an
     overconfident model.
+
+    The noise comes from one stream per (seed, timestamp): candidate i gets
+    row i of its (N, 6) standard normal draw, the first three values scaled
+    by ``sigma_noise`` and the last three by ``sigma_rot``.  A context
+    without a candidate index keys the stream by the pose's bits as well
+    and takes row 0.
     """
 
     def __init__(self, config: SyntheticEstimatorConfig = SyntheticEstimatorConfig()):
@@ -263,30 +282,61 @@ class SyntheticEstimator:
         self._corr = np.asarray(config.corr, dtype=float)
 
     def estimate(self, ctx: MeasurementContext, candidate: Pose, cloud: PointCloud | None = None) -> RawEstimate:
+        index = ctx.candidate_index
+        if index is None:  # no index to pick a row by: key the stream by the pose instead
+            pose_key = tuple(_float_key(v) for v in (*candidate.position, *candidate.orientation))
+            noise = self._noise(ctx, 1, pose_key)
+        else:
+            noise = self._noise(ctx, index + 1)[index:]
+        fields = self._errors(ctx, candidate.position[None], candidate.orientation[None], noise)
+        return RawEstimate(*(field[0] for field in fields))
+
+    def estimate_batch(
+        self,
+        ctx: MeasurementContext,
+        positions: np.ndarray,
+        orientations: np.ndarray,
+        cloud: PointCloud | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The estimates of candidates 0..N-1 at once (see ``Estimator``)."""
+        noise = self._noise(ctx, len(positions))
+        orientations = quat_normalize(orientations)  # as ``Pose`` does
+        return check_estimates(*self._errors(ctx, positions, orientations, noise), (len(positions),))
+
+    def _noise(self, ctx: MeasurementContext, count: int, pose_key: tuple[int, ...] = ()) -> np.ndarray:
+        """The first ``count`` rows of the (seed, timestamp) stream's (M, 6)
+        standard normal draw, one row per candidate index.  numpy fills the
+        draw in order, so a row does not depend on how many follow it."""
+        key = [self.config.seed, _float_key(ctx.timestamp), *pose_key]
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key))).standard_normal((count, 6))
+
+    def _errors(self, ctx: MeasurementContext, positions, orientations, noise: np.ndarray) -> tuple:
+        """Noisy raw estimates of the (N, 3) positions and (N, 4) orientations,
+        unchecked; row i takes its noise from ``noise[i]``.  Every step works
+        row by row, so a row's bits do not depend on the others."""
         if ctx.true_pose is None:
             raise InfeasibleContext("synthetic estimator needs the true pose in the context")
         r_true = quat_to_matrix(ctx.true_pose.orientation)
-        r_cand = quat_to_matrix(candidate.orientation)
+        r_cand = quat_to_matrix(orientations)
         center_true = -r_true.T @ ctx.true_pose.position
-        center_cand = -r_cand.T @ candidate.position
-        translation = r_cand @ (center_cand - center_true)
-        rotation = matrix_to_quat(r_cand @ r_true.T)
-
-        rng = _call_generator(self.config.seed, ctx, candidate)
-        noise = rng.normal(0.0, self._sigma_noise)
-        rotvec = rng.normal(0.0, self.config.sigma_rot, 3)
+        center_cand = -(np.swapaxes(r_cand, -1, -2) @ positions[..., None])
+        translation = (r_cand @ (center_cand - center_true[:, None]))[..., 0]
+        rotation = quat_multiply(orientations, quat_conjugate(ctx.true_pose.orientation))
         if self.config.sigma_rot > 0.0:
-            rotation = quat_normalize(quat_multiply(_rotvecs_to_quats(rotvec[None, :])[0], rotation))
-        return RawEstimate(translation + noise, rotation, self._sigma_report, self._corr)
+            rotation = quat_multiply(_rotvecs_to_quats(noise[:, 3:] * self.config.sigma_rot), rotation)
+        n = len(noise)
+        return (
+            translation + noise[:, :3] * self._sigma_noise,
+            rotation,
+            np.tile(self._sigma_report, (n, 1)),
+            np.tile(self._corr, (n, 1)),
+        )
 
     def rotation_residual_samples(self, count: int, seed: int) -> np.ndarray:
         """Draws from the same rotation-perturbation distribution the
         estimator applies to its outputs, as scalar-first quaternions."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x726F74])))
         return _rotvecs_to_quats(rng.normal(0.0, self.config.sigma_rot, (count, 3)))
-
-
-RECORD_FIELDS = ("translation_error", "rotation_error", "sigma", "corr")
 
 
 class FileEstimator:

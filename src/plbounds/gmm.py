@@ -4,7 +4,8 @@ A protection level is the statistical bound on one component of the
 position error: the magnitude the error exceeds only with the configured
 integrity risk.  It is computed from the weighted mixture of per-candidate
 error distributions by solving the mixture CDF for both tail quantiles at
-half the risk each and taking the larger magnitude.
+half the risk each and taking the larger magnitude of their outer bracket
+edges.
 """
 
 from __future__ import annotations
@@ -107,9 +108,49 @@ class ProtectionLevels:
         return np.array([self.lateral, self.longitudinal, self.vertical])
 
 
-def _initial_bracket(mixture: GaussianMixture) -> tuple[float, float]:
-    sig = mixture.sigmas
-    return float(np.min(mixture.means - 10.0 * sig)), float(np.max(mixture.means + 10.0 * sig))
+def _brackets(
+    mixtures: list[GaussianMixture], probabilities, tolerance: float, max_iterations: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final bisection brackets ``(lo, hi)`` of ``cdf_k(x) = probabilities[k]``
+    for K mixtures with equally many components, solved together.
+
+    Each initial bracket spans its mixture's components by ten standard
+    deviations and is doubled outward up to five times if its target lies
+    outside; a row stops once its bracket half-width falls below
+    ``tolerance``.  Rows are masked out as they finish, so every row takes
+    exactly the steps it would take alone.
+    """
+    means = np.stack([m.means for m in mixtures])
+    sigmas = np.stack([m.sigmas for m in mixtures])
+    weights = np.stack([m.weights for m in mixtures])
+    p = np.asarray(probabilities, dtype=float)
+
+    def cdf(x: np.ndarray) -> np.ndarray:
+        # a stacked (1, N) @ (N, 1) per row keeps the bits of a lone row's
+        # dot product, which einsum and sum(axis=1) do not
+        return (std_normal_cdf((x[:, None] - means) / sigmas)[:, None, :] @ weights[:, :, None])[:, 0, 0]
+
+    lo = np.min(means - 10.0 * sigmas, axis=1)
+    hi = np.max(means + 10.0 * sigmas, axis=1)
+    for expansions in range(6):
+        outside = ~((cdf(lo) <= p) & (p <= cdf(hi)))
+        if not outside.any():
+            break
+        if expansions == 5:
+            raise BracketingFailure(f"could not bracket probability {p[outside][0]}")
+        width = hi - lo
+        lo = np.where(outside, lo - width, lo)
+        hi = np.where(outside, hi + width, hi)
+    for iterations in range(max_iterations + 1):
+        active = 0.5 * (hi - lo) > tolerance
+        if not active.any():
+            return lo, hi
+        if iterations == max_iterations:
+            raise NonConvergence(f"no convergence within {max_iterations} bisection steps")
+        mid = 0.5 * (lo + hi)
+        above = cdf(mid) >= p
+        hi = np.where(active & above, mid, hi)
+        lo = np.where(active & ~above, mid, lo)
 
 
 def gmm_quantile(
@@ -118,46 +159,31 @@ def gmm_quantile(
     tolerance: float = 1e-4,
     max_iterations: int = 200,
 ) -> float:
-    """Solve ``cdf(x) = probability`` for x by bisection.
-
-    The initial bracket spans all components by ten standard deviations and
-    is doubled outward up to five times if the target lies outside; the
-    search stops when the bracket half-width falls below ``tolerance``.
-    """
+    """Solve ``cdf(x) = probability`` for x by bisection; returns the
+    midpoint of the final bracket (see ``_brackets``)."""
     if not 0.0 < probability < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
-    lo, hi = _initial_bracket(mixture)
-    expansions = 0
-    while not gmm_cdf(mixture, lo) <= probability <= gmm_cdf(mixture, hi):
-        if expansions >= 5:
-            raise BracketingFailure(f"could not bracket probability {probability}")
-        width = hi - lo
-        lo -= width
-        hi += width
-        expansions += 1
-    iterations = 0
-    while 0.5 * (hi - lo) > tolerance:
-        if iterations >= max_iterations:
-            raise NonConvergence(f"no convergence within {max_iterations} bisection steps")
-        mid = 0.5 * (lo + hi)
-        if gmm_cdf(mixture, mid) >= probability:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    return 0.5 * (lo + hi)
+    lo, hi = _brackets([mixture], [probability], tolerance, max_iterations)
+    return float(0.5 * (lo[0] + hi[0]))
+
+
+def _bounds(mixtures: list[GaussianMixture], query: ProtectionLevelQuery) -> list[float]:
+    """Two-sided bound of each mixture at the queried integrity risk.
+
+    Each tail gets half the risk.  The bound is the larger magnitude of the
+    outer edges of the two tail brackets (the upper edge of the ``1 - risk/2``
+    bracket, the lower edge of the ``risk/2`` one), so the mass beyond it is
+    at most the risk whatever the tolerance.
+    """
+    half = 0.5 * query.integrity_risk
+    tails = [m for m in mixtures for _ in range(2)]
+    lo, hi = _brackets(tails, [1.0 - half, half] * len(mixtures), query.tolerance, query.max_iterations)
+    return [max(abs(float(h)), abs(float(l))) for h, l in zip(hi[0::2], lo[1::2])]
 
 
 def protection_level(mixture: GaussianMixture, query: ProtectionLevelQuery = ProtectionLevelQuery()) -> float:
-    """Two-sided error bound at the queried integrity risk.
-
-    Each tail gets half the risk: the bound is the larger magnitude of the
-    ``risk/2`` and ``1 - risk/2`` mixture quantiles.
-    """
-    half = 0.5 * query.integrity_risk
-    rho_hi = gmm_quantile(mixture, 1.0 - half, query.tolerance, query.max_iterations)
-    rho_lo = gmm_quantile(mixture, half, query.tolerance, query.max_iterations)
-    return max(abs(rho_hi), abs(rho_lo))
+    """Two-sided error bound at the queried integrity risk (see ``_bounds``)."""
+    return _bounds([mixture], query)[0]
 
 
 def protection_levels_all(
@@ -169,15 +195,12 @@ def protection_levels_all(
     """Per-axis protection levels from (N, 3) mixture ingredients.
 
     Columns are the lateral, longitudinal and vertical sample sets; each
-    column forms its own mixture and is solved independently.
+    column forms its own mixture, and all three are solved in one bisection.
     """
     means = np.asarray(means, dtype=float)
     variances = np.asarray(variances, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if not (means.shape == variances.shape == weights.shape) or means.ndim != 2 or means.shape[1] != 3:
         raise LengthMismatch("per-axis inputs must share shape (N, 3)")
-    values = [
-        protection_level(GaussianMixture(means[:, d], variances[:, d], weights[:, d]), query)
-        for d in range(3)
-    ]
-    return ProtectionLevels(*values)
+    mixtures = [GaussianMixture(means[:, d], variances[:, d], weights[:, d]) for d in range(3)]
+    return ProtectionLevels(*_bounds(mixtures, query))

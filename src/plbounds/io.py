@@ -114,12 +114,17 @@ def write_jsonl(rows, path: Path | str) -> None:
 
 
 def read_jsonl(path: Path | str) -> list:
+    """The JSON value on each non-blank line; a line that is not valid JSON
+    raises ValueError naming the file and the line."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
     return rows
 
 

@@ -99,9 +99,11 @@ def run_timestep(
     """Protection levels for one timestep under the configured variant.
 
     ``offsets`` holds the (N, 3) translations and (N, 4) rotations of the
-    candidates from ``sample_candidates`` (``VAR`` has none).  Candidates
-    whose estimator call raises a package error, or whose covariance is
-    indefinite, are excluded with a diagnostic; fewer than
+    candidates from ``sample_candidates`` (``VAR`` has none).  An estimator
+    with ``estimate_batch`` is called once for all candidates, any other
+    once per candidate.  Candidates whose estimator call raises a package
+    error (every candidate, when the batch call raises), or whose
+    covariance is indefinite, are excluded with a diagnostic; fewer than
     ``min_candidates`` survivors abort the timestep.  Results do not depend
     on candidate evaluation order.
     """
@@ -125,14 +127,21 @@ def run_timestep(
     raw_error, raw_rotation = np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
     sigma, corr = np.ones((n, 3)), np.zeros((n, 3))
     failed: dict[int, PlboundsError] = {}
-    for i in range(n):
+    estimate_batch = getattr(estimator, "estimate_batch", None)
+    if estimate_batch is not None:
         try:
-            raw = estimator.estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]), cloud)
+            raw_error, raw_rotation, sigma, corr = estimate_batch(ctx, positions, orientations, cloud)
         except PlboundsError as exc:
-            failed[i] = exc
-            continue
-        raw_error[i], raw_rotation[i] = raw.translation_error, raw.rotation_error
-        sigma[i], corr[i] = raw.sigma, raw.corr
+            failed = dict.fromkeys(range(n), exc)
+    else:
+        for i in range(n):
+            try:
+                raw = estimator.estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]), cloud)
+            except PlboundsError as exc:
+                failed[i] = exc
+                continue
+            raw_error[i], raw_rotation[i] = raw.translation_error, raw.rotation_error
+            sigma[i], corr[i] = raw.sigma, raw.corr
     rotation = quat_to_matrix(raw_rotation)
     errors, covs, frame_failed = to_vehicle_frame(rotation, raw_error, sigma, corr)
     means, covs, inflate_failed = transform_error(rotation, errors, covs, translations, rotation_uncertainty)

@@ -59,6 +59,43 @@ def grid_protection_level(means, sigmas, weights, integrity_risk: float, fine: f
     return max(abs(hi), abs(lo))
 
 
+def scalar_bisection(means, variances, weights, p: float, tolerance: float, max_iterations: int, phi=None):
+    """Final bracket (lo, hi) of one mixture quantile, by the one-quantile
+    bisection loop the package used before it solved many at once.  The
+    CDF is evaluated the way that loop's caller did, a (1, N) @ (N,)
+    product, so the brackets are comparable bit for bit.  ``phi`` replaces
+    the standard normal CDF, to reach the bracket-doubling branch."""
+    from scipy.special import erf
+
+    phi = phi or (lambda z: 0.5 * (1.0 + erf(z / math.sqrt(2.0))))
+    means, weights = np.asarray(means, dtype=float), np.asarray(weights, dtype=float)
+    sigmas = np.sqrt(np.asarray(variances, dtype=float))
+
+    def cdf(x):
+        return float((phi((np.array([x])[:, None] - means[None, :]) / sigmas[None, :]) @ weights)[0])
+
+    lo, hi = float(np.min(means - 10.0 * sigmas)), float(np.max(means + 10.0 * sigmas))
+    expansions = 0
+    while not cdf(lo) <= p <= cdf(hi):
+        if expansions >= 5:
+            raise ArithmeticError(f"could not bracket probability {p}")
+        width = hi - lo
+        lo -= width
+        hi += width
+        expansions += 1
+    iterations = 0
+    while 0.5 * (hi - lo) > tolerance:
+        if iterations >= max_iterations:
+            raise ArithmeticError(f"no convergence within {max_iterations} bisection steps")
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) >= p:
+            hi = mid
+        else:
+            lo = mid
+        iterations += 1
+    return lo, hi
+
+
 def robust_weights(column, gamma: float = 0.6745):
     """MAD-scored softmax weights, pure Python."""
     col = list(map(float, column))

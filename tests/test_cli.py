@@ -264,6 +264,25 @@ def test_malformed_estimate_record_exits_3(scenario_dir, tmp_path, capsys):
     assert f"{estimates}:1: malformed estimate record" in capsys.readouterr().err
 
 
+def test_truncated_jsonl_inputs_exit_3(scenario_dir, tmp_path, capsys):
+    # a file cut off mid-line: the error names the file and the line
+    records = tmp_path / "estimates.jsonl"
+    records.write_text('{"payload_key": "t000000", "candidate_index": 0}\n{"payload_key": "t0000')
+    rotations = tmp_path / "rotations.jsonl"
+    rotations.write_text("[1.0, 0.0, 0.0, 0.0]\n[0.0, 1.0, 0.0, 0.0]\n[1.0, 0.0,")
+    for key, value, bad in (
+        ("estimator", {"kind": "file", "path": str(records)}, f"{records}:2: Unterminated string"),
+        ("rotation_uncertainty", {"source": "file", "path": str(rotations)}, f"{rotations}:3: Expecting value"),
+    ):
+        cfg = dict(RUN_CONFIG)
+        cfg[key] = value
+        path = tmp_path / "truncated_config.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert f"input error: {bad}" in capsys.readouterr().err
+
+
 def test_pipeline_failure_exits_4(scenario_dir, tmp_path):
     # a file estimator with no records rejects every candidate
     empty = tmp_path / "estimates.jsonl"

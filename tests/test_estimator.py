@@ -6,6 +6,7 @@ import pytest
 
 from plbounds.errors import InfeasibleContext, MissingRecord, NotPositiveDefinite
 from plbounds.estimator import (
+    RECORD_FIELDS,
     FileEstimator,
     LossWeights,
     MeasurementContext,
@@ -13,6 +14,7 @@ from plbounds.estimator import (
     SyntheticEstimator,
     SyntheticEstimatorConfig,
     assemble_covariance,
+    check_estimates,
     gaussian_nll,
     huber_loss,
     to_vehicle_frame,
@@ -43,6 +45,32 @@ def test_raw_estimate_validation():
         _raw(t=(np.nan, 0.0, 0.0))
     est = _raw(q=np.array([-1.0, 0.0, 0.0, 0.0]))
     assert est.rotation_error[0] == 1.0  # canonicalized
+
+
+def test_raw_estimate_rejects_non_finite_sigma_and_corr():
+    for sigma, corr in (((np.inf, 1.0, 1.0), (0.0, 0.0, 0.0)), ((1.0, 1.0, 1.0), (np.nan, 0.0, 0.0))):
+        with pytest.raises(ValueError):
+            _raw(sigma=sigma, corr=corr)
+    with pytest.raises(ValueError):
+        RawEstimate(np.zeros(3), IDENTITY_Q, np.array([np.inf, 1.0, 1.0]), np.array([np.nan, 0.0, 0.0]))
+
+
+def test_check_estimates_on_stacks():
+    t, q, s, c = np.zeros((4, 3)), np.tile(IDENTITY_Q, (4, 1)), np.ones((4, 3)), np.zeros((4, 3))
+    fields = check_estimates(t, -q, s, c, (4,))
+    assert np.array_equal(fields[1], q)  # canonicalized row by row
+    # one bad entry in row 2 of one field: (field index in (t, q, s, c), value)
+    for field, value in ((2, np.inf), (2, 0.0), (3, np.nan), (3, 1.0), (0, np.nan)):
+        fields = [t.copy(), q, s.copy(), c.copy()]
+        fields[field][2, 1] = value
+        with pytest.raises(ValueError):
+            check_estimates(*fields, (4,))
+    with pytest.raises(ValueError):
+        check_estimates(t, 2.0 * q, s, c, (4,))
+    with pytest.raises(ValueError):
+        check_estimates(t, q, s, c, (3,))
+    with pytest.raises(ValueError):
+        check_estimates(t, q[:, :3], s, c, (4,))
 
 
 def test_assemble_covariance_hand_case():
@@ -242,6 +270,52 @@ def test_synthetic_keyed_by_pose_without_index():
     assert np.array_equal(a.translation_error, b.translation_error)
     other = est.estimate(ctx, _random_pose(rng))
     assert not np.array_equal(a.translation_error, other.translation_error)
+
+
+def _candidates(rng, truth, n):
+    translations = rng.normal(0.0, 0.5, (n, 3))
+    rotations = quat_from_euler_zyx(*rng.uniform(-0.1, 0.1, (3, n)))
+    return apply_offset(truth.position, truth.orientation, translations, rotations)
+
+
+def test_estimate_batch_rows_match_single_calls():
+    rng = np.random.default_rng(8)
+    est = SyntheticEstimator(SyntheticEstimatorConfig(seed=4, sigma_rot=0.02, corr=(0.2, -0.1, 0.3)))
+    for timestamp in (0.0, 0.1, 17.3):
+        truth = _random_pose(rng)
+        ctx = MeasurementContext(timestamp=timestamp, payload_key="k", true_pose=truth)
+        positions, orientations = _candidates(rng, truth, 30)
+        batch = est.estimate_batch(ctx, positions, orientations)
+        for i in range(len(positions)):
+            single = est.estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]))
+            for name, field in zip(RECORD_FIELDS, batch):
+                assert np.array_equal(getattr(single, name), field[i]), (timestamp, i, name)
+
+
+def test_estimate_batch_rows_do_not_depend_on_batch_size():
+    rng = np.random.default_rng(9)
+    est = SyntheticEstimator(SyntheticEstimatorConfig(seed=2, sigma_rot=0.02))
+    truth = _random_pose(rng)
+    ctx = MeasurementContext(timestamp=2.5, payload_key="k", true_pose=truth)
+    positions, orientations = _candidates(rng, truth, 48)
+    whole = est.estimate_batch(ctx, positions, orientations)
+    for k in (1, 13, 47):
+        part = est.estimate_batch(ctx, positions[:k], orientations[:k])
+        for a, b in zip(whole, part):
+            assert np.array_equal(a[:k], b)
+    with pytest.raises(InfeasibleContext):
+        est.estimate_batch(MeasurementContext(timestamp=2.5, payload_key="k"), positions, orientations)
+
+
+def test_estimate_batch_checks_its_rows():
+    ctx = MeasurementContext(timestamp=0.0, payload_key="k", true_pose=Pose.identity())
+    positions, orientations = np.zeros((2, 3)), np.tile(IDENTITY_Q, (2, 1))
+    bad_configs = (SyntheticEstimatorConfig(corr=(np.nan, 0.0, 0.0)), SyntheticEstimatorConfig(miscalibration=np.inf))
+    for config in bad_configs:
+        with pytest.raises(ValueError):
+            SyntheticEstimator(config).estimate_batch(ctx, positions, orientations)
+        with pytest.raises(ValueError):
+            SyntheticEstimator(config).estimate(ctx.for_candidate(0), Pose.identity())
 
 
 def test_synthetic_reported_sigma_miscalibration():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plbounds.errors import LengthMismatch, NonConvergence, WeightSumViolation
+from plbounds import gmm
+from plbounds.errors import BracketingFailure, LengthMismatch, NonConvergence, WeightSumViolation
 from plbounds.gmm import (
     GaussianMixture,
     ProtectionLevelQuery,
@@ -147,8 +148,75 @@ def test_quantile_non_convergence():
         gmm_quantile(m, 0.975, tolerance=1e-12, max_iterations=1)
 
 
+def _random_mixtures(rng, count, n):
+    mixtures = []
+    for _ in range(count):
+        weights = rng.uniform(0.01, 1.0, n)
+        variances = rng.uniform(0.01, 2.0, n) ** 2
+        mixtures.append(GaussianMixture(rng.normal(0.0, 3.0, n), variances, weights / weights.sum()))
+    return mixtures
+
+
+def test_brackets_match_scalar_loop_bit_for_bit():
+    # rows converge after different numbers of steps (different widths and
+    # probabilities), so the masking is exercised.  Half the targets are the
+    # CDF at the first midpoint, where cdf(mid) >= p is an equality that a
+    # last-bit change in the stacked CDF would flip.
+    rng = np.random.default_rng(17)
+    for trial in range(150):
+        mixtures = _random_mixtures(rng, 6, int(rng.integers(1, 40)))
+        probabilities = rng.choice([1e-9, 0.005, 0.025, 0.3, 0.5, 0.975, 0.995], 6)
+        for k in range(0, 6, 2):
+            m = mixtures[k]
+            mid = 0.5 * (np.min(m.means - 10.0 * m.sigmas) + np.max(m.means + 10.0 * m.sigmas))
+            probabilities[k] = gmm_cdf(m, float(mid))
+        tolerance = float(rng.choice([1e-2, 1e-4, 1e-7]))
+        lo, hi = gmm._brackets(mixtures, probabilities, tolerance, 200)
+        for k, (m, p) in enumerate(zip(mixtures, probabilities)):
+            want = oracles.scalar_bisection(m.means, m.variances, m.weights, p, tolerance, 200)
+            assert (lo[k], hi[k]) == want
+
+
+def test_bracket_doubling_matches_scalar_loop(monkeypatch):
+    # in double precision the normal CDF is exactly 0 ten sigmas below every
+    # component and 1 above, so no solvable target needs a doubling; a
+    # Cauchy CDF's heavy tails reach that branch
+    cauchy = lambda z: 0.5 + np.arctan(z) / np.pi
+    monkeypatch.setattr(gmm, "std_normal_cdf", cauchy)
+    rng = np.random.default_rng(19)
+    mixtures = _random_mixtures(rng, 4, 5)
+    probabilities = [0.001, 0.02, 0.5, 0.999]
+    lo, hi = gmm._brackets(mixtures, probabilities, 1e-4, 200)
+    for k, (m, p) in enumerate(zip(mixtures, probabilities)):
+        assert (lo[k], hi[k]) == oracles.scalar_bisection(m.means, m.variances, m.weights, p, 1e-4, 200, cauchy)
+    # the 1e-3 and 0.999 targets lie outside the initial bracket
+    assert lo[0] < np.min(mixtures[0].means - 10.0 * mixtures[0].sigmas)
+    assert hi[3] > np.max(mixtures[3].means + 10.0 * mixtures[3].sigmas)
+    with pytest.raises(BracketingFailure):
+        gmm._brackets(mixtures, [1e-9, 0.5, 0.5, 0.5], 1e-4, 200)
+
+
+def test_one_failing_row_fails_the_solve():
+    m = GaussianMixture([0.0], [1.0], [1.0])
+    with pytest.raises(NonConvergence):
+        gmm._brackets([m, m], [0.5, 0.975], 1e-12, 40)
+    # the CDF tops out at the weight sum, 1 - 5e-13, below this target
+    short = GaussianMixture([1.0], [1.0], [1.0 - 5e-13])
+    with pytest.raises(BracketingFailure):
+        gmm._brackets([m, short], [0.5, 1.0 - 1e-14], 1e-4, 200)
+
+
 # ---------------------------------------------------------------------------
 # protection levels
+
+
+def test_protection_level_is_the_outer_bracket_edge():
+    # the bracket midpoint gives 2.568 here, below the exact 2.5758
+    m = GaussianMixture([0.0], [1.0], [1.0])
+    query = ProtectionLevelQuery(integrity_risk=0.01, tolerance=1e-2)
+    assert protection_level(m, query) >= Z_995
+    assert protection_levels_all(np.zeros((2, 3)), np.ones((2, 3)), np.full((2, 3), 0.5), query).lateral >= Z_995
+    assert abs(gmm_quantile(m, 0.995, tolerance=1e-2) - 2.568) <= 1e-3
 
 
 def test_protection_level_standard_normal():
@@ -245,3 +313,34 @@ def test_protection_level_bounded_by_support(data, risk):
     m = GaussianMixture(means, sigmas**2, weights)
     pl = protection_level(m, ProtectionLevelQuery(integrity_risk=risk))
     assert 0.0 <= pl <= np.max(np.abs(means)) + 10.0 * sigmas.max() + 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.floats(-5.0, 5.0),
+            st.floats(0.05, 2.0),
+            st.floats(0.1, 1.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    mirrored=st.booleans(),
+    risk=st.sampled_from([0.05, 0.01, 0.002]),
+    tolerance=st.sampled_from([1e-2, 1e-4]),
+)
+@example(data=[(0.0, 1.0, 1.0)], mirrored=False, risk=0.01, tolerance=1e-2)
+def test_tail_mass_beyond_protection_level_within_risk(data, mirrored, risk, tolerance):
+    # a mirrored mixture puts the same mass in both tails, so neither tail
+    # can make up for a bound the other one under-reports
+    if mirrored:
+        data = data + [(-m, s, w) for m, s, w in data]
+    means = np.array([d[0] for d in data])
+    sigmas = np.array([d[1] for d in data])
+    weights = np.array([d[2] for d in data])
+    weights /= weights.sum()
+    m = GaussianMixture(means, sigmas**2, weights)
+    pl = protection_level(m, ProtectionLevelQuery(integrity_risk=risk, tolerance=tolerance))
+    # 1e-15 covers the rounding of 1 - risk/2 and of the CDF itself
+    assert gmm_cdf(m, -pl) + (1.0 - gmm_cdf(m, pl)) <= risk + 1e-15

@@ -111,6 +111,14 @@ def test_jsonl_round_trip(tmp_path):
     assert io.read_jsonl(path) == rows
 
 
+def test_jsonl_names_line_that_is_not_json(tmp_path):
+    path = tmp_path / "r.jsonl"
+    # blank lines are skipped, yet still counted in the reported line
+    path.write_text('{"k": 1}\n\n{"k": 2, "v": [1, 2\n')
+    with pytest.raises(ValueError, match=r"r\.jsonl:3: Expecting ',' delimiter: line 1 column 20"):
+        io.read_jsonl(path)
+
+
 def test_quaternion_lines_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     q = rng.normal(size=(25, 4))

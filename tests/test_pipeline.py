@@ -64,6 +64,16 @@ class FlakyEstimator:
         return self.inner.estimate(ctx, candidate, cloud)
 
 
+@dataclass
+class OneAtATime:
+    """Delegates ``estimate`` only, so the pipeline calls it per candidate."""
+
+    inner: SyntheticEstimator
+
+    def estimate(self, ctx, candidate, cloud=None):
+        return self.inner.estimate(ctx, candidate, cloud)
+
+
 def _scenario(seed=0, config=SCENARIO_CONFIG):
     return generate_scenario(config, seed)
 
@@ -162,6 +172,43 @@ def test_candidate_exclusion_and_failure():
         run_timestep(
             broken, ctx, ts.estimate_pose, None, offsets, RotationUncertainty.zero(), config
         )
+
+
+BATCH_SAMPLING = SamplingConfig(n_candidates=24)
+
+
+def _timesteps(seed, with_truth=True):
+    """(context, estimate pose, candidate offsets) of every timestep of a scenario."""
+    for ts in _scenario(seed=seed).timesteps:
+        ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose if with_truth else None)
+        yield ctx, ts.estimate_pose, sample_candidates(BATCH_SAMPLING, [seed, 2, ts.index])
+
+
+def test_batched_and_per_candidate_estimates_give_the_same_result():
+    est = SyntheticEstimator(SyntheticEstimatorConfig(seed=5, sigma_rot=0.02, corr=(0.3, 0.1, -0.2)))
+    rotation = precompute_q(est.rotation_residual_samples(2000, 5))
+    for variant in ("VAR_E", "VAR_EO", "VAR_EO_DIRECTIONAL"):
+        config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=5)
+        for ctx, pose, offsets in _timesteps(5):
+            a, b = (run_timestep(e, ctx, pose, None, offsets, rotation, config) for e in (est, OneAtATime(est)))
+            for name in ("pl", "n_candidates", "n_excluded", "diagnostics", "direction_theta", "direction_excluded"):
+                assert getattr(a, name) == getattr(b, name)
+            for name in ("means", "variances", "weights"):
+                assert np.array_equal(getattr(a.samples, name), getattr(b.samples, name))
+
+
+def test_failing_batch_excludes_every_candidate_like_the_loop():
+    # without the true pose every synthetic call raises InfeasibleContext
+    est = SyntheticEstimator(SyntheticEstimatorConfig(seed=6))
+    config = PipelineConfig(variant="VAR_EO", sampling=BATCH_SAMPLING, seed=6)
+    for ctx, pose, offsets in _timesteps(6, with_truth=False):
+        messages = []
+        for e in (est, OneAtATime(est)):
+            with pytest.raises(TimestepFailure) as failure:
+                run_timestep(e, ctx, pose, None, offsets, RotationUncertainty.zero(), config)
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1]
+        assert messages[0].count("excluded: synthetic estimator needs the true pose") == 24
 
 
 def test_directional_variant_shares_horizontal_bound():
