@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="JSON configuration document")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", type=int, default=None, help="accepted and checked; does not change the run")
         if variants:
             p.add_argument("--variant", choices=VARIANTS, default=None, help="pipeline variant")
 

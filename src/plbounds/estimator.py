@@ -52,6 +52,16 @@ class RawEstimate:
         for name, value in zip(RECORD_FIELDS, fields):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def checked(cls, translation_error, rotation_error, sigma, corr) -> "RawEstimate":
+        """An estimate of fields ``check_estimates`` already returned, kept as
+        they are: checking again would normalize the rotation twice, which
+        can move its last bit."""
+        raw = object.__new__(cls)
+        for name, value in zip(RECORD_FIELDS, (translation_error, rotation_error, sigma, corr)):
+            object.__setattr__(raw, name, value)
+        return raw
+
 
 def check_estimates(
     translation_error, rotation_error, sigma, corr, rows: tuple[int, ...] = ()
@@ -219,8 +229,12 @@ class Estimator(Protocol):
     stacked ``(translation_error, rotation_error, sigma, corr)`` fields,
     each row passed through ``check_estimates`` and equal to what
     ``estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]))``
-    returns.  The pipeline then makes that one call per timestep, and a
-    package error it raises excludes every candidate with that reason.
+    returns.  A fifth element, if returned, maps the row of each candidate
+    the batch could not answer to the package error ``estimate`` would
+    raise for it; such a row holds values that pass the checks.  The
+    pipeline then makes that one call per timestep; a failed row excludes
+    its candidate, and a package error the call raises excludes every
+    candidate, with that reason.
     """
 
     def estimate(self, ctx: MeasurementContext, candidate: Pose, cloud: PointCloud | None) -> RawEstimate:
@@ -344,33 +358,76 @@ class FileEstimator:
 
     The backing file is JSON-lines; each line holds payload_key,
     candidate_index, translation_error, rotation_error, sigma and corr.
-    The table is loaded once and read-only afterwards.
+    The table is loaded once into stacked fields, checked by one
+    ``check_estimates`` call, and is read-only afterwards; a later record
+    for a key replaces an earlier one.
     """
 
     def __init__(self, path: Path | str):
-        from .io import jsonl_line_number, read_jsonl
+        from .io import read_jsonl
 
-        self._records: dict[tuple[str, int], RawEstimate] = {}
-        for number, row in enumerate(read_jsonl(path)):
-            try:
-                key = (str(row["payload_key"]), int(row["candidate_index"]))
-                self._records[key] = RawEstimate(*(np.asarray(row[f], dtype=float) for f in RECORD_FIELDS))
-            except (KeyError, TypeError, ValueError) as exc:
-                line = jsonl_line_number(path, number)
-                reason = f"{type(exc).__name__}: {exc}"
-                raise ValueError(f"{path}:{line}: malformed estimate record ({reason})") from None
+        rows = read_jsonl(path)
+        try:
+            keys = [(str(row["payload_key"]), int(row["candidate_index"])) for row in rows]
+            # the last row, -1, is what candidates without a record are given
+            stacks = [np.array([*(row[name] for row in rows), v], dtype=float) for name, v in _NEUTRAL.items()]
+            self._fields = check_estimates(*stacks, (len(rows) + 1,))
+        except (KeyError, OverflowError, TypeError, ValueError):
+            _raise_for_malformed_record(path, rows)
+            raise
+        self._rows: dict[str, dict[int, int]] = {}
+        for row, (payload_key, index) in enumerate(keys):
+            self._rows.setdefault(payload_key, {})[index] = row
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(records) for records in self._rows.values())
 
     def estimate(self, ctx: MeasurementContext, candidate: Pose, cloud: PointCloud | None = None) -> RawEstimate:
         if ctx.candidate_index is None:
             raise InfeasibleContext("file-backed estimator needs a candidate index in the context")
         key = (ctx.payload_key, int(ctx.candidate_index))
+        row = self._rows.get(key[0], {}).get(key[1])
+        if row is None:
+            raise MissingRecord(f"no estimate recorded for {key}")
+        return RawEstimate.checked(*(field[row] for field in self._fields))
+
+    def estimate_batch(
+        self,
+        ctx: MeasurementContext,
+        positions: np.ndarray,
+        orientations: np.ndarray,
+        cloud: PointCloud | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, MissingRecord]]:
+        """The records of candidates 0..N-1 at ``ctx.payload_key`` (see
+        ``Estimator``).  A candidate without a record gets neutral values
+        and the ``MissingRecord`` error ``estimate`` would raise for it."""
+        records = self._rows.get(ctx.payload_key, {})
+        rows = [records.get(i, -1) for i in range(len(positions))]
+        failed = {
+            i: MissingRecord(f"no estimate recorded for {(ctx.payload_key, i)}")
+            for i, row in enumerate(rows)
+            if row < 0
+        }
+        return (*(field[rows] for field in self._fields), failed)
+
+
+# values that pass every check, for a candidate that is dropped anyway
+_NEUTRAL = dict(zip(RECORD_FIELDS, ([0.0] * 3, [1.0, 0.0, 0.0, 0.0], [1.0] * 3, [0.0] * 3)))
+
+
+def _raise_for_malformed_record(path: Path | str, rows: list) -> None:
+    """Check the records ``read_jsonl`` read from ``path`` one at a time:
+    the first malformed record raises a ValueError naming its line."""
+    from .io import jsonl_line_number
+
+    for number, row in enumerate(rows):
         try:
-            return self._records[key]
-        except KeyError:
-            raise MissingRecord(f"no estimate recorded for {key}") from None
+            str(row["payload_key"]), int(row["candidate_index"])
+            RawEstimate(*(np.asarray(row[f], dtype=float) for f in RECORD_FIELDS))
+        except (KeyError, TypeError, ValueError) as exc:
+            line = jsonl_line_number(path, number)
+            reason = f"{type(exc).__name__}: {exc}"
+            raise ValueError(f"{path}:{line}: malformed estimate record ({reason})") from None
 
 
 def write_estimate_records(rows, path: Path | str) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,22 @@ def write_quaternion_lines(quats: np.ndarray, path: Path | str) -> None:
 
 
 def read_quaternion_lines(path: Path | str) -> np.ndarray:
+    """The (M, 4) quaternions of a file ``write_quaternion_lines`` wrote: one
+    JSON array of 4 numbers on each non-blank line.
+
+    A file whose every byte passes ``_plain_quaternion_lines`` is parsed in
+    one ``np.loadtxt`` call; any other file, or one that call rejects, is
+    read line by line with ``read_jsonl``, whose errors name the file and
+    the line.  Both routes give the same bits.
+    """
+    raw = Path(path).read_bytes()
+    if _plain_quaternion_lines(raw):
+        try:
+            arr = np.loadtxt(BytesIO(raw.translate(None, b"[]\r")), delimiter=",", ndmin=2, encoding="ascii")
+        except ValueError:  # e.g. a line of 5 numbers, or the numeral 1.2.3
+            arr = None
+        if arr is not None and arr.shape[1] == 4:
+            return arr
     rows = read_jsonl(path)
     arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
@@ -147,6 +164,86 @@ def read_quaternion_lines(path: Path | str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"{path}: each line must hold one 4-element quaternion")
     return arr
+
+
+def _pair_table(rules: dict[bytes, bytes]) -> np.ndarray:
+    """Flat (256 * 256) table: entry ``x << 8 | y`` is whether ``rules``
+    lists ``y`` for ``x``."""
+    table = np.zeros(1 << 16, dtype=bool)
+    for xs, ys in rules.items():
+        table[[x << 8 | y for x in xs for y in ys]] = True
+    return table
+
+
+_DIGITS = b"0123456789"
+# A plain quaternion file, once its blanks (space, tab) are deleted, is
+# lines that are empty or [n,n,...,n], each ended by LF or CR LF, with JSON
+# numerals n: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.  Most of that
+# grammar is which bytes may stand just before and just after each byte
+# other than a digit or a point; a byte without an entry may not appear.
+_NEIGHBOURS = {  # byte: (may stand before it, may stand after it)
+    b"[": (b"\n", _DIGITS + b"-"),
+    b",": (_DIGITS, _DIGITS + b"-"),
+    b"]": (_DIGITS, b"\r\n"),
+    b"-": (b"[,eE", _DIGITS),
+    b"+": (b"eE", _DIGITS),
+    b"eE": (_DIGITS, _DIGITS + b"+-"),
+    b"\r": (b"]\n", b"\n"),
+    b"\n": (b"]\r\n", b"[\r\n"),
+}
+_BEFORE_OK = _pair_table({x: before for x, (before, _) in _NEIGHBOURS.items()})
+_AFTER_OK = _pair_table({x: after for x, (_, after) in _NEIGHBOURS.items()})
+# An integer part that starts with 0 is that one digit, and a bare -0 is
+# JSON's integer 0 where ``float`` reads -0.0.  _LEADING_ZERO: a byte that
+# can start an integer part, then 0; _AFTER_LEADING_ZERO: that byte, then
+# what may follow the 0.
+_LEADING_ZERO = _pair_table({b"[,-": b"0"})
+_AFTER_LEADING_ZERO = _pair_table({b"[,": bytes(set(range(256)) - set(_DIGITS)), b"-": b".eE"})
+# Bytes per check; whole-file masks would cost several times the file in memory.
+_CHECK_CHUNK = 1 << 20
+# Longest run of digits and points the fast path takes.  Longer integers
+# would overflow to inf where the JSON route raises; no double's shortest
+# form comes near it.
+_MAX_RUN = 300
+_PAD = np.frombuffer(b"\n\n", dtype=np.uint8)
+
+
+def _plain_quaternion_lines(raw: bytes) -> bool:
+    """Whether ``np.loadtxt`` may read ``raw``: once blanks (space, tab) are
+    deleted, every line follows ``_NEIGHBOURS``, no integer part is a bare
+    -0 or has a leading 0, and no run of digits and points is longer than
+    ``_MAX_RUN``.  On such a file ``np.loadtxt``, with brackets and CRs
+    deleted, gives the bits JSON gives or raises: it raises on all that
+    these checks let through and JSON rejects, a blank inside a numeral, a
+    numeral ``float`` rejects too (``1.2.3``) and a line of blanks.  The
+    number of values per line is left to the shape of its result.  The
+    checks run on chunks of whole lines.
+    """
+    if b"[" not in raw:  # no quaternion: the JSON route gives the empty result
+        return False
+    start = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start + _CHECK_CHUNK) + 1 or len(raw)
+        if not _plain_lines(np.frombuffer(raw, np.uint8, end - start, start)):
+            return False
+        start = end
+    return True
+
+
+def _plain_lines(chunk: np.ndarray) -> bool:
+    """``_plain_quaternion_lines`` on the bytes of whole lines."""
+    text = np.concatenate((_PAD, chunk[(chunk != ord(" ")) & (chunk != ord("\t"))], _PAD))
+    inner = text[1:-1]  # the line end padded on each side is checked too
+    at = np.flatnonzero((inner < ord(".")) | (inner > ord("9")) | (inner == ord("/"))) + 1
+    byte, before, after = text[at], text[at - 1], text[at + 1]
+    code = byte.astype(np.uint16) << 8
+    if not (np.take(_BEFORE_OK, code | before).all() and np.take(_AFTER_OK, code | after).all()):
+        return False
+    # a 0 after ``byte`` that begins an integer part (a minus after e or E signs an exponent)
+    zero = np.take(_LEADING_ZERO, code | after) & (before != ord("e")) & (before != ord("E"))
+    if not (np.take(_AFTER_LEADING_ZERO, code | text[np.minimum(at + 2, len(text) - 1)]) | ~zero).all():
+        return False
+    return int(np.diff(at).max()) <= _MAX_RUN + 1
 
 
 def write_results_csv(rows, path: Path | str) -> None:

@@ -14,7 +14,6 @@ Four pipeline variants are supported:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,7 +57,7 @@ class PipelineConfig:
     limits: AlarmLimits = field(default_factory=AlarmLimits)
     variant: str = "VAR_EO"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted and checked; timesteps run one after another
     min_candidates: int = 2
     q_samples: int = 100000
     diagram_bins: int = 40
@@ -102,8 +101,9 @@ def run_timestep(
     candidates from ``sample_candidates`` (``VAR`` has none).  An estimator
     with ``estimate_batch`` is called once for all candidates, any other
     once per candidate.  Candidates whose estimator call raises a package
-    error (every candidate, when the batch call raises), or whose
-    covariance is indefinite, are excluded with a diagnostic; fewer than
+    error (every candidate, when the batch call raises), whose row the batch
+    reports failed, or whose covariance is indefinite, are excluded with a
+    diagnostic; fewer than
     ``min_candidates`` survivors abort the timestep.  Results do not depend
     on candidate evaluation order.
     """
@@ -130,9 +130,12 @@ def run_timestep(
     estimate_batch = getattr(estimator, "estimate_batch", None)
     if estimate_batch is not None:
         try:
-            raw_error, raw_rotation, sigma, corr = estimate_batch(ctx, positions, orientations, cloud)
+            answer = estimate_batch(ctx, positions, orientations, cloud)
         except PlboundsError as exc:
             failed = dict.fromkeys(range(n), exc)
+        else:
+            raw_error, raw_rotation, sigma, corr = answer[:4]
+            failed = dict(answer[4]) if len(answer) > 4 else {}
     else:
         for i in range(n):
             try:
@@ -230,16 +233,18 @@ def run_sequence(
     config: PipelineConfig,
     rotation_uncertainty: RotationUncertainty | None = None,
 ) -> SequenceResult:
-    """Run every scenario timestep and aggregate the integrity statistics.
+    """Run every scenario timestep, in order, and aggregate the integrity
+    statistics.
 
     Candidate offsets are redrawn per timestep from streams derived from the
-    run seed and the timestep index, so results are reproducible and
-    independent of the number of worker threads.
+    run seed and the timestep index, so results are reproducible.
+    ``config.threads`` does not change the computation.
     """
     if rotation_uncertainty is None:
         rotation_uncertainty = default_rotation_uncertainty(estimator, config)
 
-    def one(ts) -> tuple[TimestepResult, IntegrityRecord]:
+    results, records = [], []
+    for ts in scenario.timesteps:
         ctx = MeasurementContext(
             timestamp=ts.timestamp, payload_key=ts.payload_key, true_pose=ts.true_pose
         )
@@ -249,17 +254,8 @@ def run_sequence(
         result = run_timestep(
             estimator, ctx, ts.estimate_pose, scenario.cloud, offsets, rotation_uncertainty, config
         )
-        result = replace(result, index=ts.index)
-        record = IntegrityRecord(result.pl, vehicle_frame_error(ts.true_pose, ts.estimate_pose))
-        return result, record
-
-    if config.threads > 1 and len(scenario.timesteps) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            pairs = list(pool.map(one, scenario.timesteps))
-    else:
-        pairs = [one(ts) for ts in scenario.timesteps]
-    results = [p[0] for p in pairs]
-    records = [p[1] for p in pairs]
+        results.append(replace(result, index=ts.index))
+        records.append(IntegrityRecord(result.pl, vehicle_frame_error(ts.true_pose, ts.estimate_pose)))
     return SequenceResult(
         results=results,
         records=records,

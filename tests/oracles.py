@@ -3,12 +3,14 @@
 Everything here deliberately takes a different route than the package:
 normal quantiles come from the standard library's NormalDist, mixture
 quantiles from a two-stage grid scan over math.erf, rotations are applied
-with the quaternion sandwich instead of a matrix, and the geometry checks
-are plain Python loops.  Slow is fine; trustworthy matters.
+with the quaternion sandwich instead of a matrix, the geometry checks
+are plain Python loops, and the file readers are the per-line loops the
+bulk loads replaced.  Slow is fine; trustworthy matters.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import statistics
 from statistics import NormalDist
@@ -113,7 +115,66 @@ def robust_weights(column, gamma: float = 0.6745):
 
 
 # ---------------------------------------------------------------------------
+# file readers as they were before the bulk loads
+
+
+def json_quaternion_lines(path) -> np.ndarray:
+    """The quaternion-file reader as one ``json.loads`` per non-blank line:
+    a line that is not JSON raises ValueError naming the file and the line,
+    and anything but one 4-element array per line the 4-element error."""
+    rows = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+    arr = np.asarray(rows, dtype=float)
+    if arr.size == 0:
+        return np.empty((0, 4))
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise ValueError(f"{path}: each line must hold one 4-element quaternion")
+    return arr
+
+
+class StoredRecords:
+    """The file-backed estimator as one ``RawEstimate`` per record, looked
+    up one candidate at a time."""
+
+    def __init__(self, path):
+        from plbounds.errors import MissingRecord
+        from plbounds.estimator import RECORD_FIELDS, RawEstimate
+
+        self._missing = MissingRecord
+        self._records = {}
+        with open(path) as fh:
+            for line in fh:
+                if line.strip():
+                    row = json.loads(line)
+                    key = (str(row["payload_key"]), int(row["candidate_index"]))
+                    self._records[key] = RawEstimate(*(np.asarray(row[f], dtype=float) for f in RECORD_FIELDS))
+
+    def estimate(self, ctx, candidate, cloud=None):
+        key = (ctx.payload_key, int(ctx.candidate_index))
+        if key not in self._records:
+            raise self._missing(f"no estimate recorded for {key}")
+        return self._records[key]
+
+
+# ---------------------------------------------------------------------------
 # rotations without matrices
+
+
+def rotvec_quats(rng: np.random.Generator, count: int, scale: float = 0.05) -> np.ndarray:
+    """``count`` unit quaternions of rotation vectors drawn N(0, scale^2) per axis."""
+    rotvecs = rng.normal(0.0, scale, size=(count, 3))
+    angles = np.linalg.norm(rotvecs, axis=1)
+    quats = np.zeros((count, 4))
+    quats[:, 0] = np.cos(0.5 * angles)
+    quats[:, 1:] = np.sin(0.5 * angles)[:, None] * rotvecs / angles[:, None]
+    return quats
 
 
 def rotate(q, v) -> np.ndarray:

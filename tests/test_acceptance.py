@@ -59,15 +59,6 @@ def _report(criterion: int, detail: str, ok: bool) -> bool:
     return ok
 
 
-def _rotvec_quats(rng: np.random.Generator, count: int, scale: float) -> np.ndarray:
-    rotvecs = rng.normal(0.0, scale, size=(count, 3))
-    angles = np.linalg.norm(rotvecs, axis=1)
-    quats = np.zeros((count, 4))
-    quats[:, 0] = np.cos(0.5 * angles)
-    quats[:, 1:] = np.sin(0.5 * angles)[:, None] * rotvecs / angles[:, None]
-    return quats
-
-
 def _rotate_many(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply each unit quaternion to one vector (two-cross-product form)."""
     w, xyz = quats[:, :1], quats[:, 1:]
@@ -164,9 +155,9 @@ def test_criterion_3_rotation_covariance_correction():
         t = rng.uniform(-3.0, 3.0, 3)
         scale = float(rng.uniform(0.02, 0.15))
         u = r_err.T @ t
-        tensor = precompute_q(_rotvec_quats(rng, 100_000, scale))
+        tensor = precompute_q(oracles.rotvec_quats(rng, 100_000, scale))
         correction = np.einsum("a,ijab,b->ij", u, tensor.q, u)
-        rotated = _rotate_many(_rotvec_quats(rng, 100_000, scale), u)
+        rotated = _rotate_many(oracles.rotvec_quats(rng, 100_000, scale), u)
         mc_cov = np.cov(rotated, rowvar=False)
         rel = float(
             np.linalg.norm(correction - mc_cov, "fro") / np.linalg.norm(mc_cov, "fro")

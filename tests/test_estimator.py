@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from plbounds import io
 from plbounds.errors import InfeasibleContext, MissingRecord, NotPositiveDefinite
 from plbounds.estimator import (
     RECORD_FIELDS,
@@ -372,6 +373,24 @@ def test_file_estimator_round_trip(tmp_path):
         est.estimate(ctx.for_candidate(9), Pose.identity())
     with pytest.raises(InfeasibleContext):
         est.estimate(MeasurementContext(timestamp=1.0, payload_key="t000001"), Pose.identity())
+
+
+def test_file_estimator_normalizes_each_rotation_once(tmp_path):
+    rng = np.random.default_rng(12)
+    q = rng.normal(size=(2000, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    record = {"payload_key": "t000000", "translation_error": [0.0] * 3, "sigma": [1.0] * 3, "corr": [0.0] * 3}
+    path = tmp_path / "est.jsonl"
+    io.write_jsonl([{**record, "candidate_index": i, "rotation_error": row.tolist()} for i, row in enumerate(q)], path)
+    once = np.array([quat_normalize(row) for row in q])
+    assert (np.array([quat_normalize(row) for row in once]) != once).any()  # a second pass would show
+
+    est = FileEstimator(path)
+    ctx = MeasurementContext(timestamp=0.0, payload_key="t000000")
+    _, batch, _, _, failed = est.estimate_batch(ctx, np.zeros((2000, 3)), np.tile(IDENTITY_Q, (2000, 1)))
+    singles = np.array([est.estimate(ctx.for_candidate(i), Pose.identity()).rotation_error for i in range(2000)])
+    assert failed == {}
+    assert batch.tobytes() == singles.tobytes() == once.tobytes()
 
 
 def test_file_estimator_names_line_of_malformed_record(tmp_path):

@@ -1,8 +1,17 @@
+import json
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from plbounds.estimator import SyntheticEstimator, SyntheticEstimatorConfig
 from plbounds.geometry import DepthMap, PointCloud
 from plbounds import io
+
+import oracles
 
 
 def _cloud(rng, n=37):
@@ -135,6 +144,120 @@ def test_quaternion_lines_empty_and_invalid(tmp_path):
     path.write_text("[1.0, 0.0, 0.0]\n")
     with pytest.raises(ValueError):
         io.read_quaternion_lines(path)
+
+
+def _outcome(read, path):
+    """The array's shape and bits, or the error's type and message."""
+    try:
+        arr = read(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return arr.shape, arr.tobytes()
+
+
+def _json_route_only():
+    """Inside the block, a file that reaches the per-line reader fails."""
+    return mock.patch.object(io, "read_jsonl", side_effect=AssertionError("read line by line"))
+
+
+def test_quaternion_lines_match_json_reader_on_a_written_file(tmp_path):
+    quats = SyntheticEstimator(SyntheticEstimatorConfig(seed=3)).rotation_residual_samples(100_000, 3)
+    path = tmp_path / "q.jsonl"
+    io.write_quaternion_lines(quats, path)
+    with _json_route_only():
+        got = io.read_quaternion_lines(path)
+    assert got.tobytes() == oracles.json_quaternion_lines(path).tobytes() == quats.tobytes()
+
+
+# JSON numerals: integers (big ones too), fractions, exponents out of range
+_NUMERALS = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,25})(\.[0-9]{1,25})?([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from(
+            [repr(x), f"{x:.17e}", f"{x:.17E}", f"{x:.3g}", json.dumps(x)]
+            + ([str(int(x))] if x.is_integer() and abs(x) < 1e300 else [])
+        )
+    ),
+    st.sampled_from(["-0", "-0.0", "0", "5e-324", "-2.2250738585072014e-308", "1e308", "1.7976931348623157e+308"]),
+)
+_BLANKS = st.sampled_from(["", "", " ", "\t", " \t "])
+
+
+@st.composite
+def _quaternion_file(draw, values=st.just(4), numerals=_NUMERALS):
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANKS))
+        items = [draw(_BLANKS) + draw(numerals) + draw(_BLANKS) for _ in range(draw(values))]
+        lines.append(draw(_BLANKS) + "[" + ",".join(items) + "]" + draw(_BLANKS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_quaternion_file())
+def test_quaternion_lines_match_json_reader_bit_for_bit(tmp_path, text):
+    path = tmp_path / "q.jsonl"
+    path.write_bytes(text.encode())
+    want = _outcome(oracles.json_quaternion_lines, path)
+    assert _outcome(io.read_quaternion_lines, path) == want
+    assert want[0] == (text.count("["), 4)
+    # only a line of blanks or a bare -0 (JSON's integer 0) needs the per-line reader
+    if not (re.search(r"^[ \t]+\r?$", text, re.M) or re.search(r"-0(?![.eE0-9])", text)):
+        with _json_route_only():
+            assert _outcome(io.read_quaternion_lines, path) == want
+
+
+_BAD_NUMERALS = st.sampled_from(
+    [".5", "1.", "+1", "01", "-01", "-.5", "1.e5", "1e", "1e+", "1.2.3", "1..2", "1e5e5", "- 1", "1 2",
+     "NaN", "Infinity", "-Infinity", "0x1", "1_0", '"1"', "", "[1]", "1/2", "\x0b1", "1#"]
+)  # fmt: skip
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=_quaternion_file(
+        values=st.sampled_from([4, 4, 4, 3, 5]),
+        numerals=st.one_of(_NUMERALS, _NUMERALS, _NUMERALS, _BAD_NUMERALS),
+    )
+)
+def test_quaternion_lines_fail_like_json_reader(tmp_path, text):
+    path = tmp_path / "q.jsonl"
+    path.write_bytes(text.encode())
+    assert _outcome(io.read_quaternion_lines, path) == _outcome(oracles.json_quaternion_lines, path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[.5, 0, 0, 0]\n",
+        "[1., 0, 0, 0]\n",
+        "[+1, 0, 0, 0]\n",
+        "[01, 0, 0, 0]\n",
+        "[1, 0, 0, 0]\n[[1, 0, 0, 0]]\n",
+        "[1, 0, 0]\n",
+        "[1, 0, 0, 0]\n[1, 0, 0]\n",
+        "[1, 0, 0, 0, 0]\n[1, 0, 0, 0, 0]\n",
+        "[NaN, 0, 0, 0]\n",
+        "[Infinity, -Infinity, 0, 0]\n",
+        "[1, 0, 0, 0]\n[1, 0,",
+        "[-0, 0, 0, 0]\n",
+        "[1e999, 0, 0, 0]\n",
+        "[1" + "0" * 400 + ", 0, 0, 0]\n",
+        "[1, 0, 0, 0]\r[1, 0, 0, 0]\n",
+        "[1, 0, 0, 0] [1, 0, 0, 0]\n",
+        "[1, 0, 0, 0]\n1, 0, 0, 0]\n",
+        "[1, 0, 0, 0\n",
+        "[1, 0, 0, 0]]\n",
+        "[1, 0, 0, 0],\n",
+        "[1, 0, 0, 0]\n\x0c\n",
+    ],
+)
+def test_quaternion_lines_point_cases_match_json_reader(tmp_path, text):
+    path = tmp_path / "q.jsonl"
+    path.write_bytes(text.encode())
+    assert _outcome(io.read_quaternion_lines, path) == _outcome(oracles.json_quaternion_lines, path)
 
 
 def test_results_csv_round_trip(tmp_path):

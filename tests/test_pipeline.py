@@ -1,11 +1,13 @@
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
-from plbounds.errors import InfeasibleContext, TimestepFailure
+from plbounds.errors import InfeasibleContext, MissingRecord, TimestepFailure
 from plbounds.estimator import (
+    RECORD_FIELDS,
     FileEstimator,
     MeasurementContext,
     RawEstimate,
@@ -13,6 +15,7 @@ from plbounds.estimator import (
     SyntheticEstimatorConfig,
     write_estimate_records,
 )
+from plbounds.geometry import Pose
 from plbounds.gmm import ProtectionLevelQuery
 from plbounds.metrics import AlarmLimits
 from plbounds.pipeline import (
@@ -22,9 +25,11 @@ from plbounds.pipeline import (
     run_sequence,
     run_timestep,
 )
-from plbounds.sampling import SamplingConfig, sample_candidates
+from plbounds.sampling import SamplingConfig, apply_offset, sample_candidates
 from plbounds.scenario import ScenarioConfig, generate_scenario, vehicle_frame_error
 from plbounds.uncertainty import RotationUncertainty, precompute_q
+
+import oracles
 
 Z_995 = 2.5758293035489
 
@@ -209,6 +214,77 @@ def test_failing_batch_excludes_every_candidate_like_the_loop():
             messages.append(str(failure.value))
         assert messages[0] == messages[1]
         assert messages[0].count("excluded: synthetic estimator needs the true pose") == 24
+
+
+def _recorded_table(path, seed=8):
+    """Write what a synthetic estimator with correlations answers for every
+    candidate of ``_timesteps(seed)``, less candidates 5 and 17 of timestep
+    3, and with an indefinite correlation for candidate 2 of timestep 5."""
+    est = SyntheticEstimator(SyntheticEstimatorConfig(seed=seed, sigma_rot=0.02, corr=(0.3, 0.1, -0.2)))
+    records = []
+    for step, (ctx, pose, (translations, rotations)) in enumerate(_timesteps(seed)):
+        answers = est.estimate_batch(ctx, *apply_offset(pose.position, pose.orientation, translations, rotations))
+        for i, raw in enumerate(zip(*answers)):
+            if step == 3 and i in (5, 17):
+                continue
+            if step == 5 and i == 2:
+                raw = (*raw[:3], np.array([0.9, -0.9, 0.9]))
+            records.append((ctx.payload_key, i, RawEstimate(*raw)))
+    write_estimate_records(records, path)
+    return FileEstimator(path), precompute_q(est.rotation_residual_samples(2000, seed))
+
+
+def _same_result(a, b):
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "samples":
+            assert all(getattr(x, n).tobytes() == getattr(y, n).tobytes() for n in ("means", "variances", "weights"))
+        else:
+            assert x == y, field.name
+
+
+def test_file_estimator_batch_rows_are_its_single_answers(tmp_path):
+    est, _ = _recorded_table(tmp_path / "est.jsonl")
+    missing = 0
+    for ctx, pose, (translations, rotations) in _timesteps(8):
+        positions, orientations = apply_offset(pose.position, pose.orientation, translations, rotations)
+        *stacks, failed = est.estimate_batch(ctx, positions, orientations)
+        for i in range(len(positions)):
+            single = ctx.for_candidate(i)
+            if i in failed:
+                with pytest.raises(MissingRecord, match=re.escape(str(failed[i]))):
+                    est.estimate(single, Pose(positions[i], orientations[i]))
+                missing += 1
+                continue
+            raw = est.estimate(single, Pose(positions[i], orientations[i]))
+            for stack, name in zip(stacks, RECORD_FIELDS):
+                assert stack[i].tobytes() == getattr(raw, name).tobytes()
+    assert missing == 2
+
+
+def test_file_estimator_batch_gives_the_loop_result(tmp_path):
+    est, rotation = _recorded_table(tmp_path / "est.jsonl")
+    excluded = []
+    for variant in ("VAR_E", "VAR_EO", "VAR_EO_DIRECTIONAL"):
+        config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=8)
+        for ctx, pose, offsets in _timesteps(8):
+            a, b = (run_timestep(e, ctx, pose, None, offsets, rotation, config) for e in (est, OneAtATime(est)))
+            _same_result(a, b)
+            excluded.extend(a.diagnostics)
+    assert len(excluded) == 3 * 3  # two missing records and one indefinite covariance, per variant
+    assert "candidate 5 excluded: no estimate recorded for ('t000003', 5)" in excluded
+
+
+def test_file_estimator_matches_stored_records(tmp_path):
+    path = tmp_path / "est.jsonl"
+    est, rotation = _recorded_table(path)
+    stored = oracles.StoredRecords(path)
+    for variant in VARIANTS:
+        config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=8)
+        a, b = (run_sequence(e, _scenario(seed=8), config, rotation) for e in (est, stored))
+        assert a.result_rows() == b.result_rows()
+        for x, y in zip(a.results, b.results):
+            _same_result(x, y)
 
 
 def test_directional_variant_shares_horizontal_bound():

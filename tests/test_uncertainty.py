@@ -19,22 +19,13 @@ from plbounds.uncertainty import (
 import oracles
 
 
-def _perturbation_quats(rng, n, scale=0.05):
-    rotvecs = rng.normal(0.0, scale, size=(n, 3))
-    angles = np.linalg.norm(rotvecs, axis=1)
-    quats = np.zeros((n, 4))
-    quats[:, 0] = np.cos(0.5 * angles)
-    quats[:, 1:] = np.sin(0.5 * angles)[:, None] * rotvecs / angles[:, None]
-    return quats
-
-
 # ---------------------------------------------------------------------------
 # the rotation-uncertainty tensor
 
 
 def test_precompute_q_matches_loop_oracle():
     rng = np.random.default_rng(0)
-    quats = _perturbation_quats(rng, 1000)
+    quats = oracles.rotvec_quats(rng, 1000)
     got = precompute_q(quats).q
     want = oracles.q_tensor(quats)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -43,8 +34,8 @@ def test_precompute_q_matches_loop_oracle():
 def test_precompute_q_rejects_small_samples():
     rng = np.random.default_rng(1)
     with pytest.raises(InsufficientSamples):
-        precompute_q(_perturbation_quats(rng, MIN_ROTATION_SAMPLES - 1))
-    precompute_q(_perturbation_quats(rng, MIN_ROTATION_SAMPLES))  # boundary passes
+        precompute_q(oracles.rotvec_quats(rng, MIN_ROTATION_SAMPLES - 1))
+    precompute_q(oracles.rotvec_quats(rng, MIN_ROTATION_SAMPLES))  # boundary passes
 
 
 def test_precompute_q_identity_rotations_give_zero():
@@ -97,7 +88,7 @@ def test_transform_error_correction_matches_outer_product_oracle():
     # u' q[i,j] u must equal the mean outer product of (R - I) u over the
     # exact same quaternion sample
     rng = np.random.default_rng(2)
-    quats = _perturbation_quats(rng, 1000, scale=0.1)
+    quats = oracles.rotvec_quats(rng, 1000, scale=0.1)
     tensor = precompute_q(quats)
     t = rng.normal(size=(5, 3)) * 2.0
     _, covs, _ = _transform(rng.normal(size=(5, 3)), np.tile(np.eye(3), (5, 1, 1)), t, tensor)
@@ -108,7 +99,7 @@ def test_transform_error_correction_matches_outer_product_oracle():
 
 def test_transform_error_correction_inflates_variance():
     rng = np.random.default_rng(3)
-    tensor = precompute_q(_perturbation_quats(rng, 2000, scale=0.1))
+    tensor = precompute_q(oracles.rotvec_quats(rng, 2000, scale=0.1))
     args = ([np.zeros(3)], [np.diag([0.01, 0.01, 0.01])], [[2.0, -1.0, 0.5]])
     _, inflated, _ = _transform(*args, tensor)
     _, baseline, _ = _transform(*args, RotationUncertainty.zero())
@@ -134,10 +125,10 @@ def test_stacked_transforms_match_per_row_oracle():
     # with indefinite correlations, against the one-candidate reference
     rng = np.random.default_rng(6)
     n, bad = 12, 7
-    tensor_quats = _perturbation_quats(rng, 1000, scale=0.1)
+    tensor_quats = oracles.rotvec_quats(rng, 1000, scale=0.1)
     tensor = precompute_q(tensor_quats)
     raw_t = rng.normal(size=(n, 3))
-    raw_q = _perturbation_quats(rng, n, scale=0.3)
+    raw_q = oracles.rotvec_quats(rng, n, scale=0.3)
     sigma = rng.uniform(0.1, 1.0, (n, 3))
     corr = rng.uniform(-0.5, 0.5, (n, 3))
     corr[bad] = [0.9, 0.9, -0.9]
