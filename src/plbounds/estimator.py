@@ -223,18 +223,20 @@ class MeasurementContext:
 class Estimator(Protocol):
     """What the pipeline queries for every candidate pose.
 
-    An estimator may also define ``estimate_batch(ctx, positions,
-    orientations, cloud)``: the answers for the (N, 3) positions and (N, 4)
-    orientations of a timestep's candidates 0..N-1 in one call, as the
-    stacked ``(translation_error, rotation_error, sigma, corr)`` fields,
-    each row passed through ``check_estimates`` and equal to what
-    ``estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]))``
-    returns.  A fifth element, if returned, maps the row of each candidate
-    the batch could not answer to the package error ``estimate`` would
-    raise for it; such a row holds values that pass the checks.  The
-    pipeline then makes that one call per timestep; a failed row excludes
-    its candidate, and a package error the call raises excludes every
-    candidate, with that reason.
+    An estimator may also define ``estimate_batch(ctxs, positions,
+    orientations, cloud)``: the answers for the candidates 0..N-1 of T
+    timesteps in one call, given the T contexts, the (T, N, 3) positions
+    and the (T, N, 4) orientations, as the stacked (T, N, ...)
+    ``(translation_error, rotation_error, sigma, corr)`` fields, each row
+    passed through ``check_estimates``; row (t, i) equals what
+    ``estimate(ctxs[t].for_candidate(i), Pose(positions[t, i],
+    orientations[t, i]))`` returns.  A fifth element, if returned, maps the
+    (t, i) of each candidate the batch could not answer to the package
+    error ``estimate`` would raise for it; such a row holds values that
+    pass the checks.  A failed row excludes its candidate.  When the call
+    itself raises, the pipeline asks again one timestep at a time, and a
+    package error the one-timestep call raises excludes every candidate of
+    that timestep, with that reason.
     """
 
     def estimate(self, ctx: MeasurementContext, candidate: Pose, cloud: PointCloud | None) -> RawEstimate:
@@ -246,11 +248,12 @@ def _float_key(x: float) -> int:
 
 
 def _rotvecs_to_quats(rotvecs: np.ndarray) -> np.ndarray:
-    angles = np.linalg.norm(rotvecs, axis=1)
-    quats = np.zeros((rotvecs.shape[0], 4))
-    quats[:, 0] = np.cos(0.5 * angles)
+    """(..., 4) quaternions of (..., 3) rotation vectors."""
+    angles = np.linalg.norm(rotvecs, axis=-1)
+    quats = np.zeros(rotvecs.shape[:-1] + (4,))
+    quats[..., 0] = np.cos(0.5 * angles)
     nz = angles > 0.0
-    quats[nz, 1:] = np.sin(0.5 * angles[nz])[:, None] * rotvecs[nz] / angles[nz, None]
+    quats[nz, 1:] = np.sin(0.5 * angles[nz])[:, None] * rotvecs[nz] / angles[nz][:, None]
     quats[~nz, 0] = 1.0
     return quats
 
@@ -302,20 +305,23 @@ class SyntheticEstimator:
             noise = self._noise(ctx, 1, pose_key)
         else:
             noise = self._noise(ctx, index + 1)[index:]
-        fields = self._errors(ctx, candidate.position[None], candidate.orientation[None], noise)
-        return RawEstimate(*(field[0] for field in fields))
+        position, orientation = candidate.position[None, None], candidate.orientation[None, None]
+        fields = self._errors([ctx], position, orientation, noise[None])
+        return RawEstimate(*(field[0, 0] for field in fields))
 
     def estimate_batch(
         self,
-        ctx: MeasurementContext,
+        ctxs: list[MeasurementContext],
         positions: np.ndarray,
         orientations: np.ndarray,
         cloud: PointCloud | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The estimates of candidates 0..N-1 at once (see ``Estimator``)."""
-        noise = self._noise(ctx, len(positions))
+        """The estimates of candidates 0..N-1 of every context at once (see
+        ``Estimator``)."""
+        rows = positions.shape[:2]
+        noise = np.array([self._noise(ctx, rows[1]) for ctx in ctxs]).reshape(rows + (6,))
         orientations = quat_normalize(orientations)  # as ``Pose`` does
-        return check_estimates(*self._errors(ctx, positions, orientations, noise), (len(positions),))
+        return check_estimates(*self._errors(ctxs, positions, orientations, noise), rows)
 
     def _noise(self, ctx: MeasurementContext, count: int, pose_key: tuple[int, ...] = ()) -> np.ndarray:
         """The first ``count`` rows of the (seed, timestamp) stream's (M, 6)
@@ -324,26 +330,29 @@ class SyntheticEstimator:
         key = [self.config.seed, _float_key(ctx.timestamp), *pose_key]
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key))).standard_normal((count, 6))
 
-    def _errors(self, ctx: MeasurementContext, positions, orientations, noise: np.ndarray) -> tuple:
-        """Noisy raw estimates of the (N, 3) positions and (N, 4) orientations,
-        unchecked; row i takes its noise from ``noise[i]``.  Every step works
-        row by row, so a row's bits do not depend on the others."""
-        if ctx.true_pose is None:
+    def _errors(self, ctxs: list[MeasurementContext], positions, orientations, noise: np.ndarray) -> tuple:
+        """Noisy raw estimates of the (T, N, 3) positions and (T, N, 4)
+        orientations, unchecked; row (t, i) is judged against the true pose
+        of ``ctxs[t]`` and takes its noise from ``noise[t, i]``.  Every step
+        works row by row, so a row's bits do not depend on the others."""
+        if any(ctx.true_pose is None for ctx in ctxs):
             raise InfeasibleContext("synthetic estimator needs the true pose in the context")
-        r_true = quat_to_matrix(ctx.true_pose.orientation)
+        true_orientations = np.array([ctx.true_pose.orientation for ctx in ctxs]).reshape(-1, 1, 4)
+        true_positions = np.array([ctx.true_pose.position for ctx in ctxs]).reshape(-1, 1, 3, 1)
+        r_true = quat_to_matrix(true_orientations)
         r_cand = quat_to_matrix(orientations)
-        center_true = -r_true.T @ ctx.true_pose.position
+        center_true = -(np.swapaxes(r_true, -1, -2) @ true_positions)
         center_cand = -(np.swapaxes(r_cand, -1, -2) @ positions[..., None])
-        translation = (r_cand @ (center_cand - center_true[:, None]))[..., 0]
-        rotation = quat_multiply(orientations, quat_conjugate(ctx.true_pose.orientation))
+        translation = (r_cand @ (center_cand - center_true))[..., 0]
+        rotation = quat_multiply(orientations, quat_conjugate(true_orientations))
         if self.config.sigma_rot > 0.0:
-            rotation = quat_multiply(_rotvecs_to_quats(noise[:, 3:] * self.config.sigma_rot), rotation)
-        n = len(noise)
+            rotation = quat_multiply(_rotvecs_to_quats(noise[..., 3:] * self.config.sigma_rot), rotation)
+        rows = noise.shape[:-1] + (1,)
         return (
-            translation + noise[:, :3] * self._sigma_noise,
+            translation + noise[..., :3] * self._sigma_noise,
             rotation,
-            np.tile(self._sigma_report, (n, 1)),
-            np.tile(self._corr, (n, 1)),
+            np.tile(self._sigma_report, rows),
+            np.tile(self._corr, rows),
         )
 
     def rotation_residual_samples(self, count: int, seed: int) -> np.ndarray:
@@ -393,21 +402,23 @@ class FileEstimator:
 
     def estimate_batch(
         self,
-        ctx: MeasurementContext,
+        ctxs: list[MeasurementContext],
         positions: np.ndarray,
         orientations: np.ndarray,
         cloud: PointCloud | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, MissingRecord]]:
-        """The records of candidates 0..N-1 at ``ctx.payload_key`` (see
-        ``Estimator``).  A candidate without a record gets neutral values
-        and the ``MissingRecord`` error ``estimate`` would raise for it."""
-        records = self._rows.get(ctx.payload_key, {})
-        rows = [records.get(i, -1) for i in range(len(positions))]
-        failed = {
-            i: MissingRecord(f"no estimate recorded for {(ctx.payload_key, i)}")
-            for i, row in enumerate(rows)
-            if row < 0
-        }
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[tuple[int, int], MissingRecord]]:
+        """The records of candidates 0..N-1 at each context's
+        ``payload_key`` (see ``Estimator``).  A candidate without a record
+        gets neutral values and the ``MissingRecord`` error ``estimate``
+        would raise for it."""
+        n = positions.shape[1]
+        rows = np.full((len(ctxs), n), -1)
+        failed = {}
+        for t, ctx in enumerate(ctxs):
+            records = self._rows.get(ctx.payload_key, {})
+            rows[t] = [records.get(i, -1) for i in range(n)]
+            for i in np.flatnonzero(rows[t] < 0).tolist():
+                failed[t, i] = MissingRecord(f"no estimate recorded for {(ctx.payload_key, i)}")
         return (*(field[rows] for field in self._fields), failed)
 
 
@@ -424,7 +435,7 @@ def _raise_for_malformed_record(path: Path | str, rows: list) -> None:
         try:
             str(row["payload_key"]), int(row["candidate_index"])
             RawEstimate(*(np.asarray(row[f], dtype=float) for f in RECORD_FIELDS))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             line = jsonl_line_number(path, number)
             reason = f"{type(exc).__name__}: {exc}"
             raise ValueError(f"{path}:{line}: malformed estimate record ({reason})") from None

@@ -66,6 +66,41 @@ class GaussianMixture:
         return np.sqrt(self.variances)
 
 
+@dataclass(frozen=True)
+class MixtureStack:
+    """Mixtures with equally many components: one mixture per row of the
+    (..., N) means, variances and weights.
+
+    Every row passes the ``GaussianMixture`` checks, run once on the whole
+    stack; the first row, in C order, that fails raises the error its own
+    ``GaussianMixture`` raises.
+    """
+
+    means: np.ndarray
+    variances: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        # contiguous rows, so that a row's weight sum has a lone mixture's bits
+        m, v, w = (np.ascontiguousarray(a, dtype=float) for a in (self.means, self.variances, self.weights))
+        if not (m.shape == v.shape == w.shape) or m.ndim == 0:
+            raise LengthMismatch(
+                f"means, variances and weights must be equal-shape stacks, got {m.shape}, {v.shape}, {w.shape}"
+            )
+        ok = (np.isfinite(m) & np.isfinite(v) & np.isfinite(w) & (v > 0.0) & (w >= 0.0)).all(axis=-1)
+        ok &= (np.abs(w.sum(axis=-1) - 1.0) <= _WEIGHT_TOL) & (m.shape[-1] > 0)
+        if not ok.all():
+            first = np.unravel_index(np.argmin(ok), ok.shape)
+            GaussianMixture(m[first], v[first], w[first])  # raises that row's error
+        object.__setattr__(self, "means", m)
+        object.__setattr__(self, "variances", v)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def sigmas(self) -> np.ndarray:
+        return np.sqrt(self.variances)
+
+
 def gmm_cdf(mixture: GaussianMixture, x) -> np.ndarray | float:
     """Mixture CDF: the weighted sum of component normal CDFs."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -109,10 +144,16 @@ class ProtectionLevels:
 
 
 def _brackets(
-    mixtures: list[GaussianMixture], probabilities, tolerance: float, max_iterations: int
+    means: np.ndarray,
+    sigmas: np.ndarray,
+    weights: np.ndarray,
+    probabilities,
+    tolerance: float,
+    max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final bisection brackets ``(lo, hi)`` of ``cdf_k(x) = probabilities[k]``
-    for K mixtures with equally many components, solved together.
+    for the K mixtures whose components are the rows of the (K, N) means,
+    standard deviations and weights, solved together.
 
     Each initial bracket spans its mixture's components by ten standard
     deviations and is doubled outward up to five times if its target lies
@@ -120,9 +161,7 @@ def _brackets(
     ``tolerance``.  Rows are masked out as they finish, so every row takes
     exactly the steps it would take alone.
     """
-    means = np.stack([m.means for m in mixtures])
-    sigmas = np.stack([m.sigmas for m in mixtures])
-    weights = np.stack([m.weights for m in mixtures])
+    means, sigmas, weights = (np.ascontiguousarray(a, dtype=float) for a in (means, sigmas, weights))
     p = np.asarray(probabilities, dtype=float)
 
     def cdf(x: np.ndarray) -> np.ndarray:
@@ -163,12 +202,14 @@ def gmm_quantile(
     midpoint of the final bracket (see ``_brackets``)."""
     if not 0.0 < probability < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
-    lo, hi = _brackets([mixture], [probability], tolerance, max_iterations)
+    stack = (mixture.means[None], mixture.sigmas[None], mixture.weights[None])
+    lo, hi = _brackets(*stack, [probability], tolerance, max_iterations)
     return float(0.5 * (lo[0] + hi[0]))
 
 
-def _bounds(mixtures: list[GaussianMixture], query: ProtectionLevelQuery) -> list[float]:
-    """Two-sided bound of each mixture at the queried integrity risk.
+def _bounds(mixtures: MixtureStack, query: ProtectionLevelQuery) -> np.ndarray:
+    """Two-sided bound of each mixture of the stack at the queried
+    integrity risk, all solved in one ``_brackets`` call.
 
     Each tail gets half the risk.  The bound is the larger magnitude of the
     outer edges of the two tail brackets (the upper edge of the ``1 - risk/2``
@@ -176,14 +217,22 @@ def _bounds(mixtures: list[GaussianMixture], query: ProtectionLevelQuery) -> lis
     at most the risk whatever the tolerance.
     """
     half = 0.5 * query.integrity_risk
-    tails = [m for m in mixtures for _ in range(2)]
-    lo, hi = _brackets(tails, [1.0 - half, half] * len(mixtures), query.tolerance, query.max_iterations)
-    return [max(abs(float(h)), abs(float(l))) for h, l in zip(hi[0::2], lo[1::2])]
+    n = mixtures.means.shape[-1]
+    tails = [np.repeat(a.reshape(-1, n), 2, axis=0) for a in (mixtures.means, mixtures.sigmas, mixtures.weights)]
+    p = np.tile([1.0 - half, half], len(tails[0]) // 2)
+    lo, hi = _brackets(*tails, p, query.tolerance, query.max_iterations)
+    upper, lower = np.abs(hi[0::2]), np.abs(lo[1::2])
+    return np.where(lower > upper, lower, upper).reshape(mixtures.means.shape[:-1])  # max(upper, lower)
 
 
-def protection_level(mixture: GaussianMixture, query: ProtectionLevelQuery = ProtectionLevelQuery()) -> float:
-    """Two-sided error bound at the queried integrity risk (see ``_bounds``)."""
-    return _bounds([mixture], query)[0]
+def protection_level(
+    mixture: GaussianMixture | MixtureStack, query: ProtectionLevelQuery = ProtectionLevelQuery()
+) -> float | np.ndarray:
+    """Two-sided error bound at the queried integrity risk (see ``_bounds``);
+    a ``MixtureStack`` gives the array of its rows' bounds."""
+    if isinstance(mixture, MixtureStack):
+        return _bounds(mixture, query)
+    return float(_bounds(MixtureStack(mixture.means, mixture.variances, mixture.weights), query))
 
 
 def protection_levels_all(
@@ -191,16 +240,21 @@ def protection_levels_all(
     variances: np.ndarray,
     weights: np.ndarray,
     query: ProtectionLevelQuery = ProtectionLevelQuery(),
-) -> ProtectionLevels:
-    """Per-axis protection levels from (N, 3) mixture ingredients.
+) -> ProtectionLevels | list[ProtectionLevels]:
+    """Per-axis protection levels from (N, 3) mixture ingredients, or a list
+    of them, one per timestep, from (T, N, 3) stacks.
 
     Columns are the lateral, longitudinal and vertical sample sets; each
-    column forms its own mixture, and all three are solved in one bisection.
+    column forms its own mixture, and all of them are solved in one
+    bisection.
     """
     means = np.asarray(means, dtype=float)
     variances = np.asarray(variances, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if not (means.shape == variances.shape == weights.shape) or means.ndim != 2 or means.shape[1] != 3:
-        raise LengthMismatch("per-axis inputs must share shape (N, 3)")
-    mixtures = [GaussianMixture(means[:, d], variances[:, d], weights[:, d]) for d in range(3)]
-    return ProtectionLevels(*_bounds(mixtures, query))
+    if not (means.shape == variances.shape == weights.shape) or means.ndim not in (2, 3) or means.shape[-1] != 3:
+        raise LengthMismatch("per-axis inputs must share shape (N, 3) or (T, N, 3)")
+    columns = MixtureStack(*(np.swapaxes(a, -1, -2) for a in (means, variances, weights)))
+    bounds = _bounds(columns, query).tolist()
+    if means.ndim == 2:
+        return ProtectionLevels(*bounds)
+    return [ProtectionLevels(*row) for row in bounds]

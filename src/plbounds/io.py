@@ -158,7 +158,15 @@ def read_quaternion_lines(path: Path | str) -> np.ndarray:
         if arr is not None and arr.shape[1] == 4:
             return arr
     rows = read_jsonl(path)
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except OverflowError:  # an integer numeral beyond the float range
+        for index, row in enumerate(rows):
+            try:
+                np.asarray(row, dtype=float)
+            except OverflowError as exc:
+                raise ValueError(f"{path}:{jsonl_line_number(path, index)}: {exc}") from None
+        raise
     if arr.size == 0:
         return np.empty((0, 4))
     if arr.ndim != 2 or arr.shape[1] != 4:

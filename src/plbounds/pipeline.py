@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PlboundsError, TimestepFailure
-from .estimator import Estimator, MeasurementContext, SyntheticEstimator, to_vehicle_frame
+from .estimator import RECORD_FIELDS, Estimator, MeasurementContext, SyntheticEstimator, to_vehicle_frame
 from .geometry import PointCloud, Pose, quat_to_matrix
 from .gmm import (
-    GaussianMixture,
+    MixtureStack,
     ProtectionLevelQuery,
     ProtectionLevels,
     protection_level,
@@ -48,6 +48,11 @@ from .uncertainty import (
 )
 
 VARIANTS = ("VAR", "VAR_E", "VAR_EO", "VAR_EO_DIRECTIONAL")
+
+# Most timesteps ``run_sequence`` bounds in one ``run_block`` call: enough
+# to spread each stage's per-call cost thin, few enough that a block's
+# stacks stay small.
+BLOCK_TIMESTEPS = 256
 
 
 @dataclass(frozen=True)
@@ -95,100 +100,163 @@ def run_timestep(
     rotation_uncertainty: RotationUncertainty,
     config: PipelineConfig,
 ) -> TimestepResult:
-    """Protection levels for one timestep under the configured variant.
+    """Protection levels for one timestep under the configured variant: the
+    one-timestep case of ``run_block``.  ``offsets`` holds the (N, 3)
+    translations and (N, 4) rotations of the candidates (``VAR`` has none).
+    """
+    if config.variant != "VAR":
+        offsets = tuple(np.asarray(a, dtype=float)[None] for a in offsets)
+    return run_block(estimator, [ctx], [estimate_pose], cloud, offsets, rotation_uncertainty, config)[0]
 
-    ``offsets`` holds the (N, 3) translations and (N, 4) rotations of the
-    candidates from ``sample_candidates`` (``VAR`` has none).  An estimator
-    with ``estimate_batch`` is called once for all candidates, any other
-    once per candidate.  Candidates whose estimator call raises a package
-    error (every candidate, when the batch call raises), whose row the batch
-    reports failed, or whose covariance is indefinite, are excluded with a
-    diagnostic; fewer than
-    ``min_candidates`` survivors abort the timestep.  Results do not depend
-    on candidate evaluation order.
+
+def run_block(
+    estimator: Estimator,
+    ctxs: list[MeasurementContext],
+    estimate_poses: list[Pose],
+    cloud: PointCloud | None,
+    offsets: tuple[np.ndarray, np.ndarray] | None,
+    rotation_uncertainty: RotationUncertainty,
+    config: PipelineConfig,
+) -> list[TimestepResult]:
+    """Protection levels for T timesteps under the configured variant, each
+    stage run once on the stacked candidates of all of them.
+
+    ``offsets`` holds the (T, N, 3) translations and (T, N, 4) rotations of
+    the candidates from ``sample_candidates`` (``VAR`` has none).  An
+    estimator with ``estimate_batch`` is called once for all candidates,
+    any other once per candidate.  Candidates whose estimator call raises a
+    package error (every candidate, when the batch call raises), whose row
+    the batch reports failed, or whose covariance is indefinite, are
+    excluded with a diagnostic; fewer than ``min_candidates`` survivors
+    abort the timestep, and any error aborts the block.  Every stage works
+    row by row, so a timestep's result does not depend on the other
+    timesteps of the block, nor on candidate evaluation order.
     """
     if config.variant == "VAR":
-        raw = estimator.estimate(ctx.for_candidate(0), estimate_pose, cloud)
-        fields = (raw.translation_error[None], raw.sigma[None], raw.corr[None])
-        errors, covs, failed = to_vehicle_frame(quat_to_matrix(raw.rotation_error)[None], *fields)
+        raws = [estimator.estimate(ctx.for_candidate(0), pose, cloud) for ctx, pose in zip(ctxs, estimate_poses)]
+        fields = [np.array([getattr(raw, name) for raw in raws]) for name in RECORD_FIELDS]
+        errors, covs, failed = to_vehicle_frame(quat_to_matrix(fields[1]), fields[0], *fields[2:])
         if failed:
-            raise failed[0]
-        samples = ErrorSampleSet(errors, np.diagonal(covs, axis1=1, axis2=2).copy(), np.ones((1, 3)))
-        pls = protection_levels_all(samples.means, samples.variances, samples.weights, config.query)
-        return TimestepResult(ctx.timestamp, pls, 1, 0, samples)
+            raise failed[min(failed)]
+        variances = np.diagonal(covs, axis1=1, axis2=2).copy()
+        weights = np.ones((len(raws), 1, 3))
+        samples = [ErrorSampleSet(errors[t : t + 1], variances[t : t + 1], weights[t]) for t in range(len(raws))]
+        pls = protection_levels_all(errors[:, None], variances[:, None], weights, config.query)
+        return [TimestepResult(ctx.timestamp, pl, 1, 0, s) for ctx, pl, s in zip(ctxs, pls, samples)]
 
     translations, rotations = offsets
+    steps, n = translations.shape[:2]
     positions, orientations = apply_offset(
-        estimate_pose.position, estimate_pose.orientation, translations, rotations
+        np.array([pose.position for pose in estimate_poses])[:, None],
+        np.array([pose.orientation for pose in estimate_poses])[:, None],
+        translations,
+        rotations,
     )
-    n = len(translations)
     # a candidate whose estimator call fails keeps these neutral values,
     # which pass every check below, and is dropped at the end
-    raw_error, raw_rotation = np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
-    sigma, corr = np.ones((n, 3)), np.zeros((n, 3))
-    failed: dict[int, PlboundsError] = {}
+    raw_error, raw_rotation = np.zeros((steps, n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (steps, n, 1))
+    sigma, corr = np.ones((steps, n, 3)), np.zeros((steps, n, 3))
+    failed: dict[tuple[int, int], PlboundsError] = {}
     estimate_batch = getattr(estimator, "estimate_batch", None)
     if estimate_batch is not None:
         try:
-            answer = estimate_batch(ctx, positions, orientations, cloud)
+            answer = estimate_batch(ctxs, positions, orientations, cloud)
         except PlboundsError as exc:
-            failed = dict.fromkeys(range(n), exc)
+            failed = {(t, i): exc for t in range(steps) for i in range(n)}
         else:
             raw_error, raw_rotation, sigma, corr = answer[:4]
             failed = dict(answer[4]) if len(answer) > 4 else {}
     else:
-        for i in range(n):
-            try:
-                raw = estimator.estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]), cloud)
-            except PlboundsError as exc:
-                failed[i] = exc
-                continue
-            raw_error[i], raw_rotation[i] = raw.translation_error, raw.rotation_error
-            sigma[i], corr[i] = raw.sigma, raw.corr
-    rotation = quat_to_matrix(raw_rotation)
-    errors, covs, frame_failed = to_vehicle_frame(rotation, raw_error, sigma, corr)
-    means, covs, inflate_failed = transform_error(rotation, errors, covs, translations, rotation_uncertainty)
-    failed = {**inflate_failed, **frame_failed, **failed}  # the first stage to fail names the reason
-    diagnostics = [f"candidate {i} excluded: {failed[i]}" for i in sorted(failed)]
-    keep = np.setdiff1d(np.arange(n), list(failed))
-    if len(keep) < config.min_candidates:
-        raise TimestepFailure(
-            f"{len(keep)} usable candidates at t={ctx.timestamp} "
-            f"(minimum {config.min_candidates}); {'; '.join(diagnostics)}"
-        )
-    means = means[keep]
-    variances = np.diagonal(covs[keep], axis1=1, axis2=2).copy()
-    if config.variant == "VAR_E":
-        weights = np.full(means.shape, 1.0 / means.shape[0])
-    else:
-        weights = outlier_weights(means)
-    samples = ErrorSampleSet(means, variances, weights)
-
-    theta = excluded_dim = None
-    if config.variant == "VAR_EO_DIRECTIONAL":
-        proj = project_directional(samples)
-        theta, excluded_dim = proj.theta, proj.excluded
-        horizontal = protection_level(
-            GaussianMixture(proj.horizontal_means, proj.horizontal_variances, proj.horizontal_weights),
-            config.query,
-        )
-        vertical = protection_level(
-            GaussianMixture(proj.vertical_means, proj.vertical_variances, proj.vertical_weights),
-            config.query,
-        )
-        pls = ProtectionLevels(horizontal, horizontal, vertical)
-    else:
-        pls = protection_levels_all(means, variances, weights, config.query)
-    return TimestepResult(
-        timestamp=ctx.timestamp,
-        pl=pls,
-        n_candidates=len(keep),
-        n_excluded=len(failed),
-        samples=samples,
-        diagnostics=tuple(diagnostics),
-        direction_theta=theta,
-        direction_excluded=excluded_dim,
+        for t, ctx in enumerate(ctxs):
+            for i in range(n):
+                try:
+                    candidate = Pose(positions[t, i], orientations[t, i])
+                    raw = estimator.estimate(ctx.for_candidate(i), candidate, cloud)
+                except PlboundsError as exc:
+                    failed[t, i] = exc
+                    continue
+                raw_error[t, i], raw_rotation[t, i] = raw.translation_error, raw.rotation_error
+                sigma[t, i], corr[t, i] = raw.sigma, raw.corr
+    # every candidate of the block is one row from here on
+    rotation = quat_to_matrix(np.reshape(raw_rotation, (-1, 4)))
+    rows = [np.reshape(a, (-1, 3)) for a in (raw_error, sigma, corr)]
+    errors, covs, frame_failed = to_vehicle_frame(rotation, *rows)
+    means, covs, inflate_failed = transform_error(
+        rotation, errors, covs, np.reshape(translations, (-1, 3)), rotation_uncertainty
     )
+    # the first stage to fail names the reason
+    excluded: list[dict[int, PlboundsError]] = [{} for _ in range(steps)]
+    for row, exc in (*inflate_failed.items(), *frame_failed.items()):
+        excluded[row // n][row % n] = exc
+    for (t, i), exc in failed.items():
+        excluded[t][i] = exc
+    keep = []
+    for ctx, step_failed in zip(ctxs, excluded):
+        kept = np.setdiff1d(np.arange(n), list(step_failed)) if step_failed else np.arange(n)
+        if len(kept) < config.min_candidates:
+            diagnostics = "; ".join(f"candidate {i} excluded: {step_failed[i]}" for i in sorted(step_failed))
+            raise TimestepFailure(
+                f"{len(kept)} usable candidates at t={ctx.timestamp} "
+                f"(minimum {config.min_candidates}); {diagnostics}"
+            )
+        keep.append(kept)
+
+    # timesteps that kept equally many candidates are stacked together
+    samples: list[ErrorSampleSet] = [None] * steps
+    stacks = {}  # kept count: (timesteps, their (G, count, 3) means, variances and weights)
+    for count in sorted({len(kept) for kept in keep}):
+        group = [t for t in range(steps) if len(keep[t]) == count]
+        picked = np.array([t * n + keep[t] for t in group])
+        group_means = means[picked]
+        group_variances = np.diagonal(covs[picked], axis1=2, axis2=3).copy()
+        if config.variant == "VAR_E":
+            group_weights = np.full(group_means.shape, 1.0 / count)
+        else:
+            group_weights = outlier_weights(group_means)
+        for j, t in enumerate(group):
+            samples[t] = ErrorSampleSet(group_means[j], group_variances[j], group_weights[j])
+        stacks[count] = (group, group_means, group_variances, group_weights)
+
+    directions: list[tuple[float | None, str | None]] = [(None, None)] * steps
+    if config.variant == "VAR_EO_DIRECTIONAL":
+        projections = [project_directional(s) for s in samples]
+        directions = [(proj.theta, proj.excluded) for proj in projections]
+        h_mixtures = [(p.horizontal_means, p.horizontal_variances, p.horizontal_weights) for p in projections]
+        v_mixtures = [(p.vertical_means, p.vertical_variances, p.vertical_weights) for p in projections]
+        # the horizontal mixtures are checked and solved first, as a lone timestep's were
+        horizontal = _bounds_by_length(h_mixtures, config.query)
+        vertical = _bounds_by_length(v_mixtures, config.query)
+        pls = [ProtectionLevels(h, h, v) for h, v in zip(horizontal, vertical)]
+    else:
+        pls = [None] * steps
+        for group, *stack in stacks.values():
+            for t, pl in zip(group, protection_levels_all(*stack, config.query)):
+                pls[t] = pl
+    return [
+        TimestepResult(
+            timestamp=ctx.timestamp,
+            pl=pls[t],
+            n_candidates=len(keep[t]),
+            n_excluded=len(excluded[t]),
+            samples=samples[t],
+            diagnostics=tuple(f"candidate {i} excluded: {excluded[t][i]}" for i in sorted(excluded[t])),
+            direction_theta=directions[t][0],
+            direction_excluded=directions[t][1],
+        )
+        for t, ctx in enumerate(ctxs)
+    ]
+
+
+def _bounds_by_length(mixtures: list[tuple[np.ndarray, ...]], query: ProtectionLevelQuery) -> list[float]:
+    """``protection_level`` of each (means, variances, weights) mixture; the
+    mixtures with equally many components are solved as one stack."""
+    bounds = [0.0] * len(mixtures)
+    for length in sorted({len(m[0]) for m in mixtures}):
+        group = [k for k, m in enumerate(mixtures) if len(m[0]) == length]
+        stack = MixtureStack(*(np.array([mixtures[k][f] for k in group]) for f in range(3)))
+        for k, bound in zip(group, protection_level(stack, query).tolist()):
+            bounds[k] = bound
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -233,29 +301,43 @@ def run_sequence(
     config: PipelineConfig,
     rotation_uncertainty: RotationUncertainty | None = None,
 ) -> SequenceResult:
-    """Run every scenario timestep, in order, and aggregate the integrity
+    """Bound every scenario timestep, in order, and aggregate the integrity
     statistics.
 
-    Candidate offsets are redrawn per timestep from streams derived from the
-    run seed and the timestep index, so results are reproducible.
-    ``config.threads`` does not change the computation.
+    Timesteps are bounded in blocks of up to ``BLOCK_TIMESTEPS`` by
+    ``run_block``; a block that raises is bounded again one timestep at a
+    time.  Candidate offsets are redrawn per timestep from streams derived
+    from the run seed and the timestep index, so results are reproducible
+    and do not depend on where blocks start or end.  ``config.threads``
+    does not change the computation.
     """
     if rotation_uncertainty is None:
         rotation_uncertainty = default_rotation_uncertainty(estimator, config)
 
     results, records = [], []
-    for ts in scenario.timesteps:
-        ctx = MeasurementContext(
-            timestamp=ts.timestamp, payload_key=ts.payload_key, true_pose=ts.true_pose
-        )
+    for first in range(0, len(scenario.timesteps), BLOCK_TIMESTEPS):
+        block = scenario.timesteps[first : first + BLOCK_TIMESTEPS]
+        ctxs = [MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose) for ts in block]
+        poses = [ts.estimate_pose for ts in block]
         offsets = None
         if config.variant != "VAR":
-            offsets = sample_candidates(config.sampling, [config.seed, 2, ts.index])
-        result = run_timestep(
-            estimator, ctx, ts.estimate_pose, scenario.cloud, offsets, rotation_uncertainty, config
-        )
-        results.append(replace(result, index=ts.index))
-        records.append(IntegrityRecord(result.pl, vehicle_frame_error(ts.true_pose, ts.estimate_pose)))
+            offsets = sample_candidates(config.sampling, [[config.seed, 2, ts.index] for ts in block])
+        try:
+            block_results = run_block(
+                estimator, ctxs, poses, scenario.cloud, offsets, rotation_uncertainty, config
+            )
+        except Exception:
+            # whatever failed, one timestep at a time: the first error in
+            # timestep order is then raised as that timestep alone raises it
+            block_results = []
+            for k, (ctx, pose) in enumerate(zip(ctxs, poses)):
+                one = None if offsets is None else tuple(a[k] for a in offsets)
+                block_results.append(
+                    run_timestep(estimator, ctx, pose, scenario.cloud, one, rotation_uncertainty, config)
+                )
+        for ts, result in zip(block, block_results):
+            results.append(replace(result, index=ts.index))
+            records.append(IntegrityRecord(result.pl, vehicle_frame_error(ts.true_pose, ts.estimate_pose)))
     return SequenceResult(
         results=results,
         records=records,

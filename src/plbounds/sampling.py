@@ -32,32 +32,41 @@ class SamplingConfig:
             raise ValueError("need at least two candidates")
 
 
+def _offset_rotations(angles: np.ndarray) -> np.ndarray:
+    """(..., 4) rotations composing the (..., 3) roll, pitch and yaw angles."""
+    # normalized twice, as offsets always were: the second pass can move
+    # the last bit, and archived runs depend on those bits
+    return quat_normalize(quat_from_euler_zyx(angles[..., 2], angles[..., 1], angles[..., 0]))
+
+
 def draw_offsets(rng: np.random.Generator, n: int, t_max: float, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     """``n`` rigid offsets: (n, 3) translations uniform within ``t_max`` per
     axis, then (n, 4) rotations composing per-axis angles uniform within
     ``r_max`` (one block of translations is drawn before the angles)."""
     translations = rng.uniform(-t_max, t_max, (n, 3))
-    angles = rng.uniform(-r_max, r_max, (n, 3))
-    # normalized twice, as offsets always were: the second pass can move
-    # the last bit, and archived runs depend on those bits
-    rotations = quat_normalize(quat_from_euler_zyx(angles[:, 2], angles[:, 1], angles[:, 0]))
-    return translations, rotations
+    return translations, _offset_rotations(rng.uniform(-r_max, r_max, (n, 3)))
 
 
-def sample_candidates(config: SamplingConfig, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw exactly ``n_candidates`` offsets, deterministically in (seed, config).
+def sample_candidates(config: SamplingConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Draw exactly ``n_candidates`` offsets for each of T timesteps,
+    deterministically in (seed, config); ``seeds`` holds one seed per
+    timestep.
 
-    Returns (N, 3) translations and (N, 4) scalar-first rotations, each
-    offset expressed in the frame of the pose it perturbs.  The generator is
-    PCG64 seeded through SeedSequence; reference outputs are pinned in the
-    test suite.
+    Returns (T, N, 3) translations and (T, N, 4) scalar-first rotations,
+    each offset expressed in the frame of the pose it perturbs.  Each seed
+    has its own PCG64 generator, seeded through SeedSequence, so a
+    timestep's offsets do not depend on the others; reference outputs are
+    pinned in the test suite.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    n_random = config.n_candidates - (1 if config.include_estimate else 0)
-    translations, rotations = draw_offsets(rng, n_random, config.t_max, config.r_max)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))) for seed in seeds]
+    shape = (len(rngs), config.n_candidates - (1 if config.include_estimate else 0), 3)
+    # each stream draws its translations, then its angles, as in draw_offsets
+    translations = np.array([rng.uniform(-config.t_max, config.t_max, shape[1:]) for rng in rngs]).reshape(shape)
+    angles = np.array([rng.uniform(-config.r_max, config.r_max, shape[1:]) for rng in rngs]).reshape(shape)
+    rotations = _offset_rotations(angles)
     if config.include_estimate:
-        translations = np.concatenate((np.zeros((1, 3)), translations))
-        rotations = np.concatenate(([[1.0, 0.0, 0.0, 0.0]], rotations))
+        translations = np.concatenate((np.zeros((len(rngs), 1, 3)), translations), axis=1)
+        rotations = np.concatenate((np.tile([1.0, 0.0, 0.0, 0.0], (len(rngs), 1, 1)), rotations), axis=1)
     return translations, rotations
 
 

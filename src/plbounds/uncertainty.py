@@ -102,33 +102,28 @@ def transform_error(
 def outlier_weights(errors: np.ndarray, gamma: float = ROBUST_GAMMA) -> np.ndarray:
     """Per-dimension softmax weights that de-emphasize outlying samples.
 
-    Each column is scored by its absolute deviation from the column median,
-    scaled by the median of those deviations; weights are
+    ``errors`` is one (N, dims) sample set or an (..., N, dims) stack of
+    them.  Each column is scored by its absolute deviation from the column
+    median, scaled by the median of those deviations; weights are
     ``softmax(-gamma * score)``.  When every deviation is zero the weights
     are uniform; when only the median deviation collapses (more than half
     the samples identical) the mean absolute deviation takes over as scale.
     """
     e = np.asarray(errors, dtype=float)
-    if e.ndim != 2 or e.shape[0] < 1:
-        raise ValueError("errors must be (N, dims) with N >= 1")
-    weights = np.empty_like(e)
-    for d in range(e.shape[1]):
-        col = e[:, d]
-        dev = np.abs(col - np.median(col))
-        mad = float(np.median(dev))
-        if mad == 0.0:
-            fallback = float(dev.mean())
-            if fallback == 0.0:
-                weights[:, d] = 1.0 / col.size
-                continue
-            score = dev / fallback
-        else:
-            score = dev / mad
-        logits = -gamma * score
-        logits -= logits.max()
-        ex = np.exp(logits)
-        weights[:, d] = ex / ex.sum()
-    return weights
+    if e.ndim < 2 or e.shape[-2] < 1:
+        raise ValueError("errors must be (..., N, dims) with N >= 1")
+    # one contiguous row per column: every reduction then runs along a row,
+    # as it did on a lone column, and gives its bits
+    cols = np.ascontiguousarray(np.swapaxes(e, -1, -2))
+    dev = np.abs(cols - np.median(cols, axis=-1, keepdims=True))
+    mad = np.median(dev, axis=-1, keepdims=True)
+    scale = np.where(mad == 0.0, dev.mean(axis=-1, keepdims=True), mad)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logits = -gamma * (dev / scale)
+    logits -= logits.max(axis=-1, keepdims=True)
+    ex = np.exp(logits)
+    weights = np.where(scale == 0.0, 1.0 / e.shape[-2], ex / ex.sum(axis=-1, keepdims=True))
+    return np.ascontiguousarray(np.swapaxes(weights, -1, -2))
 
 
 @dataclass(frozen=True)

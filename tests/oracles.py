@@ -114,15 +114,41 @@ def robust_weights(column, gamma: float = 0.6745):
     return [e / s for e in ex]
 
 
+def outlier_weights_per_column(errors, gamma: float = 0.6745) -> np.ndarray:
+    """The package's robust weights as they were computed before sample
+    sets were stacked: one lone column of an (N, dims) array at a time, so
+    the stacked version can be compared bit for bit."""
+    e = np.asarray(errors, dtype=float)
+    weights = np.empty_like(e)
+    for d in range(e.shape[1]):
+        col = e[:, d]
+        dev = np.abs(col - np.median(col))
+        mad = float(np.median(dev))
+        if mad == 0.0:
+            fallback = float(dev.mean())
+            if fallback == 0.0:
+                weights[:, d] = 1.0 / col.size
+                continue
+            score = dev / fallback
+        else:
+            score = dev / mad
+        logits = -gamma * score
+        logits -= logits.max()
+        ex = np.exp(logits)
+        weights[:, d] = ex / ex.sum()
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # file readers as they were before the bulk loads
 
 
 def json_quaternion_lines(path) -> np.ndarray:
     """The quaternion-file reader as one ``json.loads`` per non-blank line:
-    a line that is not JSON raises ValueError naming the file and the line,
-    and anything but one 4-element array per line the 4-element error."""
-    rows = []
+    a line that is not JSON, or that holds an integer beyond the float
+    range, raises ValueError naming the file and the line, and anything but
+    one 4-element array per line the 4-element error."""
+    rows, numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -131,12 +157,30 @@ def json_quaternion_lines(path) -> np.ndarray:
                     rows.append(json.loads(line))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
-    arr = np.asarray(rows, dtype=float)
+                numbers.append(number)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except OverflowError as exc:
+        number = next(n for n, row in zip(numbers, rows) if _overflows(row))
+        raise ValueError(f"{path}:{number}: {exc}") from None
     if arr.size == 0:
         return np.empty((0, 4))
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"{path}: each line must hold one 4-element quaternion")
     return arr
+
+
+def _overflows(value) -> bool:
+    """Whether a JSON value holds a number ``float`` cannot represent."""
+    if isinstance(value, list):
+        return any(_overflows(v) for v in value)
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    except (TypeError, ValueError):
+        pass
+    return False
 
 
 class StoredRecords:

@@ -283,6 +283,28 @@ def test_truncated_jsonl_inputs_exit_3(scenario_dir, tmp_path, capsys):
         assert f"input error: {bad}" in capsys.readouterr().err
 
 
+def test_numerals_beyond_the_float_range_exit_3(scenario_dir, tmp_path, capsys):
+    # an integer too large for a float, and an index of 1e400 (infinity)
+    rotations = tmp_path / "rotations.jsonl"
+    rotations.write_text("[1.0, 0.0, 0.0, 0.0]\n\n[1" + "0" * 400 + ", 0, 0, 0]\n")
+    records = tmp_path / "estimates.jsonl"
+    good = {"payload_key": "t000000", "candidate_index": 0, "translation_error": [0.0] * 3,
+            "rotation_error": [1.0, 0.0, 0.0, 0.0], "sigma": [1.0] * 3, "corr": [0.0] * 3}
+    infinite = json.dumps(good).replace('"candidate_index": 0', '"candidate_index": 1e400')
+    records.write_text(json.dumps(good) + "\n" + infinite + "\n")
+    for key, value, bad in (
+        ("rotation_uncertainty", {"source": "file", "path": str(rotations)}, f"{rotations}:3: int too large to convert"),
+        ("estimator", {"kind": "file", "path": str(records)}, f"{records}:2: malformed estimate record (OverflowError"),
+    ):
+        cfg = dict(RUN_CONFIG)
+        cfg[key] = value
+        path = tmp_path / "overflow_config.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert f"input error: {bad}" in capsys.readouterr().err
+
+
 def test_pipeline_failure_exits_4(scenario_dir, tmp_path):
     # a file estimator with no records rejects every candidate
     empty = tmp_path / "estimates.jsonl"

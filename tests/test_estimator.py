@@ -286,11 +286,31 @@ def test_estimate_batch_rows_match_single_calls():
         truth = _random_pose(rng)
         ctx = MeasurementContext(timestamp=timestamp, payload_key="k", true_pose=truth)
         positions, orientations = _candidates(rng, truth, 30)
-        batch = est.estimate_batch(ctx, positions, orientations)
+        batch = [field[0] for field in est.estimate_batch([ctx], positions[None], orientations[None])]
         for i in range(len(positions)):
             single = est.estimate(ctx.for_candidate(i), Pose(positions[i], orientations[i]))
             for name, field in zip(RECORD_FIELDS, batch):
                 assert np.array_equal(getattr(single, name), field[i]), (timestamp, i, name)
+
+
+def test_estimate_batch_over_many_contexts_matches_one_context_at_a_time():
+    rng = np.random.default_rng(10)
+    est = SyntheticEstimator(SyntheticEstimatorConfig(seed=6, sigma_rot=0.02, corr=(0.1, 0.2, -0.3)))
+    ctxs, positions, orientations = [], [], []
+    for timestamp in (0.0, 3.0, 3.5, 11.25):
+        truth = _random_pose(rng)
+        ctxs.append(MeasurementContext(timestamp=timestamp, payload_key="k", true_pose=truth))
+        p, q = _candidates(rng, truth, 24)
+        positions.append(p)
+        orientations.append(q)
+    whole = est.estimate_batch(ctxs, np.array(positions), np.array(orientations))
+    assert [a.shape for a in whole] == [(4, 24, 3), (4, 24, 4), (4, 24, 3), (4, 24, 3)]
+    for t, ctx in enumerate(ctxs):
+        one = est.estimate_batch([ctx], positions[t][None], orientations[t][None])
+        assert all(a[t].tobytes() == b[0].tobytes() for a, b in zip(whole, one))
+    with pytest.raises(InfeasibleContext):
+        no_truth = MeasurementContext(timestamp=2.5, payload_key="k")
+        est.estimate_batch([*ctxs, no_truth], np.zeros((5, 2, 3)), np.tile(IDENTITY_Q, (5, 2, 1)))
 
 
 def test_estimate_batch_rows_do_not_depend_on_batch_size():
@@ -299,13 +319,13 @@ def test_estimate_batch_rows_do_not_depend_on_batch_size():
     truth = _random_pose(rng)
     ctx = MeasurementContext(timestamp=2.5, payload_key="k", true_pose=truth)
     positions, orientations = _candidates(rng, truth, 48)
-    whole = est.estimate_batch(ctx, positions, orientations)
+    whole = est.estimate_batch([ctx], positions[None], orientations[None])
     for k in (1, 13, 47):
-        part = est.estimate_batch(ctx, positions[:k], orientations[:k])
+        part = est.estimate_batch([ctx], positions[None, :k], orientations[None, :k])
         for a, b in zip(whole, part):
-            assert np.array_equal(a[:k], b)
+            assert np.array_equal(a[:, :k], b)
     with pytest.raises(InfeasibleContext):
-        est.estimate_batch(MeasurementContext(timestamp=2.5, payload_key="k"), positions, orientations)
+        est.estimate_batch([MeasurementContext(timestamp=2.5, payload_key="k")], positions[None], orientations[None])
 
 
 def test_estimate_batch_checks_its_rows():
@@ -314,7 +334,7 @@ def test_estimate_batch_checks_its_rows():
     bad_configs = (SyntheticEstimatorConfig(corr=(np.nan, 0.0, 0.0)), SyntheticEstimatorConfig(miscalibration=np.inf))
     for config in bad_configs:
         with pytest.raises(ValueError):
-            SyntheticEstimator(config).estimate_batch(ctx, positions, orientations)
+            SyntheticEstimator(config).estimate_batch([ctx], positions[None], orientations[None])
         with pytest.raises(ValueError):
             SyntheticEstimator(config).estimate(ctx.for_candidate(0), Pose.identity())
 
@@ -387,10 +407,10 @@ def test_file_estimator_normalizes_each_rotation_once(tmp_path):
 
     est = FileEstimator(path)
     ctx = MeasurementContext(timestamp=0.0, payload_key="t000000")
-    _, batch, _, _, failed = est.estimate_batch(ctx, np.zeros((2000, 3)), np.tile(IDENTITY_Q, (2000, 1)))
+    _, batch, _, _, failed = est.estimate_batch([ctx], np.zeros((1, 2000, 3)), np.tile(IDENTITY_Q, (1, 2000, 1)))
     singles = np.array([est.estimate(ctx.for_candidate(i), Pose.identity()).rotation_error for i in range(2000)])
     assert failed == {}
-    assert batch.tobytes() == singles.tobytes() == once.tobytes()
+    assert batch[0].tobytes() == singles.tobytes() == once.tobytes()
 
 
 def test_file_estimator_names_line_of_malformed_record(tmp_path):

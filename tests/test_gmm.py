@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from plbounds import gmm
 from plbounds.errors import BracketingFailure, LengthMismatch, NonConvergence, WeightSumViolation
 from plbounds.gmm import (
     GaussianMixture,
+    MixtureStack,
     ProtectionLevelQuery,
     ProtectionLevels,
     gmm_cdf,
@@ -157,6 +160,11 @@ def _random_mixtures(rng, count, n):
     return mixtures
 
 
+def _stacks(mixtures):
+    """The (K, N) means, standard deviations and weights of equal-length mixtures."""
+    return [np.stack([getattr(m, name) for m in mixtures]) for name in ("means", "sigmas", "weights")]
+
+
 def test_brackets_match_scalar_loop_bit_for_bit():
     # rows converge after different numbers of steps (different widths and
     # probabilities), so the masking is exercised.  Half the targets are the
@@ -171,7 +179,7 @@ def test_brackets_match_scalar_loop_bit_for_bit():
             mid = 0.5 * (np.min(m.means - 10.0 * m.sigmas) + np.max(m.means + 10.0 * m.sigmas))
             probabilities[k] = gmm_cdf(m, float(mid))
         tolerance = float(rng.choice([1e-2, 1e-4, 1e-7]))
-        lo, hi = gmm._brackets(mixtures, probabilities, tolerance, 200)
+        lo, hi = gmm._brackets(*_stacks(mixtures), probabilities, tolerance, 200)
         for k, (m, p) in enumerate(zip(mixtures, probabilities)):
             want = oracles.scalar_bisection(m.means, m.variances, m.weights, p, tolerance, 200)
             assert (lo[k], hi[k]) == want
@@ -186,24 +194,24 @@ def test_bracket_doubling_matches_scalar_loop(monkeypatch):
     rng = np.random.default_rng(19)
     mixtures = _random_mixtures(rng, 4, 5)
     probabilities = [0.001, 0.02, 0.5, 0.999]
-    lo, hi = gmm._brackets(mixtures, probabilities, 1e-4, 200)
+    lo, hi = gmm._brackets(*_stacks(mixtures), probabilities, 1e-4, 200)
     for k, (m, p) in enumerate(zip(mixtures, probabilities)):
         assert (lo[k], hi[k]) == oracles.scalar_bisection(m.means, m.variances, m.weights, p, 1e-4, 200, cauchy)
     # the 1e-3 and 0.999 targets lie outside the initial bracket
     assert lo[0] < np.min(mixtures[0].means - 10.0 * mixtures[0].sigmas)
     assert hi[3] > np.max(mixtures[3].means + 10.0 * mixtures[3].sigmas)
     with pytest.raises(BracketingFailure):
-        gmm._brackets(mixtures, [1e-9, 0.5, 0.5, 0.5], 1e-4, 200)
+        gmm._brackets(*_stacks(mixtures), [1e-9, 0.5, 0.5, 0.5], 1e-4, 200)
 
 
 def test_one_failing_row_fails_the_solve():
     m = GaussianMixture([0.0], [1.0], [1.0])
     with pytest.raises(NonConvergence):
-        gmm._brackets([m, m], [0.5, 0.975], 1e-12, 40)
+        gmm._brackets(*_stacks([m, m]), [0.5, 0.975], 1e-12, 40)
     # the CDF tops out at the weight sum, 1 - 5e-13, below this target
     short = GaussianMixture([1.0], [1.0], [1.0 - 5e-13])
     with pytest.raises(BracketingFailure):
-        gmm._brackets([m, short], [0.5, 1.0 - 1e-14], 1e-4, 200)
+        gmm._brackets(*_stacks([m, short]), [0.5, 1.0 - 1e-14], 1e-4, 200)
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +352,78 @@ def test_tail_mass_beyond_protection_level_within_risk(data, mirrored, risk, tol
     pl = protection_level(m, ProtectionLevelQuery(integrity_risk=risk, tolerance=tolerance))
     # 1e-15 covers the rounding of 1 - risk/2 and of the CDF itself
     assert gmm_cdf(m, -pl) + (1.0 - gmm_cdf(m, pl)) <= risk + 1e-15
+
+
+_MIXTURE = st.lists(
+    st.tuples(st.floats(-5.0, 5.0), st.floats(0.05, 2.0), st.floats(0.1, 1.0)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    columns=st.lists(_MIXTURE, min_size=3, max_size=3),
+    risk=st.floats(2e-9, 0.5),
+    shrink=st.one_of(st.just(0.0), st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6]), st.floats(0.0, 0.99)),
+    tolerance=st.sampled_from([1e-2, 1e-4, 1e-7]),
+)
+@example(columns=[[(0.0, 1.0, 1.0)]] * 3, risk=0.01, shrink=1e-15, tolerance=1e-2)
+@example(  # all mass below zero, above zero, and on both sides
+    columns=[[(-4.0, 0.1, 1.0)], [(4.0, 0.1, 1.0)], [(-1.0, 1.0, 0.5), (1.0, 1.0, 0.5)]],
+    risk=0.3,
+    shrink=0.0,
+    tolerance=1e-4,
+)
+def test_protection_level_never_falls_as_the_risk_falls(columns, risk, shrink, tolerance):
+    # shrink 0 takes the next float below the risk, the nearest risk there is
+    smaller = max(np.nextafter(risk, 0.0) if shrink == 0.0 else risk * (1.0 - shrink), 1e-9)
+    n = max(len(c) for c in columns)
+    columns = [c + [c[-1]] * (n - len(c)) for c in columns]  # equal lengths: repeat the last component
+    means, sigmas, weights = (np.array([[row[k] for row in c] for c in columns]).T for k in range(3))
+    weights /= weights.sum(axis=0)
+    loose, tight = (ProtectionLevelQuery(integrity_risk=r, tolerance=tolerance) for r in (risk, smaller))
+    before = protection_levels_all(means, sigmas**2, weights, loose).as_array()
+    after = protection_levels_all(means, sigmas**2, weights, tight).as_array()
+    assert (after >= before).all()
+    m = GaussianMixture(means[:, 0], sigmas[:, 0] ** 2, weights[:, 0])
+    assert protection_level(m, tight) >= protection_level(m, loose)
+
+
+def test_mixture_stack_raises_the_first_failing_rows_error():
+    good = (np.zeros(2), np.ones(2), np.full(2, 0.5))
+    bad_rows = [
+        (np.array([np.nan, 0.0]), np.ones(2), np.full(2, 0.5)),
+        (np.zeros(2), np.array([1.0, 0.0]), np.full(2, 0.5)),
+        (np.zeros(2), np.ones(2), np.array([1.5, -0.5])),
+        (np.zeros(2), np.ones(2), np.array([0.5, 0.5 + 1e-9])),
+    ]
+    for k, bad in enumerate(bad_rows):
+        with pytest.raises(Exception) as alone:
+            GaussianMixture(*bad)
+        for at in range(3):
+            rows = [good, good, good]
+            rows[at] = bad
+            for later in range(at + 1, 3):  # a later failing row of another kind does not count
+                rows[later] = bad_rows[(k + 1) % len(bad_rows)]
+            with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+                MixtureStack(*(np.array([row[k] for row in rows]) for k in range(3)))
+    with pytest.raises(LengthMismatch, match=re.escape("got (0,), (0,), (0,)")):
+        MixtureStack(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 0)))
+    with pytest.raises(LengthMismatch):
+        MixtureStack(np.zeros((2, 3)), np.ones((3, 2)), np.full((2, 3), 1 / 3))
+    MixtureStack(*(np.array([row[k] for row in (good, good)]) for k in range(3)))
+
+
+def test_stacked_protection_levels_match_one_at_a_time():
+    rng = np.random.default_rng(23)
+    means = rng.normal(size=(7, 9, 3))
+    variances = rng.uniform(0.01, 1.0, size=(7, 9, 3))
+    weights = rng.uniform(0.1, 1.0, size=(7, 9, 3))
+    weights /= weights.sum(axis=1, keepdims=True)
+    q = ProtectionLevelQuery(integrity_risk=0.01, tolerance=1e-6)
+    stacked = protection_levels_all(means, variances, weights, q)
+    assert [pl.as_array().tobytes() for pl in stacked] == [
+        protection_levels_all(means[t], variances[t], weights[t], q).as_array().tobytes() for t in range(7)
+    ]
+    rows = MixtureStack(means[..., 0], variances[..., 0], weights[..., 0])
+    alone = [GaussianMixture(means[t, :, 0], variances[t, :, 0], weights[t, :, 0]) for t in range(7)]
+    assert protection_level(rows, q).tolist() == [protection_level(m, q) for m in alone]

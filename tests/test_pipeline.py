@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -18,10 +18,13 @@ from plbounds.estimator import (
 from plbounds.geometry import Pose
 from plbounds.gmm import ProtectionLevelQuery
 from plbounds.metrics import AlarmLimits
+from plbounds import pipeline
 from plbounds.pipeline import (
+    BLOCK_TIMESTEPS,
     VARIANTS,
     PipelineConfig,
     default_rotation_uncertainty,
+    run_block,
     run_sequence,
     run_timestep,
 )
@@ -77,6 +80,11 @@ class OneAtATime:
 
     def estimate(self, ctx, candidate, cloud=None):
         return self.inner.estimate(ctx, candidate, cloud)
+
+
+def _offsets(config, seed):
+    """The (N, 3) translations and (N, 4) rotations of one timestep's seed."""
+    return tuple(a[0] for a in sample_candidates(config, [seed]))
 
 
 def _scenario(seed=0, config=SCENARIO_CONFIG):
@@ -146,7 +154,7 @@ def test_rotation_uncertainty_never_shrinks_the_bound():
     ts = sc.timesteps[2]
     estimator = SyntheticEstimator(SyntheticEstimatorConfig(sigma_rot=0.05))
     ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose)
-    offsets = sample_candidates(FAST_SAMPLING, [5, 2, ts.index])
+    offsets = _offsets(FAST_SAMPLING, [5, 2, ts.index])
     config = PipelineConfig(variant="VAR_EO", sampling=FAST_SAMPLING, seed=5)
     tensor = precompute_q(estimator.rotation_residual_samples(5000, 5))
     with_q = run_timestep(estimator, ctx, ts.estimate_pose, None, offsets, tensor, config)
@@ -160,7 +168,7 @@ def test_candidate_exclusion_and_failure():
     sc = _scenario(seed=1)
     ts = sc.timesteps[0]
     ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose)
-    offsets = sample_candidates(FAST_SAMPLING, [1, 2, ts.index])
+    offsets = _offsets(FAST_SAMPLING, [1, 2, ts.index])
     config = PipelineConfig(variant="VAR_EO", sampling=FAST_SAMPLING, seed=1)
 
     flaky = FlakyEstimator(_noiseless(), frozenset({0, 3}))
@@ -186,7 +194,7 @@ def _timesteps(seed, with_truth=True):
     """(context, estimate pose, candidate offsets) of every timestep of a scenario."""
     for ts in _scenario(seed=seed).timesteps:
         ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose if with_truth else None)
-        yield ctx, ts.estimate_pose, sample_candidates(BATCH_SAMPLING, [seed, 2, ts.index])
+        yield ctx, ts.estimate_pose, _offsets(BATCH_SAMPLING, [seed, 2, ts.index])
 
 
 def test_batched_and_per_candidate_estimates_give_the_same_result():
@@ -223,8 +231,9 @@ def _recorded_table(path, seed=8):
     est = SyntheticEstimator(SyntheticEstimatorConfig(seed=seed, sigma_rot=0.02, corr=(0.3, 0.1, -0.2)))
     records = []
     for step, (ctx, pose, (translations, rotations)) in enumerate(_timesteps(seed)):
-        answers = est.estimate_batch(ctx, *apply_offset(pose.position, pose.orientation, translations, rotations))
-        for i, raw in enumerate(zip(*answers)):
+        positions, orientations = apply_offset(pose.position, pose.orientation, translations, rotations)
+        answers = est.estimate_batch([ctx], positions[None], orientations[None])
+        for i, raw in enumerate(zip(*(a[0] for a in answers))):
             if step == 3 and i in (5, 17):
                 continue
             if step == 5 and i == 2:
@@ -248,11 +257,12 @@ def test_file_estimator_batch_rows_are_its_single_answers(tmp_path):
     missing = 0
     for ctx, pose, (translations, rotations) in _timesteps(8):
         positions, orientations = apply_offset(pose.position, pose.orientation, translations, rotations)
-        *stacks, failed = est.estimate_batch(ctx, positions, orientations)
+        *stacks, failed = est.estimate_batch([ctx], positions[None], orientations[None])
+        stacks = [stack[0] for stack in stacks]
         for i in range(len(positions)):
             single = ctx.for_candidate(i)
-            if i in failed:
-                with pytest.raises(MissingRecord, match=re.escape(str(failed[i]))):
+            if (0, i) in failed:
+                with pytest.raises(MissingRecord, match=re.escape(str(failed[0, i]))):
                     est.estimate(single, Pose(positions[i], orientations[i]))
                 missing += 1
                 continue
@@ -260,6 +270,20 @@ def test_file_estimator_batch_rows_are_its_single_answers(tmp_path):
             for stack, name in zip(stacks, RECORD_FIELDS):
                 assert stack[i].tobytes() == getattr(raw, name).tobytes()
     assert missing == 2
+
+
+def test_file_estimator_batch_over_many_contexts(tmp_path):
+    est, _ = _recorded_table(tmp_path / "est.jsonl")
+    timesteps = list(_timesteps(8))
+    stacks = [apply_offset(pose.position, pose.orientation, *offsets) for _, pose, offsets in timesteps]
+    ctxs = [ctx for ctx, _, _ in timesteps]
+    *fields, failed = est.estimate_batch(ctxs, *(np.array(a) for a in zip(*stacks)))
+    assert sorted(failed) == [(3, 5), (3, 17)]
+    for t, (ctx, (positions, orientations)) in enumerate(zip(ctxs, stacks)):
+        *one, one_failed = est.estimate_batch([ctx], positions[None], orientations[None])
+        assert all(a[t].tobytes() == b[0].tobytes() for a, b in zip(fields, one))
+        mine = {i: str(e) for (s, i), e in failed.items() if s == t}
+        assert {i: str(e) for (_, i), e in one_failed.items()} == mine
 
 
 def test_file_estimator_batch_gives_the_loop_result(tmp_path):
@@ -366,3 +390,140 @@ def test_default_rotation_uncertainty_branches(tmp_path):
     assert np.array_equal(
         default_rotation_uncertainty(FileEstimator(path), config).q, np.zeros((3, 3, 3, 3))
     )
+
+
+# ---------------------------------------------------------------------------
+# blocks of timesteps
+
+
+def _one_at_a_time(estimator, scenario, config, rotation):
+    """``run_sequence``'s results, bounded by ``run_timestep`` one timestep at a time."""
+    results = []
+    for ts in scenario.timesteps:
+        ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose)
+        offsets = None if config.variant == "VAR" else _offsets(config.sampling, [config.seed, 2, ts.index])
+        result = run_timestep(estimator, ctx, ts.estimate_pose, None, offsets, rotation, config)
+        results.append(replace(result, index=ts.index))
+    return results
+
+
+def _block_estimators(tmp_path):
+    """(estimator, rotation uncertainty) pairs that reach every path of a
+    block: the synthetic batch, the per-candidate loop, and a recorded
+    table with missing candidates and an indefinite covariance."""
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=8, sigma_rot=0.02, corr=(0.3, 0.1, -0.2)))
+    table, rotation = _recorded_table(tmp_path / "est.jsonl")
+    return [(synthetic, rotation), (OneAtATime(synthetic), rotation), (table, rotation)]
+
+
+@pytest.mark.parametrize("steps", [1, 3, 8])
+def test_block_results_match_one_timestep_runs(tmp_path, steps):
+    timesteps = list(_timesteps(8))[:steps]
+    ctxs = [ctx for ctx, _, _ in timesteps]
+    poses = [pose for _, pose, _ in timesteps]
+    offsets = sample_candidates(BATCH_SAMPLING, [[8, 2, k] for k in range(steps)])
+    for estimator, rotation in _block_estimators(tmp_path):
+        for variant in VARIANTS:
+            config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=8)
+            block_offsets = None if variant == "VAR" else offsets
+            block = run_block(estimator, ctxs, poses, None, block_offsets, rotation, config)
+            assert len(block) == steps
+            for got, (ctx, pose, one_offsets) in zip(block, timesteps):
+                _same_result(got, run_timestep(estimator, ctx, pose, None, one_offsets, rotation, config))
+
+
+def test_sequence_results_do_not_depend_on_block_boundaries(tmp_path, monkeypatch):
+    scenario = _scenario(seed=8)
+    for estimator, rotation in _block_estimators(tmp_path):
+        for variant in VARIANTS:
+            config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=8)
+            want = _one_at_a_time(estimator, scenario, config, rotation)
+            for size in (BLOCK_TIMESTEPS, 3, 1):
+                monkeypatch.setattr(pipeline, "BLOCK_TIMESTEPS", size)
+                got = run_sequence(estimator, scenario, config, rotation)
+                for a, b in zip(got.results, want, strict=True):
+                    _same_result(a, b)
+
+
+def test_sequence_longer_than_a_block_matches_one_timestep_runs():
+    scenario = _scenario(seed=9, config=replace(SCENARIO_CONFIG, n_timesteps=BLOCK_TIMESTEPS + 5))
+    estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=9, sigma_rot=0.02))
+    config = PipelineConfig(variant="VAR_EO_DIRECTIONAL", sampling=FAST_SAMPLING, seed=9)
+    rotation = default_rotation_uncertainty(estimator, replace(config, q_samples=2000))
+    got = run_sequence(estimator, scenario, config, rotation)
+    for a, b in zip(got.results, _one_at_a_time(estimator, scenario, config, rotation), strict=True):
+        _same_result(a, b)
+
+
+@dataclass
+class BatchesThatRaise:
+    """Synthetic answers, but a batch holding the context of ``timestamp``
+    raises ``error``; records how many contexts each batch call held."""
+
+    inner: SyntheticEstimator
+    timestamp: float | None = None
+    error: Exception | None = None
+    calls: list = field(default_factory=list)
+
+    def estimate(self, ctx, candidate, cloud=None):
+        return self.inner.estimate(ctx, candidate, cloud)
+
+    def estimate_batch(self, ctxs, positions, orientations, cloud=None):
+        self.calls.append(len(ctxs))
+        if any(ctx.timestamp == self.timestamp for ctx in ctxs):
+            raise self.error
+        return self.inner.estimate_batch(ctxs, positions, orientations, cloud)
+
+
+def test_a_block_without_errors_is_bounded_once():
+    scenario = _scenario(seed=3)
+    estimator = BatchesThatRaise(SyntheticEstimator(SyntheticEstimatorConfig(seed=3)))
+    run_sequence(estimator, scenario, PipelineConfig(sampling=FAST_SAMPLING, seed=3))
+    assert estimator.calls == [len(scenario.timesteps)]
+
+
+def test_raising_timestep_in_a_block_raises_its_own_error():
+    scenario = _scenario(seed=3)
+    ts = scenario.timesteps[3]
+    ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose)
+    config = PipelineConfig(sampling=FAST_SAMPLING, seed=3)
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
+    # a package error excludes every candidate of its timestep, which then
+    # fails; any other error is raised as it is
+    cases = (
+        (InfeasibleContext("no answer"), TimestepFailure, "0 usable candidates at t=3.0 (minimum 2); candidate 0 excluded"),
+        (ValueError("bad answer"), ValueError, "bad answer"),
+    )
+    for error, raised, message in cases:
+        estimator = BatchesThatRaise(synthetic, ts.timestamp, error)
+        with pytest.raises(raised) as alone:
+            offsets = _offsets(FAST_SAMPLING, [3, 2, 3])
+            run_timestep(estimator, ctx, ts.estimate_pose, None, offsets, RotationUncertainty.zero(), config)
+        estimator.calls.clear()
+        with pytest.raises(raised) as in_block:
+            run_sequence(estimator, scenario, config, RotationUncertainty.zero())
+        assert str(in_block.value) == str(alone.value)
+        assert str(in_block.value).startswith(message)
+        # the block, then its timesteps one at a time up to the failing one
+        assert estimator.calls == [len(scenario.timesteps), 1, 1, 1, 1]
+
+
+def test_first_failing_timestep_in_order_is_reported(tmp_path):
+    # candidates 1..7 of timesteps 4 and 6 have no record: both fail, 4 is reported
+    est = SyntheticEstimator(SyntheticEstimatorConfig(seed=2))
+    records = []
+    for ctx, pose, (translations, rotations) in _timesteps(2):
+        positions, orientations = apply_offset(pose.position, pose.orientation, translations, rotations)
+        answers = est.estimate_batch([ctx], positions[None], orientations[None])
+        for i, raw in enumerate(zip(*(a[0] for a in answers))):
+            if i == 0 or ctx.payload_key not in ("t000004", "t000006"):
+                records.append((ctx.payload_key, i, RawEstimate(*raw)))
+    write_estimate_records(records, tmp_path / "est.jsonl")
+    table = FileEstimator(tmp_path / "est.jsonl")
+    config = PipelineConfig(variant="VAR_EO", sampling=BATCH_SAMPLING, seed=2)
+    with pytest.raises(TimestepFailure) as failure:
+        run_sequence(table, _scenario(seed=2), config, RotationUncertainty.zero())
+    assert str(failure.value).startswith(
+        "1 usable candidates at t=4.0 (minimum 2); candidate 1 excluded: no estimate recorded for ('t000004', 1); "
+    )
+    assert str(failure.value).count("excluded") == 23

@@ -11,6 +11,12 @@ from plbounds.sampling import SamplingConfig, apply_offset, sample_candidates
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def _one(config, seed):
+    """The (N, 3) translations and (N, 4) rotations of one timestep's seed."""
+    translations, rotations = sample_candidates(config, [seed])
+    return translations[0], rotations[0]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplingConfig(t_max=0.0)
@@ -23,11 +29,11 @@ def test_config_validation():
 
 
 def test_first_candidate_is_the_estimate():
-    translations, rotations = sample_candidates(SamplingConfig(), 0)
+    translations, rotations = _one(SamplingConfig(), 0)
     assert translations.shape == (24, 3) and rotations.shape == (24, 4)
     assert np.array_equal(translations[0], np.zeros(3))
     assert np.array_equal(rotations[0], [1.0, 0.0, 0.0, 0.0])
-    without, _ = sample_candidates(SamplingConfig(include_estimate=False, n_candidates=10), 0)
+    without, _ = _one(SamplingConfig(include_estimate=False, n_candidates=10), 0)
     assert without.shape == (10, 3)
     assert not np.array_equal(without[0], np.zeros(3))
 
@@ -35,7 +41,7 @@ def test_first_candidate_is_the_estimate():
 def test_reference_stream_is_stable():
     # pinned outputs of the PCG64 stream for seed 0; a change here breaks
     # reproducibility of every archived run
-    translations, rotations = sample_candidates(SamplingConfig(), 0)
+    translations, rotations = _one(SamplingConfig(), 0)
     assert np.allclose(
         translations[1],
         [0.2739233746429086, -0.4604265724722594, -0.9180529521276106],
@@ -57,16 +63,16 @@ def test_reference_stream_is_stable():
 
 
 def test_determinism_and_seed_sensitivity():
-    a = sample_candidates(SamplingConfig(), [3, 2, 7])
-    b = sample_candidates(SamplingConfig(), [3, 2, 7])
+    a = _one(SamplingConfig(), [3, 2, 7])
+    b = _one(SamplingConfig(), [3, 2, 7])
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = sample_candidates(SamplingConfig(), [3, 2, 8])
+    c = _one(SamplingConfig(), [3, 2, 8])
     assert not np.array_equal(a[0][1], c[0][1])
 
 
 def test_offsets_respect_bounds():
     cfg = SamplingConfig(t_max=0.5, r_max=math.radians(3.0), n_candidates=64)
-    translations, rotations = sample_candidates(cfg, 5)
+    translations, rotations = _one(cfg, 5)
     assert np.all(np.abs(translations) <= cfg.t_max)
     assert np.allclose(np.linalg.norm(rotations, axis=1), 1.0, rtol=0.0, atol=1e-12)
     # three composed per-axis angles can sum to at most 3 r_max
@@ -134,7 +140,21 @@ def test_offset_shifts_sensor_center_in_sensor_frame():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40))
 def test_candidate_count_and_uniqueness(seed, n):
-    translations, rotations = sample_candidates(SamplingConfig(n_candidates=n), seed)
+    translations, rotations = _one(SamplingConfig(n_candidates=n), seed)
     assert translations.shape == (n, 3) and rotations.shape == (n, 4)
     flat = {tuple(t) for t in translations}
     assert len(flat) == n  # continuous draws collide with probability zero
+
+
+def test_block_rows_are_the_single_timestep_draws():
+    cfg = SamplingConfig(n_candidates=24)
+    seeds = [[4, 2, k] for k in range(12)] + [0, 99]
+    translations, rotations = sample_candidates(cfg, seeds)
+    assert translations.shape == (14, 24, 3) and rotations.shape == (14, 24, 4)
+    for k, seed in enumerate(seeds):
+        one_t, one_q = _one(cfg, seed)
+        assert translations[k].tobytes() == one_t.tobytes() and rotations[k].tobytes() == one_q.tobytes()
+        alone_t, alone_q = sample_candidates(cfg, [seed])
+        assert alone_t[0].tobytes() == one_t.tobytes() and alone_q[0].tobytes() == one_q.tobytes()
+    empty = sample_candidates(cfg, [])
+    assert empty[0].shape == (0, 24, 3) and empty[1].shape == (0, 24, 4)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plbounds.errors import CorrectionNotPSD, InsufficientSamples
 from plbounds.estimator import to_vehicle_frame
@@ -206,6 +209,43 @@ def test_outlier_weights_monotone_in_deviation():
     dev = np.abs(col - np.median(col))
     order = np.argsort(dev)
     assert np.all(np.diff(w[order]) < 0.0)  # larger deviation, smaller weight
+
+
+# values from a small set make ties, so that a column's median deviation
+# is often zero (the mean-deviation branch) or every deviation is (uniform)
+_VALUES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 1.0, -2.5, 1e-300, 7.25]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stack=st.integers(1, 5).flatmap(
+        lambda n: hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 4), st.just(n), st.integers(1, 4)), elements=_VALUES
+        )
+    ),
+    repeat=st.sampled_from([None, 0, 1]),
+)
+def test_stacked_outlier_weights_match_the_column_loop(stack, repeat):
+    if repeat is not None:  # more than half of each column, or all of it, the same value
+        stack[:, : stack.shape[1] // 2 + 1 if repeat == 0 else None] = stack[:, :1]
+    got = outlier_weights(stack)
+    assert got.shape == stack.shape and got.flags.c_contiguous
+    for sample_set, weights in zip(stack, got):
+        assert weights.tobytes() == oracles.outlier_weights_per_column(sample_set).tobytes()
+        assert outlier_weights(sample_set).tobytes() == weights.tobytes()
+
+
+def test_stacked_outlier_weights_reach_every_branch():
+    # 24 rows, as a timestep's candidates: long enough that a sum along the
+    # wrong axis would add in another order
+    rng = np.random.default_rng(31)
+    stack = rng.normal(size=(6, 24, 3))
+    stack[1, :13, 0] = 0.5  # median deviation zero
+    stack[2, :, 1] = -1.25  # every deviation zero
+    got = outlier_weights(stack)
+    assert np.array_equal(got[2, :, 1], np.full(24, 1.0 / 24))
+    for sample_set, weights in zip(stack, got):
+        assert weights.tobytes() == oracles.outlier_weights_per_column(sample_set).tobytes()
 
 
 def test_outlier_weights_validation():
