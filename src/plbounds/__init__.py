@@ -5,8 +5,8 @@ bounds on the lateral, longitudinal and vertical position error of a
 vehicle: candidate poses around the estimate are scored by a pluggable
 estimator, the per-candidate errors are combined into an outlier-weighted
 Gaussian mixture, and the mixture's two-sided probability intervals are
-solved numerically.  Supporting modules provide point-cloud local-map
-geometry, integrity metrics and a synthetic evaluation scenario.
+solved numerically.  Supporting modules provide pose geometry, integrity
+metrics and a synthetic evaluation scenario.
 """
 
 __version__ = "0.1.0"
@@ -27,27 +27,16 @@ from .errors import (
     WeightSumViolation,
 )
 from .geometry import (
-    CameraIntrinsics,
-    CropExtents,
-    DepthMap,
     PointCloud,
     Pose,
     RigidTransform,
-    build_local_map,
-    clean_map,
-    crop_cloud,
     matrix_to_quat,
-    occlusion_filter,
-    project_to_depth_map,
     quat_conjugate,
     quat_from_axis_angle,
     quat_from_euler_zyx,
-    quat_from_rotation_vector,
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
-    quaternion_angular_distance,
-    transform_cloud,
 )
 from .estimator import (
     Estimator,
@@ -61,7 +50,6 @@ from .estimator import (
     gaussian_nll,
     huber_loss,
     to_vehicle_frame,
-    total_loss,
     write_estimate_records,
 )
 from .sampling import SamplingConfig, apply_offset, sample_candidates
@@ -137,24 +125,13 @@ __all__ = [
     "Pose",
     "RigidTransform",
     "PointCloud",
-    "CameraIntrinsics",
-    "CropExtents",
-    "DepthMap",
     "quat_normalize",
     "quat_multiply",
     "quat_conjugate",
     "quat_to_matrix",
     "matrix_to_quat",
     "quat_from_axis_angle",
-    "quat_from_rotation_vector",
     "quat_from_euler_zyx",
-    "quaternion_angular_distance",
-    "transform_cloud",
-    "crop_cloud",
-    "occlusion_filter",
-    "project_to_depth_map",
-    "build_local_map",
-    "clean_map",
     # estimator
     "RawEstimate",
     "Estimator",
@@ -167,7 +144,6 @@ __all__ = [
     "LossWeights",
     "huber_loss",
     "gaussian_nll",
-    "total_loss",
     "write_estimate_records",
     # sampling
     "SamplingConfig",

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,9 +49,18 @@ CONFIG_SCHEMA = 1
 OUT_ENV_VAR = "PLBOUNDS_OUT"
 
 
+# config fields given in degrees, under the key ``<name>_deg``
+_DEGREES = ("r_max", "estimate_offset_rotation")
+
+
 @dataclass(frozen=True)
 class Settings:
-    """Fully resolved configuration for one invocation."""
+    """Fully resolved configuration for one invocation.
+
+    The fields named like ``PipelineConfig``'s hold its values.
+    ``estimator.seed`` is None unless the config sets it; the estimator then
+    takes the run seed.
+    """
 
     seed: int
     variant: str
@@ -59,46 +68,53 @@ class Settings:
     sampling: SamplingConfig
     query: ProtectionLevelQuery
     limits: AlarmLimits
+    min_candidates: int
+    q_samples: int
+    diagram_bins: int
     estimator_kind: str
-    estimator_seed: int | None
-    estimator_sigma_noise: tuple[float, float, float]
-    estimator_sigma_rot: float
-    estimator_miscalibration: float
-    estimator_corr: tuple[float, float, float]
-    estimator_sigma_floor: float
+    estimator: SyntheticEstimatorConfig
     estimator_path: str | None
     rotation_source: str
     rotation_path: str | None
-    q_samples: int
-    min_candidates: int
-    diagram_bins: int
     scenario: ScenarioConfig
 
 
-def _pop_scalar(section: dict, key: str, default, kind, context: str):
+def _pop(section: dict, key: str, default, context: str):
+    """``section[key]``, removed, as the type of ``default`` (a bool must be
+    a JSON boolean, a tuple a list of 3 numbers); ``default`` if absent."""
     if key not in section:
         return default
     value = section.pop(key)
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)) and len(value) == 3:
+            try:
+                return tuple(float(v) for v in value)
+            except (TypeError, ValueError):
+                pass
+        raise ConfigError(f"{context}.{key}: expected a list of 3 numbers, got {value!r}")
+    kind = type(default)
     try:
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise TypeError
-            return value
+        if kind is bool and not isinstance(value, bool):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{context}.{key}: expected {kind.__name__}, got {value!r}") from None
 
 
-def _pop_vec3(section: dict, key: str, default, context: str):
-    if key not in section:
-        return default
-    value = section.pop(key)
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{context}.{key}: expected a list of 3 numbers, got {value!r}")
+def _fields(section: dict, context: str, cls, names=None) -> dict:
+    """Pop the keys of ``section`` that set fields of the dataclass ``cls``
+    (those in ``names``, or all) and return the values they set.  A field's
+    key is its name, or ``<name>_deg`` for a field in ``_DEGREES``; a field
+    whose key is absent keeps its default."""
+    values = {}
+    for f in fields(cls):
+        if names is not None and f.name not in names:
+            continue
+        key = f.name + "_deg" if f.name in _DEGREES else f.name
+        if key in section:
+            value = _pop(section, key, f.default, context)
+            values[f.name] = math.radians(value) if f.name in _DEGREES else value
+    return values
 
 
 def _reject_unknown(section: dict, context: str) -> None:
@@ -113,9 +129,25 @@ def _section(doc: dict, name: str) -> dict:
     return dict(value)
 
 
+def _build(cls, context: str, **values):
+    """``cls(**values)``, its checks failing as ``ConfigError``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _config(section: dict, context: str, cls, **defaults):
+    """The dataclass ``cls`` from the keys left in ``section``, which must all
+    set its fields; ``defaults`` replace field defaults."""
+    values = {**defaults, **_fields(section, context, cls)}
+    _reject_unknown(section, context)
+    return _build(cls, context, **values)
+
+
 def load_config(path: Path | str | None) -> Settings:
     """Parse and validate the configuration document; missing keys take
-    their defaults, unknown keys are an error."""
+    the defaults of the config dataclasses, unknown keys are an error."""
     if path is None:
         doc = {}
     else:
@@ -132,139 +164,53 @@ def load_config(path: Path | str | None) -> Settings:
     schema = doc.pop("schema", CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {schema!r} (expected {CONFIG_SCHEMA})")
-
-    seed = _pop_scalar(doc, "seed", 0, int, "config")
-    variant = _pop_scalar(doc, "variant", "VAR_EO", str, "config")
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {', '.join(VARIANTS)}; got {variant!r}")
-    threads = _pop_scalar(doc, "threads", 1, int, "config")
-
-    sec = _section(doc, "sampling")
-    try:
-        sampling = SamplingConfig(
-            t_max=_pop_scalar(sec, "t_max", 1.0, float, "sampling"),
-            r_max=math.radians(_pop_scalar(sec, "r_max_deg", 5.0, float, "sampling")),
-            n_candidates=_pop_scalar(sec, "n_candidates", 24, int, "sampling"),
-            include_estimate=_pop_scalar(sec, "include_estimate", True, bool, "sampling"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sampling: {exc}") from exc
-    _reject_unknown(sec, "sampling")
-
-    sec = _section(doc, "query")
-    try:
-        query = ProtectionLevelQuery(
-            integrity_risk=_pop_scalar(sec, "integrity_risk", 0.01, float, "query"),
-            tolerance=_pop_scalar(sec, "tolerance", 1e-4, float, "query"),
-            max_iterations=_pop_scalar(sec, "max_iterations", 200, int, "query"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"query: {exc}") from exc
-    _reject_unknown(sec, "query")
-
-    sec = _section(doc, "limits")
-    try:
-        limits = AlarmLimits(
-            lateral=_pop_scalar(sec, "lateral", 0.85, float, "limits"),
-            longitudinal=_pop_scalar(sec, "longitudinal", 1.50, float, "limits"),
-            vertical=_pop_scalar(sec, "vertical", 1.47, float, "limits"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"limits: {exc}") from exc
-    _reject_unknown(sec, "limits")
+    pipeline = _fields(doc, "config", PipelineConfig, ("seed", "variant", "threads"))
 
     sec = _section(doc, "estimator")
-    kind = _pop_scalar(sec, "kind", "synthetic", str, "estimator")
+    kind = _pop(sec, "kind", "synthetic", "estimator")
     if kind not in ("synthetic", "file"):
         raise ConfigError(f"estimator.kind must be 'synthetic' or 'file', got {kind!r}")
-    estimator_seed = _pop_scalar(sec, "seed", None, int, "estimator") if "seed" in sec else None
-    sigma_noise = _pop_vec3(sec, "sigma_noise", (0.1, 0.1, 0.1), "estimator")
-    sigma_rot = _pop_scalar(sec, "sigma_rot", 0.01, float, "estimator")
-    miscalibration = _pop_scalar(sec, "miscalibration", 1.0, float, "estimator")
-    corr = _pop_vec3(sec, "corr", (0.0, 0.0, 0.0), "estimator")
-    sigma_floor = _pop_scalar(sec, "sigma_floor", 1e-6, float, "estimator")
-    estimator_path = _pop_scalar(sec, "path", None, str, "estimator") if "path" in sec else None
+    estimator_path = _pop(sec, "path", "", "estimator") or None
     if kind == "file" and not estimator_path:
         raise ConfigError("estimator.path is required when estimator.kind is 'file'")
-    _reject_unknown(sec, "estimator")
+    estimator = _config(sec, "estimator", SyntheticEstimatorConfig, seed=None)
 
     sec = _section(doc, "rotation_uncertainty")
-    rotation_source = _pop_scalar(sec, "source", "estimator", str, "rotation_uncertainty")
+    rotation_source = _pop(sec, "source", "estimator", "rotation_uncertainty")
     if rotation_source not in ("estimator", "file", "none"):
         raise ConfigError("rotation_uncertainty.source must be 'estimator', 'file' or 'none'")
-    rotation_path = (
-        _pop_scalar(sec, "path", None, str, "rotation_uncertainty") if "path" in sec else None
-    )
+    rotation_path = _pop(sec, "path", "", "rotation_uncertainty") or None
     if rotation_source == "file" and not rotation_path:
         raise ConfigError("rotation_uncertainty.path is required for source 'file'")
-    q_samples = _pop_scalar(sec, "n_samples", 100000, int, "rotation_uncertainty")
+    pipeline["q_samples"] = _pop(sec, "n_samples", PipelineConfig.q_samples, "rotation_uncertainty")
     _reject_unknown(sec, "rotation_uncertainty")
 
     sec = _section(doc, "pipeline")
-    min_candidates = _pop_scalar(sec, "min_candidates", 2, int, "pipeline")
-    diagram_bins = _pop_scalar(sec, "diagram_bins", 40, int, "pipeline")
+    pipeline.update(_fields(sec, "pipeline", PipelineConfig, ("min_candidates", "diagram_bins")))
     _reject_unknown(sec, "pipeline")
 
-    sec = _section(doc, "scenario")
-    try:
-        scenario = ScenarioConfig(
-            n_timesteps=_pop_scalar(sec, "n_timesteps", 100, int, "scenario"),
-            blocks_x=_pop_scalar(sec, "blocks_x", 3, int, "scenario"),
-            blocks_y=_pop_scalar(sec, "blocks_y", 3, int, "scenario"),
-            block_size=_pop_scalar(sec, "block_size", 20.0, float, "scenario"),
-            street_width=_pop_scalar(sec, "street_width", 8.0, float, "scenario"),
-            wall_height=_pop_scalar(sec, "wall_height", 6.0, float, "scenario"),
-            wall_density=_pop_scalar(sec, "wall_density", 10.0, float, "scenario"),
-            ground=_pop_scalar(sec, "ground", True, bool, "scenario"),
-            ground_density=_pop_scalar(sec, "ground_density", 2.0, float, "scenario"),
-            camera_height=_pop_scalar(sec, "camera_height", 1.5, float, "scenario"),
-            speed=_pop_scalar(sec, "speed", 5.0, float, "scenario"),
-            dt=_pop_scalar(sec, "dt", 1.0, float, "scenario"),
-            estimate_offset_translation=_pop_scalar(
-                sec, "estimate_offset_translation", 2.0, float, "scenario"
-            ),
-            estimate_offset_rotation=math.radians(
-                _pop_scalar(sec, "estimate_offset_rotation_deg", 10.0, float, "scenario")
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-    _reject_unknown(sec, "scenario")
-
-    _reject_unknown(doc, "config")
+    pipeline = _build(
+        PipelineConfig,
+        "config",
+        sampling=_config(_section(doc, "sampling"), "sampling", SamplingConfig),
+        query=_config(_section(doc, "query"), "query", ProtectionLevelQuery),
+        limits=_config(_section(doc, "limits"), "limits", AlarmLimits),
+        **pipeline,
+    )
     settings = Settings(
-        seed=seed,
-        variant=variant,
-        threads=threads,
-        sampling=sampling,
-        query=query,
-        limits=limits,
+        **{f.name: getattr(pipeline, f.name) for f in fields(PipelineConfig)},
         estimator_kind=kind,
-        estimator_seed=estimator_seed,
-        estimator_sigma_noise=sigma_noise,
-        estimator_sigma_rot=sigma_rot,
-        estimator_miscalibration=miscalibration,
-        estimator_corr=corr,
-        estimator_sigma_floor=sigma_floor,
+        estimator=estimator,
         estimator_path=estimator_path,
         rotation_source=rotation_source,
         rotation_path=rotation_path,
-        q_samples=q_samples,
-        min_candidates=min_candidates,
-        diagram_bins=diagram_bins,
-        scenario=scenario,
+        scenario=_config(_section(doc, "scenario"), "scenario", ScenarioConfig),
     )
-    try:  # the library's own checks, before any command starts work
-        _pipeline_config(settings)
-        _estimator_config(settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _reject_unknown(doc, "config")
     return settings
 
 
 def _apply_overrides(settings: Settings, args: argparse.Namespace) -> Settings:
-    from dataclasses import replace
-
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -315,14 +261,9 @@ class _Manifest:
 
 
 def _estimator_config(settings: Settings) -> SyntheticEstimatorConfig:
-    return SyntheticEstimatorConfig(
-        seed=settings.estimator_seed if settings.estimator_seed is not None else settings.seed,
-        sigma_noise=settings.estimator_sigma_noise,
-        sigma_rot=settings.estimator_sigma_rot,
-        miscalibration=settings.estimator_miscalibration,
-        corr=settings.estimator_corr,
-        sigma_floor=settings.estimator_sigma_floor,
-    )
+    if settings.estimator.seed is None:
+        return replace(settings.estimator, seed=settings.seed)
+    return settings.estimator
 
 
 def _build_estimator(settings: Settings):
@@ -340,17 +281,7 @@ def _rotation_uncertainty(settings: Settings) -> RotationUncertainty | None:
 
 
 def _pipeline_config(settings: Settings) -> PipelineConfig:
-    return PipelineConfig(
-        sampling=settings.sampling,
-        query=settings.query,
-        limits=settings.limits,
-        variant=settings.variant,
-        seed=settings.seed,
-        threads=settings.threads,
-        min_candidates=settings.min_candidates,
-        q_samples=settings.q_samples,
-        diagram_bins=settings.diagram_bins,
-    )
+    return PipelineConfig(**{f.name: getattr(settings, f.name) for f in fields(PipelineConfig)})
 
 
 # ---------------------------------------------------------------------------

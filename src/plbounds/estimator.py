@@ -25,7 +25,6 @@ from .geometry import (
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
-    quaternion_angular_distance,
 )
 
 RECORD_FIELDS = ("translation_error", "rotation_error", "sigma", "corr")
@@ -178,24 +177,6 @@ def gaussian_nll(residual: np.ndarray, covariance: np.ndarray) -> float:
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
     y = np.linalg.solve(chol, e)
     return 0.5 * logdet + 0.5 * float(y @ y)
-
-
-def total_loss(
-    pred: RawEstimate,
-    target_translation: np.ndarray,
-    target_rotation: np.ndarray,
-    weights: LossWeights = LossWeights(),
-    delta: float = 1.0,
-) -> float:
-    """Weighted sum of Huber, Gaussian-likelihood and angular penalties."""
-    e = pred.translation_error - np.asarray(target_translation, dtype=float)
-    cov = assemble_covariance(pred.sigma, pred.corr)
-    angular = quaternion_angular_distance(np.asarray(target_rotation, dtype=float), pred.rotation_error)
-    return (
-        weights.alpha_huber * huber_loss(e, delta)
-        + weights.alpha_mle * gaussian_nll(e, cov)
-        + weights.alpha_angular * angular
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Rigid-body geometry and local-map construction.
+"""Rigid-body geometry: quaternions, poses, rigid transforms and point clouds.
 
 Conventions used throughout the package:
 
@@ -8,19 +8,14 @@ Conventions used throughout the package:
 * A :class:`Pose` stores the transform that takes map coordinates into the
   sensor frame: ``p_sensor = R(orientation) @ p_map + position``.  The sensor
   sits at ``-R.T @ position`` in map coordinates.
-* Depth maps follow the usual camera raster convention: the projection
-  matrix maps a sensor-frame point to homogeneous pixel coordinates, the
-  third homogeneous component is the stored depth, and rows index the
-  vertical image axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 _UNIT_TOL = 1e-9
 
@@ -136,15 +131,6 @@ def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
     return quat_normalize(np.concatenate((np.cos(half), np.sin(half) * axis / n), axis=-1))
 
 
-def quat_from_rotation_vector(v: np.ndarray) -> np.ndarray:
-    """Quaternion of an axis-angle vector (angle = norm, axis = direction)."""
-    v = np.asarray(v, dtype=float)
-    angle = float(np.linalg.norm(v))
-    if angle == 0.0:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    return quat_from_axis_angle(v, angle)
-
-
 def quat_from_euler_zyx(yaw, pitch, roll) -> np.ndarray:
     """Intrinsic Z-Y-X composition: yaw about z, then pitch about y, then roll
     about x.  Arrays of angles give a stack of quaternions."""
@@ -162,11 +148,6 @@ def quat_angular_offset(q: np.ndarray) -> float:
     """
     w, x, y, z = q
     return math.atan2(math.sqrt(x * x + y * y + z * z), abs(w))
-
-
-def quaternion_angular_distance(q1: np.ndarray, q2: np.ndarray) -> float:
-    """Angular offset between two unit quaternions under the half-angle metric."""
-    return quat_angular_offset(quat_multiply(np.asarray(q1, dtype=float), quat_conjugate(q2)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,256 +235,3 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def transform_cloud(cloud: PointCloud, tf: RigidTransform) -> PointCloud:
-    """Apply a rigid transform to every point of a cloud."""
-    return PointCloud(tf.apply(cloud.points))
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    """Pinhole projection: ``matrix`` is 3x3 (applied to the point) or 3x4
-    (applied to the homogeneous point), ``width``/``height`` the raster size."""
-
-    matrix: np.ndarray
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape not in ((3, 3), (3, 4)):
-            raise ValueError(f"projection matrix must be 3x3 or 3x4, got {m.shape}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("raster dimensions must be positive")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    def homogeneous(self, points: np.ndarray) -> np.ndarray:
-        """Homogeneous pixel coordinates (N, 3) of sensor-frame points."""
-        m = self.matrix
-        if m.shape == (3, 4):
-            return points @ m[:, :3].T + m[:, 3]
-        return points @ m.T
-
-
-# ---------------------------------------------------------------------------
-# local-map construction
-
-
-@dataclass(frozen=True)
-class CropExtents:
-    """Axis-aligned retention box around a viewpoint, biased forward.
-
-    ``forward`` is the reach along the viewing direction (only points ahead
-    are kept), ``lateral`` and ``vertical`` are half-widths.  ``axes`` names
-    the (forward, lateral, vertical) coordinate indices in the local frame;
-    the default matches the optical convention (depth on z, lateral on x).
-    """
-
-    forward: float = 100.0
-    lateral: float = 50.0
-    vertical: float = 10.0
-    axes: tuple[int, int, int] = (2, 0, 1)
-
-    def __post_init__(self) -> None:
-        if min(self.forward, self.lateral, self.vertical) <= 0.0:
-            raise ValueError("extents must be positive")
-        if sorted(self.axes) != [0, 1, 2]:
-            raise ValueError("axes must be a permutation of (0, 1, 2)")
-
-
-def crop_cloud(cloud: PointCloud, pose: Pose | None, extents: CropExtents) -> PointCloud:
-    """Retain the points that fall inside the forward-biased box of a viewpoint.
-
-    Membership is evaluated on the coordinates expressed in the pose frame
-    (``pose=None`` means the cloud is already there); the retained points keep
-    their original coordinates.
-    """
-    pts = cloud.points
-    local = pose.transform().apply(pts) if pose is not None else pts
-    f, l, v = (local[:, extents.axes[0]], local[:, extents.axes[1]], local[:, extents.axes[2]])
-    mask = (
-        (f >= 0.0)
-        & (f <= extents.forward)
-        & (np.abs(l) <= extents.lateral)
-        & (np.abs(v) <= extents.vertical)
-    )
-    return PointCloud(pts[mask])
-
-
-def _occlusion_pairs(points: np.ndarray, intrinsics: CameraIntrinsics | None, pixel_radius: float) -> np.ndarray:
-    """Candidate (i, j) index pairs to test for mutual occlusion."""
-    n = points.shape[0]
-    if intrinsics is None:
-        i, j = np.triu_indices(n, k=1)
-        return np.column_stack((i, j))
-    hom = intrinsics.homogeneous(points)
-    depth = hom[:, 2]
-    front = depth > 0.0
-    uv = np.zeros((n, 2))
-    uv[front] = hom[front, :2] / depth[front, None]
-    # points without a valid projection are parked far apart so they never pair
-    behind = ~front
-    uv[behind, 0] = 1e12 + 1e6 * np.arange(np.count_nonzero(behind))
-    tree = cKDTree(uv)
-    return tree.query_pairs(pixel_radius, output_type="ndarray")
-
-
-def occlusion_filter(
-    cloud: PointCloud,
-    threshold_angle: float = 0.02,
-    intrinsics: CameraIntrinsics | None = None,
-    pixel_radius: float = 2.0,
-) -> PointCloud:
-    """Remove points hidden behind nearer points of the same cloud.
-
-    For a pair with ``p_near`` closer to the sensor origin than ``p_far``,
-    the far point is removed when the angle between the ray from ``p_far``
-    to the origin and the segment from ``p_far`` to ``p_near`` is strictly
-    below ``threshold_angle`` (radians).  When intrinsics are given, only
-    pairs whose projections fall within ``pixel_radius`` pixels of each other
-    are tested, which targets the near-collinear rays the criterion can fire
-    on; without intrinsics every pair is tested.
-    """
-    if threshold_angle <= 0.0 or threshold_angle >= math.pi / 2:
-        raise ValueError("threshold_angle must lie in (0, pi/2)")
-    pts = cloud.points
-    n = pts.shape[0]
-    if n < 2:
-        return cloud
-    pairs = _occlusion_pairs(pts, intrinsics, pixel_radius)
-    if pairs.size == 0:
-        return cloud
-    rng_a = np.linalg.norm(pts[pairs[:, 0]], axis=1)
-    rng_b = np.linalg.norm(pts[pairs[:, 1]], axis=1)
-    swap = rng_b < rng_a
-    near = np.where(swap, pairs[:, 1], pairs[:, 0])
-    far = np.where(swap, pairs[:, 0], pairs[:, 1])
-    r_far = np.where(swap, rng_a, rng_b)
-    r_near = np.where(swap, rng_b, rng_a)
-    valid = r_far > r_near  # ties occlude nothing, and the origin is never occluded
-    seg = pts[near] - pts[far]
-    seg_len = np.linalg.norm(seg, axis=1)
-    valid &= seg_len > 0.0
-    cos_angle = np.einsum("ij,ij->i", -pts[far], seg)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_angle = cos_angle / (r_far * seg_len)
-    occluded_pair = valid & (cos_angle > math.cos(threshold_angle))
-    removed = np.zeros(n, dtype=bool)
-    removed[far[occluded_pair]] = True
-    return PointCloud(pts[~removed])
-
-
-@dataclass(frozen=True)
-class DepthMap:
-    """A (height, width) raster of positive depths; empty pixels hold NaN."""
-
-    depth: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.depth, dtype=float)
-        if d.ndim != 2:
-            raise ValueError("depth raster must be two-dimensional")
-        filled = d[np.isfinite(d)]
-        if filled.size and filled.min() <= 0.0:
-            raise ValueError("stored depths must be strictly positive")
-        object.__setattr__(self, "depth", _readonly(d))
-
-    @property
-    def height(self) -> int:
-        return self.depth.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depth.shape[1]
-
-    def empty_mask(self) -> np.ndarray:
-        return ~np.isfinite(self.depth)
-
-
-def project_to_depth_map(
-    cloud: PointCloud, intrinsics: CameraIntrinsics, rounding: str = "floor"
-) -> DepthMap:
-    """Rasterize sensor-frame points, keeping the minimum depth per pixel.
-
-    Points with non-positive depth are dropped; pixel indices come from the
-    homogeneous coordinates divided by depth and rounded down (or up with
-    ``rounding="ceil"``).
-    """
-    if rounding not in ("floor", "ceil"):
-        raise ValueError("rounding must be 'floor' or 'ceil'")
-    hom = intrinsics.homogeneous(cloud.points)
-    depth = hom[:, 2]
-    front = depth > 0.0
-    hom, depth = hom[front], depth[front]
-    op = np.floor if rounding == "floor" else np.ceil
-    cols = op(hom[:, 0] / depth)
-    rows = op(hom[:, 1] / depth)
-    ok = (cols >= 0) & (cols < intrinsics.width) & (rows >= 0) & (rows < intrinsics.height)
-    cols, rows, depth = cols[ok].astype(np.int64), rows[ok].astype(np.int64), depth[ok]
-    raster = np.full(intrinsics.height * intrinsics.width, np.inf)
-    np.minimum.at(raster, rows * intrinsics.width + cols, depth)
-    raster[~np.isfinite(raster)] = np.nan
-    return DepthMap(raster.reshape(intrinsics.height, intrinsics.width))
-
-
-def build_local_map(
-    pose: Pose,
-    cloud: PointCloud,
-    intrinsics: CameraIntrinsics,
-    extents: CropExtents | None = None,
-    occlusion_threshold: float = 0.02,
-    pixel_radius: float = 2.0,
-    rounding: str = "floor",
-) -> DepthMap:
-    """Depth map of the environment cloud as seen from a pose.
-
-    Equivalent to transforming the cloud into the pose frame, cropping to the
-    forward-biased box, removing occluded points, and rasterizing.
-    """
-    if extents is None:
-        extents = CropExtents()
-    local = transform_cloud(cloud, pose.transform())
-    cropped = crop_cloud(local, None, extents)
-    visible = occlusion_filter(cropped, occlusion_threshold, intrinsics, pixel_radius)
-    return project_to_depth_map(visible, intrinsics, rounding)
-
-
-# ---------------------------------------------------------------------------
-# map cleaning
-
-
-def clean_map(
-    cloud: PointCloud,
-    neighborhood_radius: float = 0.1,
-    z_cutoff: float = 3.0,
-    voxel_size: float = 0.1,
-) -> PointCloud:
-    """Drop sparse outliers, then thin the cloud to one centroid per voxel.
-
-    A point's sparsity score is the Z-score of its neighbor count within
-    ``neighborhood_radius``: points whose counts fall more than ``z_cutoff``
-    standard deviations below the cloud mean are removed.  Survivors are
-    binned into cubic voxels of side ``voxel_size`` and each occupied voxel
-    is replaced by the centroid of its members.
-    """
-    if min(neighborhood_radius, voxel_size) <= 0.0 or z_cutoff <= 0.0:
-        raise ValueError("radius, cutoff and voxel size must be positive")
-    pts = cloud.points
-    if pts.shape[0] == 0:
-        return cloud
-    tree = cKDTree(pts)
-    counts = tree.query_ball_point(pts, neighborhood_radius, return_length=True) - 1
-    counts = counts.astype(float)
-    spread = float(counts.std())
-    if spread > 0.0:
-        sparsity = (counts.mean() - counts) / spread
-        pts = pts[sparsity <= z_cutoff]
-    if pts.shape[0] == 0:
-        return PointCloud(np.empty((0, 3)))
-    keys = np.floor(pts / voxel_size).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((uniq.shape[0], 3))
-    np.add.at(sums, inverse, pts)
-    members = np.bincount(inverse, minlength=uniq.shape[0]).astype(float)
-    return PointCloud(sums / members[:, None])

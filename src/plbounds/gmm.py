@@ -155,11 +155,12 @@ def _brackets(
     for the K mixtures whose components are the rows of the (K, N) means,
     standard deviations and weights, solved together.
 
-    Each initial bracket spans its mixture's components by ten standard
-    deviations and is doubled outward up to five times if its target lies
-    outside; a row stops once its bracket half-width falls below
-    ``tolerance``.  Rows are masked out as they finish, so every row takes
-    exactly the steps it would take alone.
+    Each bracket spans its mixture's components by ten standard deviations,
+    where the normal CDF is exactly 0 and 1 in double precision.  A target
+    outside it therefore exceeds the weight sum, which no widening can
+    reach, and raises ``BracketingFailure`` at once.  A row stops once its bracket
+    half-width falls below ``tolerance``.  Rows are masked out as they
+    finish, so every row takes exactly the steps it would take alone.
     """
     means, sigmas, weights = (np.ascontiguousarray(a, dtype=float) for a in (means, sigmas, weights))
     p = np.asarray(probabilities, dtype=float)
@@ -171,15 +172,9 @@ def _brackets(
 
     lo = np.min(means - 10.0 * sigmas, axis=1)
     hi = np.max(means + 10.0 * sigmas, axis=1)
-    for expansions in range(6):
-        outside = ~((cdf(lo) <= p) & (p <= cdf(hi)))
-        if not outside.any():
-            break
-        if expansions == 5:
-            raise BracketingFailure(f"could not bracket probability {p[outside][0]}")
-        width = hi - lo
-        lo = np.where(outside, lo - width, lo)
-        hi = np.where(outside, hi + width, hi)
+    outside = ~((cdf(lo) <= p) & (p <= cdf(hi)))
+    if outside.any():
+        raise BracketingFailure(f"could not bracket probability {p[outside][0]}")
     for iterations in range(max_iterations + 1):
         active = 0.5 * (hi - lo) > tolerance
         if not active.any():

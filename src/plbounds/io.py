@@ -1,4 +1,4 @@
-"""File formats: point clouds, depth maps, result tables and JSON documents.
+"""File formats: point clouds, quaternion lines, result tables and JSON documents.
 
 All binary formats are little-endian.  JSON documents are written with
 sorted keys and a fixed indentation so identical inputs produce identical
@@ -14,10 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DepthMap, PointCloud
-
-DEPTH_MAGIC = b"DMAP"
-DEPTH_SENTINEL = -1.0
+from .geometry import PointCloud
 
 RESULT_COLUMNS = ("t", "pl_lat", "pl_lon", "pl_vert", "err_x", "err_y", "err_z")
 
@@ -61,39 +58,6 @@ def read_cloud_bin(path: Path | str) -> PointCloud:
         raise ValueError(f"{path}: expected {expect} bytes for {count} points, got {len(raw)}")
     pts = np.frombuffer(raw, dtype="<f8", offset=8).reshape(count, 3)
     return PointCloud(pts.astype(float))
-
-
-def write_depth_csv(depth_map: DepthMap, path: Path | str) -> None:
-    """CSV grid, one raster row per line; empty pixels are written as ``nan``."""
-    np.savetxt(path, depth_map.depth, delimiter=",", fmt="%.17g")
-
-
-def read_depth_csv(path: Path | str) -> DepthMap:
-    return DepthMap(np.loadtxt(path, delimiter=",", dtype=float, ndmin=2))
-
-
-def write_depth_bin(depth_map: DepthMap, path: Path | str) -> None:
-    """16-byte header (magic, u32 width, u32 height, f32 empty sentinel)
-    followed by a row-major f32 raster with NaN replaced by the sentinel."""
-    data = np.ascontiguousarray(depth_map.depth, dtype="<f4").copy()
-    data[~np.isfinite(data)] = DEPTH_SENTINEL
-    with open(path, "wb") as fh:
-        fh.write(DEPTH_MAGIC)
-        fh.write(struct.pack("<IIf", depth_map.width, depth_map.height, DEPTH_SENTINEL))
-        fh.write(data.tobytes())
-
-
-def read_depth_bin(path: Path | str) -> DepthMap:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != DEPTH_MAGIC:
-        raise ValueError(f"{path}: not a depth-map raster (bad magic)")
-    width, height, sentinel = struct.unpack_from("<IIf", raw, 4)
-    expect = 16 + width * height * 4
-    if len(raw) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes for {width}x{height}, got {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(height, width).astype(float)
-    data[data == sentinel] = np.nan
-    return DepthMap(data)
 
 
 def write_json(obj, path: Path | str) -> None:

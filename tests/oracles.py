@@ -3,9 +3,8 @@
 Everything here deliberately takes a different route than the package:
 normal quantiles come from the standard library's NormalDist, mixture
 quantiles from a two-stage grid scan over math.erf, rotations are applied
-with the quaternion sandwich instead of a matrix, the geometry checks
-are plain Python loops, and the file readers are the per-line loops the
-bulk loads replaced.  Slow is fine; trustworthy matters.
+with the quaternion sandwich instead of a matrix, and the file readers
+are the per-line loops the bulk loads replaced.  Slow is fine; trustworthy matters.
 """
 
 from __future__ import annotations
@@ -281,82 +280,3 @@ def candidate_sample(translation_error, rotation_error, sigma, corr, offset, rot
     if np.linalg.eigvalsh(total).min() <= 0.0:
         return None
     return -rotate(conj, translation_error) - u, total
-
-
-# ---------------------------------------------------------------------------
-# geometry by loops
-
-
-def crop_mask(points, rotation, translation, forward, lateral, vertical, axes) -> list[bool]:
-    """Membership in the forward-biased box, one point at a time."""
-    keep = []
-    for p in points:
-        local = np.asarray(rotation) @ np.asarray(p) + np.asarray(translation)
-        f, l, v = local[axes[0]], local[axes[1]], local[axes[2]]
-        keep.append(0.0 <= f <= forward and abs(l) <= lateral and abs(v) <= vertical)
-    return keep
-
-
-def occlusion_removed(points, threshold: float) -> list[bool]:
-    """All-pairs occlusion flags: a point goes when any strictly nearer point
-    sits within the threshold angle of its ray to the origin."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    ranges = [float(np.linalg.norm(p)) for p in pts]
-    removed = [False] * len(pts)
-    for j, far in enumerate(pts):
-        for i, near in enumerate(pts):
-            if i == j or ranges[i] >= ranges[j]:
-                continue
-            seg = near - far
-            seg_len = float(np.linalg.norm(seg))
-            if seg_len == 0.0:
-                continue
-            cos_angle = float(-far @ seg) / (ranges[j] * seg_len)
-            if cos_angle > math.cos(threshold):
-                removed[j] = True
-                break
-    return removed
-
-
-def depth_raster(points, matrix, width, height, rounding="floor") -> np.ndarray:
-    """Minimum-depth rasterization, one point at a time."""
-    matrix = np.asarray(matrix, dtype=float)
-    raster = np.full((height, width), np.nan)
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        hom = matrix @ (np.append(p, 1.0) if matrix.shape == (3, 4) else p)
-        depth = hom[2]
-        if depth <= 0.0:
-            continue
-        op = math.floor if rounding == "floor" else math.ceil
-        col, row = op(hom[0] / depth), op(hom[1] / depth)
-        if 0 <= col < width and 0 <= row < height:
-            if not np.isfinite(raster[row, col]) or depth < raster[row, col]:
-                raster[row, col] = depth
-    return raster
-
-
-def sparse_outlier_mask(points, radius, cutoff) -> list[bool]:
-    """True where a point survives the neighbor-count Z-score test."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    counts = []
-    for i, p in enumerate(pts):
-        counts.append(
-            sum(1 for j, q in enumerate(pts) if j != i and float(np.linalg.norm(p - q)) <= radius)
-        )
-    mean = sum(counts) / len(counts)
-    var = sum((c - mean) ** 2 for c in counts) / len(counts)
-    std = math.sqrt(var)
-    if std == 0.0:
-        return [True] * len(pts)
-    return [(mean - c) / std <= cutoff for c in counts]
-
-
-def voxel_centroids(points, voxel_size) -> np.ndarray:
-    """Per-voxel centroids via a plain dictionary."""
-    cells: dict[tuple[int, int, int], list[np.ndarray]] = {}
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        key = tuple(int(math.floor(v / voxel_size)) for v in p)
-        cells.setdefault(key, []).append(p)
-    return np.array([np.mean(group, axis=0) for group in cells.values()])

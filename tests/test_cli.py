@@ -1,11 +1,23 @@
+import argparse
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plbounds
 from plbounds import __version__
-from plbounds.cli import CALIBRATION_COLUMNS, OUT_ENV_VAR, load_config, main
+from plbounds.cli import (
+    CALIBRATION_COLUMNS,
+    OUT_ENV_VAR,
+    _apply_overrides,
+    _estimator_config,
+    load_config,
+    main,
+)
 from plbounds.errors import ConfigError
 from plbounds.gmm import ProtectionLevelQuery
 from plbounds.io import read_quaternion_lines
@@ -61,7 +73,7 @@ def test_load_config_defaults():
     assert settings.sampling == SamplingConfig()
     assert settings.query == ProtectionLevelQuery()
     assert settings.limits == AlarmLimits()
-    assert settings.estimator_kind == "synthetic" and settings.estimator_seed is None
+    assert settings.estimator_kind == "synthetic" and settings.estimator.seed is None
     assert settings.rotation_source == "estimator" and settings.q_samples == 100000
     assert settings.scenario == ScenarioConfig()
 
@@ -71,10 +83,26 @@ def test_load_config_full_document(config_path):
     assert settings.seed == 4 and settings.threads == 2
     assert settings.sampling.n_candidates == 6
     assert settings.sampling.r_max == math.radians(3.0)
-    assert settings.estimator_sigma_noise == (0.05, 0.05, 0.05)
+    assert settings.estimator.sigma_noise == (0.05, 0.05, 0.05)
     assert settings.rotation_source == "none"
     assert settings.scenario.n_timesteps == 5
     assert settings.scenario.estimate_offset_rotation == math.radians(3.0)
+
+
+def test_readme_config_document_is_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Configuration document", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert load_config(path) == load_config(None)
+
+
+def test_import_does_not_load_scipy_spatial():
+    # a fresh interpreter: this one may have loaded it for another test
+    src = str(Path(plbounds.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import plbounds; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_load_config_rejections(tmp_path):
@@ -96,6 +124,13 @@ def test_load_config_rejections(tmp_path):
         {"estimator": {"miscalibration": 0.0}},
         {"pipeline": {"diagram_bins": 0}},
         {"pipeline": {"min_candidates": 1}},
+        # keys are the field names, except angles and the sample count
+        {"sampling": {"r_max": 0.1}},
+        {"scenario": {"estimate_offset_rotation": 0.1}},
+        {"rotation_uncertainty": {"q_samples": 5}},
+        {"pipeline": {"seed": 1}},
+        {"sampling": {"include_estimate": 1}},
+        {"estimator": {"corr": [0.0, 0.0]}},
     ]
     for idx, doc in enumerate(cases):
         path = tmp_path / f"bad{idx}.json"
@@ -108,6 +143,15 @@ def test_load_config_rejections(tmp_path):
         load_config(notjson)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+
+
+def test_estimator_seed_follows_the_run_seed_unless_set(tmp_path):
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps({"seed": 4, "estimator": {"seed": 3}}))
+    override = argparse.Namespace(seed=9)
+    assert _estimator_config(load_config(None)).seed == 0
+    assert _estimator_config(_apply_overrides(load_config(None), override)).seed == 9
+    assert _estimator_config(_apply_overrides(load_config(path), override)).seed == 3
 
 
 def test_config_error_exit_code(tmp_path):

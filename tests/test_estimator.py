@@ -9,7 +9,6 @@ from plbounds.errors import InfeasibleContext, MissingRecord, NotPositiveDefinit
 from plbounds.estimator import (
     RECORD_FIELDS,
     FileEstimator,
-    LossWeights,
     MeasurementContext,
     RawEstimate,
     SyntheticEstimator,
@@ -19,7 +18,6 @@ from plbounds.estimator import (
     gaussian_nll,
     huber_loss,
     to_vehicle_frame,
-    total_loss,
     write_estimate_records,
 )
 from plbounds.geometry import Pose, quat_from_euler_zyx, quat_normalize, quat_to_matrix
@@ -171,24 +169,6 @@ def test_gaussian_nll_matches_direct_formula():
         e = rng.normal(size=3)
         want = 0.5 * np.linalg.slogdet(cov)[1] + 0.5 * e @ np.linalg.inv(cov) @ e
         assert math.isclose(gaussian_nll(e, cov), want, rel_tol=1e-10)
-
-
-def test_total_loss_is_weighted_sum():
-    pred = _raw(t=(0.7, -0.2, 0.1), sigma=(0.5, 0.5, 0.5))
-    target_t = np.array([0.2, 0.3, 0.1])
-    target_q = quat_from_euler_zyx(0.2, 0.0, 0.0)
-    weights = LossWeights(alpha_huber=2.0, alpha_mle=0.5, alpha_angular=3.0)
-    e = pred.translation_error - target_t
-    want = (
-        2.0 * huber_loss(e)
-        + 0.5 * gaussian_nll(e, assemble_covariance(pred.sigma, pred.corr))
-        + 3.0 * 0.1  # half the yaw angle
-    )
-    assert math.isclose(total_loss(pred, target_t, target_q, weights), want, rel_tol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# synthetic estimator
 
 
 def _noiseless(seed=0):

@@ -5,28 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plbounds.estimator import _rotvecs_to_quats
 from plbounds.geometry import (
-    CameraIntrinsics,
-    CropExtents,
-    DepthMap,
     PointCloud,
     Pose,
     RigidTransform,
-    build_local_map,
-    clean_map,
-    crop_cloud,
     matrix_to_quat,
-    occlusion_filter,
-    project_to_depth_map,
+    quat_angular_offset,
     quat_conjugate,
     quat_from_axis_angle,
     quat_from_euler_zyx,
-    quat_from_rotation_vector,
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
-    quaternion_angular_distance,
-    transform_cloud,
 )
 
 import oracles
@@ -140,12 +131,16 @@ def test_euler_zyx_order():
 
 
 def test_rotation_vector_matches_axis_angle():
-    v = np.array([0.1, -0.2, 0.3])
-    angle = float(np.linalg.norm(v))
-    assert np.allclose(
-        quat_from_rotation_vector(v), quat_from_axis_angle(v, angle), atol=1e-15
-    )
-    assert np.allclose(quat_from_rotation_vector(np.zeros(3)), [1, 0, 0, 0])
+    v = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0]])
+    angle = float(np.linalg.norm(v[0]))
+    quats = _rotvecs_to_quats(v)
+    assert np.allclose(quats[0], quat_from_axis_angle(v[0], angle), atol=1e-15)
+    assert np.array_equal(quats[1], [1.0, 0.0, 0.0, 0.0])
+    assert _rotvecs_to_quats(v.reshape(2, 1, 3)).shape == (2, 1, 4)
+
+
+def _angular_distance(q1, q2) -> float:
+    return quat_angular_offset(quat_multiply(q1, quat_conjugate(q2)))
 
 
 def test_angular_distance_half_angle_metric():
@@ -153,18 +148,17 @@ def test_angular_distance_half_angle_metric():
     identity = np.array([1.0, 0.0, 0.0, 0.0])
     for theta in (0.1, 0.5, 1.0, math.pi / 2):
         q = quat_from_axis_angle([0.0, 0.0, 1.0], theta)
-        assert math.isclose(quaternion_angular_distance(identity, q), theta / 2, abs_tol=1e-12)
+        assert math.isclose(quat_angular_offset(q), theta / 2, abs_tol=1e-12)
+        assert math.isclose(_angular_distance(identity, q), theta / 2, abs_tol=1e-12)
     yaw90 = quat_from_euler_zyx(math.pi / 2, 0.0, 0.0)
-    assert math.isclose(
-        quaternion_angular_distance(identity, yaw90), 0.7853981633974483, abs_tol=1e-12
-    )
+    assert math.isclose(_angular_distance(identity, yaw90), 0.7853981633974483, abs_tol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(unit_quats, unit_quats)
 def test_angular_distance_symmetry(q1, q2):
-    d12 = quaternion_angular_distance(quat_normalize(q1), quat_normalize(q2))
-    d21 = quaternion_angular_distance(quat_normalize(q2), quat_normalize(q1))
+    d12 = _angular_distance(quat_normalize(q1), quat_normalize(q2))
+    d21 = _angular_distance(quat_normalize(q2), quat_normalize(q1))
     assert math.isclose(d12, d21, abs_tol=1e-9)
     assert 0.0 <= d12 <= math.pi / 2 + 1e-12
 
@@ -213,9 +207,9 @@ def test_transform_cloud_preserves_distances():
     rng = np.random.default_rng(5)
     tf = RigidTransform(quat_to_matrix(quat_normalize(random_quat(rng))), rng.normal(size=3))
     cloud = PointCloud(rng.normal(size=(40, 3)))
-    moved = transform_cloud(cloud, tf)
+    moved = tf.apply(cloud.points)
     d0 = np.linalg.norm(cloud.points[:, None] - cloud.points[None, :], axis=-1)
-    d1 = np.linalg.norm(moved.points[:, None] - moved.points[None, :], axis=-1)
+    d1 = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
     assert np.abs(d0 - d1).max() <= 1e-9
 
 
@@ -225,208 +219,3 @@ def test_point_cloud_validation():
     with pytest.raises(ValueError):
         PointCloud(np.array([[0.0, 0.0, np.nan]]))
     assert len(PointCloud(np.zeros(6))) == 2  # flat input is reshaped
-
-
-# ---------------------------------------------------------------------------
-# cropping
-
-
-def test_crop_matches_loop_oracle():
-    rng = np.random.default_rng(6)
-    pts = rng.uniform(-30, 120, size=(500, 3))
-    pose = Pose(rng.normal(size=3), quat_normalize(random_quat(rng)))
-    extents = CropExtents(forward=80.0, lateral=25.0, vertical=7.0)
-    got = crop_cloud(PointCloud(pts), pose, extents)
-    mask = oracles.crop_mask(
-        pts,
-        quat_to_matrix(pose.orientation),
-        pose.position,
-        extents.forward,
-        extents.lateral,
-        extents.vertical,
-        extents.axes,
-    )
-    assert np.array_equal(got.points, pts[np.array(mask)])
-
-
-def test_crop_boundaries_closed_and_origin_kept():
-    extents = CropExtents(forward=10.0, lateral=2.0, vertical=1.0, axes=(0, 1, 2))
-    pts = np.array(
-        [
-            [0.0, 0.0, 0.0],  # the viewpoint itself
-            [10.0, 2.0, 1.0],  # on every boundary at once
-            [10.0 + 1e-9, 0.0, 0.0],  # just past the forward reach
-            [-1e-9, 0.0, 0.0],  # just behind
-            [5.0, -2.0, -1.0],  # negative boundaries are closed too
-        ]
-    )
-    kept = crop_cloud(PointCloud(pts), None, extents)
-    assert np.array_equal(kept.points, pts[[0, 1, 4]])
-
-
-def test_crop_retains_original_coordinates():
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(0, 5, size=(50, 3))
-    pose = Pose(rng.normal(size=3) * 0.1, quat_normalize(random_quat(rng)))
-    kept = crop_cloud(PointCloud(pts), pose, CropExtents())
-    for row in kept.points:
-        assert any(np.array_equal(row, p) for p in pts)
-
-
-# ---------------------------------------------------------------------------
-# occlusion
-
-
-def test_occlusion_collinear_pair():
-    near = [0.0, 0.0, 5.0]
-    far = [0.0, 0.0, 10.0]
-    kept = occlusion_filter(PointCloud([near, far]), threshold_angle=0.02)
-    assert np.array_equal(kept.points, np.array([near]))
-
-
-def test_occlusion_threshold_boundary():
-    # the off-axis far point subtends about 0.0989 rad; it survives a 0.02
-    # threshold and is culled by a 0.12 one
-    pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 10.0]])
-    assert len(occlusion_filter(PointCloud(pts), threshold_angle=0.02)) == 2
-    assert len(occlusion_filter(PointCloud(pts), threshold_angle=0.12)) == 1
-
-
-def test_occlusion_matches_loop_oracle():
-    rng = np.random.default_rng(8)
-    for round_ in range(5):
-        pts = rng.uniform(-4, 4, size=(60, 3)) + [0, 0, 6]
-        threshold = (0.05, 0.2, 0.5, 0.05, 0.2)[round_]
-        kept = occlusion_filter(PointCloud(pts), threshold_angle=threshold)
-        removed = np.array(oracles.occlusion_removed(pts, threshold))
-        assert np.array_equal(kept.points, pts[~removed])
-
-
-def test_occlusion_with_intrinsics_is_conservative():
-    # pixel-gated pairing can only remove a subset of the all-pairs removals
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(-3, 3, size=(80, 3)) + [0, 0, 10]
-    k = CameraIntrinsics(np.array([[50.0, 0, 32], [0, 50.0, 24], [0, 0, 1.0]]), 64, 48)
-    full = occlusion_filter(PointCloud(pts), threshold_angle=0.1)
-    gated = occlusion_filter(PointCloud(pts), threshold_angle=0.1, intrinsics=k, pixel_radius=8.0)
-    full_set = {tuple(p) for p in full.points}
-    assert full_set <= {tuple(p) for p in gated.points}
-
-
-def test_occlusion_threshold_validation():
-    cloud = PointCloud(np.array([[0.0, 0.0, 1.0]]))
-    for bad in (0.0, -0.1, math.pi / 2):
-        with pytest.raises(ValueError):
-            occlusion_filter(cloud, threshold_angle=bad)
-
-
-# ---------------------------------------------------------------------------
-# depth maps
-
-
-def _intrinsics():
-    return CameraIntrinsics(np.array([[40.0, 0.0, 16.0], [0.0, 40.0, 12.0], [0.0, 0.0, 1.0]]), 32, 24)
-
-
-def test_depth_map_matches_loop_oracle():
-    rng = np.random.default_rng(10)
-    pts = np.column_stack(
-        [rng.uniform(-0.5, 0.5, 300), rng.uniform(-0.4, 0.4, 300), rng.uniform(-1.0, 4.0, 300)]
-    )
-    k = _intrinsics()
-    for rounding in ("floor", "ceil"):
-        got = project_to_depth_map(PointCloud(pts), k, rounding=rounding)
-        want = oracles.depth_raster(pts, k.matrix, k.width, k.height, rounding)
-        assert np.array_equal(got.depth, want, equal_nan=True)
-
-
-def test_depth_map_keeps_minimum_per_pixel():
-    k = _intrinsics()
-    pts = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 2.0], [0.0, 0.0, 7.0]])
-    dm = project_to_depth_map(PointCloud(pts), k)
-    assert dm.depth[12, 16] == 2.0
-    assert np.count_nonzero(~dm.empty_mask()) == 1
-
-
-def test_depth_map_drops_points_behind_camera():
-    k = _intrinsics()
-    dm = project_to_depth_map(PointCloud(np.array([[0.0, 0.0, -2.0], [0.0, 0.0, 0.0]])), k)
-    assert np.all(dm.empty_mask())
-
-
-def test_depth_map_3x4_projection():
-    m34 = np.hstack([_intrinsics().matrix, np.array([[0.0], [0.0], [1.0]])])
-    k = CameraIntrinsics(m34, 32, 24)
-    pts = np.array([[0.0, 0.0, 1.0]])
-    dm = project_to_depth_map(PointCloud(pts), k)
-    # the translation column adds one to the depth, halving the pixel coords
-    assert dm.depth[6, 8] == 2.0
-
-
-def test_depth_map_validation():
-    with pytest.raises(ValueError):
-        DepthMap(np.array([[0.0]]))  # zero depth is not storable
-    with pytest.raises(ValueError):
-        project_to_depth_map(PointCloud(np.zeros((0, 3))), _intrinsics(), rounding="round")
-
-
-def test_build_local_map_equals_composition():
-    rng = np.random.default_rng(11)
-    cloud = PointCloud(rng.uniform(-20, 20, size=(800, 3)))
-    pose = Pose(rng.normal(size=3), quat_normalize(random_quat(rng)))
-    k = _intrinsics()
-    extents = CropExtents(forward=30.0, lateral=10.0, vertical=5.0)
-    combined = build_local_map(pose, cloud, k, extents, occlusion_threshold=0.05)
-    manual = project_to_depth_map(
-        occlusion_filter(
-            crop_cloud(transform_cloud(cloud, pose.transform()), None, extents),
-            0.05,
-            k,
-            2.0,
-        ),
-        k,
-    )
-    assert np.array_equal(combined.depth, manual.depth, equal_nan=True)
-
-
-# ---------------------------------------------------------------------------
-# map cleaning
-
-
-def test_clean_map_removes_isolated_point():
-    rng = np.random.default_rng(12)
-    cluster = 0.05 + rng.uniform(-0.002, 0.002, size=(100, 3))
-    lonely = np.array([[5.0, 5.0, 5.0]])
-    pts = np.vstack([cluster, lonely])
-    cleaned = clean_map(PointCloud(pts), neighborhood_radius=0.1, z_cutoff=3.0, voxel_size=0.1)
-    # the cluster collapses to its centroid, the isolated point is gone
-    assert len(cleaned) == 1
-    assert np.allclose(cleaned.points[0], cluster.mean(axis=0), atol=1e-12)
-
-
-def test_clean_map_uniform_counts_keep_everything():
-    # equal neighbor counts give zero spread; nothing is classed as sparse
-    pts = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
-    cleaned = clean_map(PointCloud(pts), neighborhood_radius=0.5, voxel_size=0.1)
-    assert len(cleaned) == 3
-
-
-def test_clean_map_matches_loop_oracles():
-    rng = np.random.default_rng(13)
-    pts = rng.uniform(0, 1.0, size=(120, 3))
-    radius, cutoff, voxel = 0.25, 1.0, 0.2
-    cleaned = clean_map(PointCloud(pts), radius, cutoff, voxel)
-    survivors = pts[np.array(oracles.sparse_outlier_mask(pts, radius, cutoff))]
-    want = oracles.voxel_centroids(survivors, voxel)
-    got = cleaned.points
-    assert got.shape == want.shape
-    order_got = np.lexsort(got.T)
-    order_want = np.lexsort(want.T)
-    assert np.allclose(got[order_got], want[order_want], atol=1e-12)
-
-
-def test_clean_map_validation_and_empty():
-    with pytest.raises(ValueError):
-        clean_map(PointCloud(np.zeros((1, 3))), neighborhood_radius=0.0)
-    empty = clean_map(PointCloud(np.empty((0, 3))))
-    assert len(empty) == 0

@@ -185,25 +185,6 @@ def test_brackets_match_scalar_loop_bit_for_bit():
             assert (lo[k], hi[k]) == want
 
 
-def test_bracket_doubling_matches_scalar_loop(monkeypatch):
-    # in double precision the normal CDF is exactly 0 ten sigmas below every
-    # component and 1 above, so no solvable target needs a doubling; a
-    # Cauchy CDF's heavy tails reach that branch
-    cauchy = lambda z: 0.5 + np.arctan(z) / np.pi
-    monkeypatch.setattr(gmm, "std_normal_cdf", cauchy)
-    rng = np.random.default_rng(19)
-    mixtures = _random_mixtures(rng, 4, 5)
-    probabilities = [0.001, 0.02, 0.5, 0.999]
-    lo, hi = gmm._brackets(*_stacks(mixtures), probabilities, 1e-4, 200)
-    for k, (m, p) in enumerate(zip(mixtures, probabilities)):
-        assert (lo[k], hi[k]) == oracles.scalar_bisection(m.means, m.variances, m.weights, p, 1e-4, 200, cauchy)
-    # the 1e-3 and 0.999 targets lie outside the initial bracket
-    assert lo[0] < np.min(mixtures[0].means - 10.0 * mixtures[0].sigmas)
-    assert hi[3] > np.max(mixtures[3].means + 10.0 * mixtures[3].sigmas)
-    with pytest.raises(BracketingFailure):
-        gmm._brackets(*_stacks(mixtures), [1e-9, 0.5, 0.5, 0.5], 1e-4, 200)
-
-
 def test_one_failing_row_fails_the_solve():
     m = GaussianMixture([0.0], [1.0], [1.0])
     with pytest.raises(NonConvergence):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plbounds.estimator import SyntheticEstimator, SyntheticEstimatorConfig
-from plbounds.geometry import DepthMap, PointCloud
+from plbounds.geometry import PointCloud
 from plbounds import io
 
 import oracles
@@ -63,45 +63,6 @@ def test_cloud_bin_truncation_detected(tmp_path):
     path.write_bytes(b"\x01")
     with pytest.raises(ValueError):
         io.read_cloud_bin(path)
-
-
-def _depth_map(rng):
-    d = rng.uniform(0.5, 30.0, size=(6, 9))
-    d[rng.random(d.shape) < 0.3] = np.nan
-    return DepthMap(d)
-
-
-def test_depth_csv_round_trip(tmp_path):
-    dm = _depth_map(np.random.default_rng(3))
-    path = tmp_path / "d.csv"
-    io.write_depth_csv(dm, path)
-    back = io.read_depth_csv(path)
-    assert np.array_equal(back.depth, dm.depth, equal_nan=True)
-
-
-def test_depth_bin_round_trip(tmp_path):
-    dm = _depth_map(np.random.default_rng(4))
-    path = tmp_path / "d.bin"
-    io.write_depth_bin(dm, path)
-    back = io.read_depth_bin(path)
-    # storage is f32; compare at that precision
-    assert np.array_equal(back.depth.astype(np.float32), dm.depth.astype(np.float32), equal_nan=True)
-    assert np.array_equal(back.empty_mask(), dm.empty_mask())
-
-
-def test_depth_bin_rejects_bad_magic_and_length(tmp_path):
-    dm = _depth_map(np.random.default_rng(5))
-    path = tmp_path / "d.bin"
-    io.write_depth_bin(dm, path)
-    data = bytearray(path.read_bytes())
-    data[0] = ord("X")
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError):
-        io.read_depth_bin(path)
-    io.write_depth_bin(dm, path)
-    path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
-    with pytest.raises(ValueError):
-        io.read_depth_bin(path)
 
 
 def test_json_deterministic_bytes(tmp_path):
