@@ -231,11 +231,12 @@ def _float_key(x: float) -> int:
 def _rotvecs_to_quats(rotvecs: np.ndarray) -> np.ndarray:
     """(..., 4) quaternions of (..., 3) rotation vectors."""
     angles = np.linalg.norm(rotvecs, axis=-1)
-    quats = np.zeros(rotvecs.shape[:-1] + (4,))
-    quats[..., 0] = np.cos(0.5 * angles)
     nz = angles > 0.0
-    quats[nz, 1:] = np.sin(0.5 * angles[nz])[:, None] * rotvecs[nz] / angles[nz][:, None]
-    quats[~nz, 0] = 1.0
+    quats = np.empty(rotvecs.shape[:-1] + (4,))
+    quats[..., 0] = np.cos(0.5 * angles)
+    # the whole stack at once, a zero angle divided by 1 instead of masked out
+    quats[..., 1:] = np.sin(0.5 * angles)[..., None] * rotvecs / np.where(nz, angles, 1.0)[..., None]
+    quats[~nz] = (1.0, 0.0, 0.0, 0.0)
     return quats
 
 

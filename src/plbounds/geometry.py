@@ -173,6 +173,16 @@ class Pose:
         object.__setattr__(self, "orientation", _readonly(quat_normalize(self.orientation)))
 
     @classmethod
+    def checked(cls, position: np.ndarray, orientation: np.ndarray) -> "Pose":
+        """A pose of a read-only finite position and an orientation
+        ``quat_normalize`` already returned, kept as they are: normalizing
+        again can move the orientation's last bit."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "position", position)
+        object.__setattr__(pose, "orientation", orientation)
+        return pose
+
+    @classmethod
     def identity(cls) -> "Pose":
         return cls(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
 

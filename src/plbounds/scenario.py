@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .geometry import PointCloud, Pose, matrix_to_quat, quat_to_matrix
+from .geometry import PointCloud, Pose, matrix_to_quat, quat_normalize, quat_to_matrix
 from .sampling import apply_offset, draw_offsets
 
 
@@ -210,14 +210,35 @@ def load_scenario(path: Path | str) -> Scenario:
         cloud = io.read_cloud_bin(map_path)
     else:
         cloud = io.read_cloud_xyz(map_path)
+    rows = doc["timesteps"]
+    poses = _checked_poses(rows)  # None: build each Pose alone, so the first bad one raises its own error
     timesteps = [
         Timestep(
             index=int(ts["index"]),
             timestamp=float(ts["timestamp"]),
             payload_key=str(ts["payload_key"]),
-            true_pose=_pose_from_dict(ts["true_pose"]),
-            estimate_pose=_pose_from_dict(ts["estimate_pose"]),
+            true_pose=_pose_from_dict(ts["true_pose"]) if poses is None else poses[2 * k],
+            estimate_pose=_pose_from_dict(ts["estimate_pose"]) if poses is None else poses[2 * k + 1],
         )
-        for ts in doc["timesteps"]
+        for k, ts in enumerate(rows)
     ]
     return Scenario(seed=int(doc["seed"]), cloud=cloud, timesteps=timesteps, map_path=str(map_path))
+
+
+def _checked_poses(rows: list) -> list[Pose] | None:
+    """Every timestep's true and estimate pose, in that order, checked and
+    normalized in one stacked pass that gives each pose the bits ``Pose``
+    gives it; None when some pose would fail ``Pose``'s checks."""
+    try:
+        docs = [ts[name] for ts in rows for name in ("true_pose", "estimate_pose")]
+        positions = np.array([d["position"] for d in docs], dtype=float)
+        orientations = np.array([d["orientation"] for d in docs], dtype=float)
+        n = len(docs)
+        if positions.shape != (n, 3) or orientations.shape != (n, 4) or not np.isfinite(positions).all():
+            return None
+        orientations = quat_normalize(orientations)
+    except (LookupError, TypeError, ValueError, ArithmeticError):
+        return None
+    positions.setflags(write=False)
+    orientations.setflags(write=False)
+    return [Pose.checked(p, q) for p, q in zip(positions, orientations)]

@@ -38,7 +38,9 @@ class RotationUncertainty:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
+        # C order whatever the input's layout: ``transform_error``'s einsum
+        # sums in an order that depends on it
+        q = np.ascontiguousarray(self.q, dtype=float)
         if q.shape != (3, 3, 3, 3):
             raise ValueError("rotation uncertainty tensor must have shape (3, 3, 3, 3)")
         if not np.all(np.isfinite(q)):
@@ -68,7 +70,10 @@ def precompute_q(rotation_samples: np.ndarray, min_samples: int = MIN_ROTATION_S
         )
     mats = quat_to_matrix(samples)
     mats -= np.eye(3)  # in place: a second 100k-sample stack would raise peak memory
-    q = np.einsum("mia,mjb->ijab", mats, mats) / samples.shape[0]
+    # one (9, 9) contraction of the flattened rows: it sums each entry in the
+    # order the 4-D form ``einsum("mia,mjb->ijab")`` does, so it gives its bits
+    rows = mats.reshape(-1, 9)
+    q = np.einsum("mk,ml->kl", rows, rows).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3) / samples.shape[0]
     return RotationUncertainty(q)
 
 

@@ -212,11 +212,19 @@ class StoredRecords:
 
 def rotvec_quats(rng: np.random.Generator, count: int, scale: float = 0.05) -> np.ndarray:
     """``count`` unit quaternions of rotation vectors drawn N(0, scale^2) per axis."""
-    rotvecs = rng.normal(0.0, scale, size=(count, 3))
-    angles = np.linalg.norm(rotvecs, axis=1)
-    quats = np.zeros((count, 4))
-    quats[:, 0] = np.cos(0.5 * angles)
-    quats[:, 1:] = np.sin(0.5 * angles)[:, None] * rotvecs / angles[:, None]
+    return masked_rotvec_quats(rng.normal(0.0, scale, size=(count, 3)))
+
+
+def masked_rotvec_quats(rotvecs) -> np.ndarray:
+    """(..., 4) quaternions of (..., 3) rotation vectors with the zero angles
+    masked out, as the package converted them before it took the whole
+    stack at once; the two agree bit for bit."""
+    angles = np.linalg.norm(rotvecs, axis=-1)
+    quats = np.zeros(rotvecs.shape[:-1] + (4,))
+    quats[..., 0] = np.cos(0.5 * angles)
+    nz = angles > 0.0
+    quats[nz, 1:] = np.sin(0.5 * angles[nz])[:, None] * rotvecs[nz] / angles[nz][:, None]
+    quats[~nz, 0] = 1.0
     return quats
 
 
@@ -243,6 +251,14 @@ def q_tensor(quats) -> np.ndarray:
             for j in range(3):
                 acc[i, j] += np.outer(d[i], d[j])
     return acc / len(quats)
+
+
+def einsum_q_tensor(mats) -> np.ndarray:
+    """The tensor from an (M, 3, 3) stack of (R - I) matrices by the 4-D
+    einsum ``precompute_q`` contracted with before its (9, 9) form; the two
+    agree bit for bit."""
+    mats = np.asarray(mats, dtype=float)
+    return np.einsum("mia,mjb->ijab", mats, mats) / len(mats)
 
 
 def correction_matrix(quats, u) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plbounds.estimator import _rotvecs_to_quats
@@ -137,6 +137,23 @@ def test_rotation_vector_matches_axis_angle():
     assert np.allclose(quats[0], quat_from_axis_angle(v[0], angle), atol=1e-15)
     assert np.array_equal(quats[1], [1.0, 0.0, 0.0, 0.0])
     assert _rotvecs_to_quats(v.reshape(2, 1, 3)).shape == (2, 1, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 40),
+    scale=st.floats(1e-6, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.lists(st.integers(0, 40), max_size=4),
+)
+@example(count=5, scale=0.01, seed=0, zeros=[])
+@example(count=5, scale=0.01, seed=0, zeros=[0, 3, 5])
+def test_rotation_vectors_have_the_bits_of_the_masked_conversion(count, scale, seed, zeros):
+    v = np.random.default_rng(seed).normal(0.0, scale, (count, 3))
+    v = np.insert(v, sorted(z % (count + 1) for z in zeros), 0.0, axis=0)
+    got = _rotvecs_to_quats(v)
+    assert got.tobytes() == oracles.masked_rotvec_quats(v).tobytes()
+    assert _rotvecs_to_quats(v.reshape(-1, 1, 3)).tobytes() == got.tobytes()
 
 
 def _angular_distance(q1, q2) -> float:

@@ -374,6 +374,22 @@ def test_empty_scenario_yields_empty_report():
     assert out.diagram.n_records == 0
 
 
+def test_tensor_memory_order_does_not_change_results():
+    sc = _scenario(seed=22)
+    # little translation noise lets the rotation inflation set the variances'
+    # last bits; at seed 22 a tensor summed in another order moves one bound
+    estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=22, sigma_noise=(0.01, 0.01, 0.01), sigma_rot=0.05))
+    config = PipelineConfig(variant="VAR_EO", sampling=FAST_SAMPLING, seed=22)
+    q = default_rotation_uncertainty(estimator, replace(config, q_samples=2000)).q
+    c_order, f_order = (
+        run_sequence(estimator, sc, config, RotationUncertainty(order(q)))
+        for order in (np.ascontiguousarray, np.asfortranarray)
+    )
+    assert c_order.result_rows() == f_order.result_rows()
+    for a, b in zip(c_order.results, f_order.results):  # the inflated variances too
+        assert a.samples.variances.tobytes() == b.samples.variances.tobytes()
+
+
 def test_default_rotation_uncertainty_branches(tmp_path):
     config = PipelineConfig(q_samples=2000, seed=23)
     silent = SyntheticEstimator(SyntheticEstimatorConfig(sigma_rot=0.0))

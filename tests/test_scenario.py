@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from plbounds.geometry import quat_to_matrix
+from plbounds.geometry import Pose, quat_to_matrix
 from plbounds.io import read_json, write_json
 from plbounds.scenario import (
     Scenario,
@@ -119,10 +120,11 @@ def test_scenario_deterministic():
     )
 
 
-def test_empty_scenario():
+def test_empty_scenario(tmp_path):
     sc = generate_scenario(ScenarioConfig(n_timesteps=0, blocks_x=1, blocks_y=1, wall_density=0.2, ground=False), seed=0)
     assert sc.timesteps == []
     assert sc.cloud.points.shape[0] > 0
+    assert load_scenario(save_scenario(sc, tmp_path)).timesteps == []
 
 
 def test_vehicle_frame_error_pure_shift():
@@ -174,4 +176,50 @@ def test_load_rejects_wrong_schema(tmp_path):
     doc["schema"] = 2
     write_json(doc, path)
     with pytest.raises(ValueError):
+        load_scenario(path)
+
+
+def _lone_pose(doc: dict) -> Pose:
+    return Pose(np.asarray(doc["position"], dtype=float), np.asarray(doc["orientation"], dtype=float))
+
+
+def test_loaded_poses_have_the_bits_of_lone_poses(tmp_path):
+    path = save_scenario(generate_scenario(SMALL, seed=13), tmp_path)
+    doc = read_json(path)
+    # orientations off unit norm, half with a negative scalar part, so that
+    # normalizing moves their bits
+    for k, ts in enumerate(doc["timesteps"]):
+        for name in ("true_pose", "estimate_pose"):
+            ts[name]["orientation"] = [(-1) ** k * (1.0 + 2e-4 * (k + 1)) * c for c in ts[name]["orientation"]]
+    write_json(doc, path)
+    loaded = load_scenario(path)
+    assert len(loaded.timesteps) == len(doc["timesteps"])
+    for got, ts in zip(loaded.timesteps, doc["timesteps"]):
+        for name in ("true_pose", "estimate_pose"):
+            pose, want = getattr(got, name), _lone_pose(ts[name])
+            assert pose.position.tobytes() == want.position.tobytes()
+            assert pose.orientation.tobytes() == want.orientation.tobytes()
+            assert not (pose.position.flags.writeable or pose.orientation.flags.writeable)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("position", [1.0, float("nan"), 0.0]),
+        ("position", [1.0, float("inf"), 0.0]),
+        ("position", [1.0, 2.0]),
+        ("orientation", [1.01, 0.0, 0.0, 0.0]),
+        ("orientation", [0.0, 0.0, 0.0, 0.0]),
+        ("orientation", [1.0, 0.0, 0.0]),
+    ],
+)
+def test_load_raises_the_error_of_the_first_bad_pose(tmp_path, field, value):
+    path = save_scenario(generate_scenario(SMALL, seed=14), tmp_path)
+    doc = read_json(path)
+    doc["timesteps"][1]["estimate_pose"][field] = value
+    doc["timesteps"][3]["true_pose"]["orientation"] = [1.5, 0.0, 0.0, 0.0]  # a later bad pose
+    write_json(doc, path)
+    with pytest.raises(ValueError) as lone:
+        _lone_pose(doc["timesteps"][1]["estimate_pose"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(lone.value))}$"):
         load_scenario(path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,6 +32,18 @@ def test_precompute_q_matches_loop_oracle():
     got = precompute_q(quats).q
     want = oracles.q_tensor(quats)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 3000), scale=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(count=1, scale=0.05, seed=0)
+@example(count=7, scale=1.0, seed=1)
+@example(count=1001, scale=1e-4, seed=2)
+def test_precompute_q_has_the_bits_of_the_4d_einsum(count, scale, seed):
+    quats = oracles.rotvec_quats(np.random.default_rng(seed), count, scale)
+    got = precompute_q(quats, min_samples=1).q
+    assert got.flags.c_contiguous
+    assert got.tobytes() == oracles.einsum_q_tensor(quat_to_matrix(quats) - np.eye(3)).tobytes()
 
 
 def test_precompute_q_rejects_small_samples():
