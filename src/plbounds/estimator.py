@@ -340,8 +340,16 @@ class SyntheticEstimator:
     def rotation_residual_samples(self, count: int, seed: int) -> np.ndarray:
         """Draws from the same rotation-perturbation distribution the
         estimator applies to its outputs, as scalar-first quaternions."""
+        blocks = list(self.rotation_residual_blocks(count, seed, max(count, 1)))
+        return blocks[0] if blocks else np.empty((0, 4))
+
+    def rotation_residual_blocks(self, count: int, seed: int, size: int):
+        """``rotation_residual_samples(count, seed)`` as consecutive blocks of at
+        most ``size`` rows drawn in turn from its stream, which numpy fills in
+        order: the blocks are its rows, bit for bit."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x726F74])))
-        return _rotvecs_to_quats(rng.normal(0.0, self.config.sigma_rot, (count, 3)))
+        for start in range(0, count, size):
+            yield _rotvecs_to_quats(rng.normal(0.0, self.config.sigma_rot, (min(size, count - start), 3)))
 
 
 class FileEstimator:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import BracketingFailure, LengthMismatch, NonConvergence, WeightSumViolation
 
@@ -28,6 +27,8 @@ def std_normal_cdf(z):
     The underlying erf is the C library implementation, accurate to a few
     ulp; reference values are pinned in the test suite.
     """
+    from scipy.special import erf  # here, so that commands that never solve do not load SciPy
+
     return 0.5 * (1.0 + erf(np.asarray(z, dtype=float) / _SQRT2))
 
 

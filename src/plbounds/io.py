@@ -108,19 +108,13 @@ def read_quaternion_lines(path: Path | str) -> np.ndarray:
     """The (M, 4) quaternions of a file ``write_quaternion_lines`` wrote: one
     JSON array of 4 numbers on each non-blank line.
 
-    A file whose every byte passes ``_plain_quaternion_lines`` is parsed in
-    one ``np.loadtxt`` call; any other file, or one that call rejects, is
-    read line by line with ``read_jsonl``, whose errors name the file and
-    the line.  Both routes give the same bits.
+    The file is parsed in blocks of whole lines by ``_read_plain_blocks``.
+    A file it does not take is read again line by line with ``read_jsonl``,
+    whose errors name the file and the line.  Both routes give the same bits.
     """
-    raw = Path(path).read_bytes()
-    if _plain_quaternion_lines(raw):
-        try:
-            arr = np.loadtxt(BytesIO(raw.translate(None, b"[]\r")), delimiter=",", ndmin=2, encoding="ascii")
-        except ValueError:  # e.g. a line of 5 numbers, or the numeral 1.2.3
-            arr = None
-        if arr is not None and arr.shape[1] == 4:
-            return arr
+    arr = _read_plain_blocks(path)
+    if arr is not None:
+        return arr
     rows = read_jsonl(path)
     try:
         arr = np.asarray(rows, dtype=float)
@@ -171,7 +165,8 @@ _AFTER_OK = _pair_table({x: after for x, (_, after) in _NEIGHBOURS.items()})
 # what may follow the 0.
 _LEADING_ZERO = _pair_table({b"[,-": b"0"})
 _AFTER_LEADING_ZERO = _pair_table({b"[,": bytes(set(range(256)) - set(_DIGITS)), b"-": b".eE"})
-# Bytes per check; whole-file masks would cost several times the file in memory.
+# Bytes read, checked and parsed at a time, then on to the end of the line:
+# whole-file masks and copies would cost several times the file in memory.
 _CHECK_CHUNK = 1 << 20
 # Longest run of digits and points the fast path takes.  Longer integers
 # would overflow to inf where the JSON route raises; no double's shortest
@@ -180,30 +175,40 @@ _MAX_RUN = 300
 _PAD = np.frombuffer(b"\n\n", dtype=np.uint8)
 
 
-def _plain_quaternion_lines(raw: bytes) -> bool:
-    """Whether ``np.loadtxt`` may read ``raw``: once blanks (space, tab) are
-    deleted, every line follows ``_NEIGHBOURS``, no integer part is a bare
-    -0 or has a leading 0, and no run of digits and points is longer than
-    ``_MAX_RUN``.  On such a file ``np.loadtxt``, with brackets and CRs
-    deleted, gives the bits JSON gives or raises: it raises on all that
-    these checks let through and JSON rejects, a blank inside a numeral, a
-    numeral ``float`` rejects too (``1.2.3``) and a line of blanks.  The
-    number of values per line is left to the shape of its result.  The
-    checks run on chunks of whole lines.
-    """
-    if b"[" not in raw:  # no quaternion: the JSON route gives the empty result
-        return False
-    start = 0
-    while start < len(raw):
-        end = raw.find(b"\n", start + _CHECK_CHUNK) + 1 or len(raw)
-        if not _plain_lines(np.frombuffer(raw, np.uint8, end - start, start)):
-            return False
-        start = end
-    return True
+def _read_plain_blocks(path: Path | str) -> np.ndarray | None:
+    """The quaternions of a file read ``_CHECK_CHUNK`` bytes, then on to the
+    end of that line, at a time, each block parsed by one ``np.loadtxt`` call;
+    None unless every block passes ``_plain_lines`` and gives 4 values a line,
+    or when no block holds a quaternion."""
+    parts = []
+    with open(path, "rb") as fh:
+        while block := fh.read(_CHECK_CHUNK):
+            block += fh.readline()
+            if not _plain_lines(np.frombuffer(block, np.uint8)):
+                return None
+            if b"[" not in block:  # only blanks pass the check without one
+                continue
+            try:
+                arr = np.loadtxt(BytesIO(block.translate(None, b"[]\r")), delimiter=",", ndmin=2, encoding="ascii")
+            except ValueError:  # e.g. a line of 5 numbers, or the numeral 1.2.3
+                return None
+            if arr.shape[1] != 4:
+                return None
+            parts.append(arr)
+    return np.concatenate(parts) if parts else None
 
 
 def _plain_lines(chunk: np.ndarray) -> bool:
-    """``_plain_quaternion_lines`` on the bytes of whole lines."""
+    """Whether ``np.loadtxt`` may read the bytes of whole lines ``chunk``:
+    once blanks (space, tab) are deleted, every line follows
+    ``_NEIGHBOURS``, no integer part is a bare -0 or has a leading 0, and no
+    run of digits and points is longer than ``_MAX_RUN``.  On such lines
+    ``np.loadtxt``, with brackets and CRs deleted, gives the bits JSON gives
+    or raises: it raises on all that these checks let through and JSON
+    rejects, a blank inside a numeral, a numeral ``float`` rejects too
+    (``1.2.3``) and a line of blanks.  The number of values per line is
+    left to the shape of its result.
+    """
     text = np.concatenate((_PAD, chunk[(chunk != ord(" ")) & (chunk != ord("\t"))], _PAD))
     inner = text[1:-1]  # the line end padded on each side is checked too
     at = np.flatnonzero((inner < ord(".")) | (inner > ord("9")) | (inner == ord("/"))) + 1

@@ -14,7 +14,7 @@ Four pipeline variants are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .metrics import (
 from .sampling import SamplingConfig, apply_offset, sample_candidates
 from .scenario import Scenario, vehicle_frame_error
 from .uncertainty import (
+    ROTATION_BLOCK,
     ErrorSampleSet,
     RotationUncertainty,
     outlier_weights,
@@ -290,8 +291,8 @@ def default_rotation_uncertainty(estimator: Estimator, config: PipelineConfig) -
     anything else falls back to the zero tensor (no inflation).
     """
     if isinstance(estimator, SyntheticEstimator) and estimator.config.sigma_rot > 0.0:
-        samples = estimator.rotation_residual_samples(config.q_samples, config.seed)
-        return precompute_q(samples)
+        blocks = estimator.rotation_residual_blocks(config.q_samples, config.seed, ROTATION_BLOCK)
+        return precompute_q(blocks, count=config.q_samples)
     return RotationUncertainty.zero()
 
 
@@ -335,9 +336,11 @@ def run_sequence(
                 block_results.append(
                     run_timestep(estimator, ctx, pose, scenario.cloud, one, rotation_uncertainty, config)
                 )
-        for ts, result in zip(block, block_results):
-            results.append(replace(result, index=ts.index))
-            records.append(IntegrityRecord(result.pl, vehicle_frame_error(ts.true_pose, ts.estimate_pose)))
+        errors = vehicle_frame_error([ts.true_pose for ts in block], [ts.estimate_pose for ts in block])
+        for ts, result, error in zip(block, block_results, errors):
+            object.__setattr__(result, "index", ts.index)  # a result of this call, not yet shared
+            results.append(result)
+            records.append(IntegrityRecord(result.pl, error))
     return SequenceResult(
         results=results,
         records=records,

@@ -142,18 +142,22 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     return Scenario(seed=seed, cloud=cloud, timesteps=timesteps)
 
 
-def vehicle_frame_error(true_pose: Pose, estimate_pose: Pose) -> np.ndarray:
+def vehicle_frame_error(true_pose: Pose | list[Pose], estimate_pose: Pose | list[Pose]) -> np.ndarray:
     """True position error of an estimate, expressed in the true vehicle frame.
 
     This is the quantity the protection levels bound: the displacement of
     the estimated sensor center from the true one, rotated into the frame
-    the image was captured from.
+    the image was captured from.  Two lists of poses give the (N, 3) errors
+    of their pairs in one stacked pass, each with the bits of its one-pair
+    call.
     """
-    r_true = quat_to_matrix(true_pose.orientation)
-    r_est = quat_to_matrix(estimate_pose.orientation)
-    center_true = -r_true.T @ true_pose.position
-    center_est = -r_est.T @ estimate_pose.position
-    return r_true @ (center_true - center_est)
+    if isinstance(true_pose, Pose):
+        return vehicle_frame_error([true_pose], [estimate_pose])[0]
+    r_true, r_est = (quat_to_matrix(np.array([p.orientation for p in ps])) for ps in (true_pose, estimate_pose))
+    p_true, p_est = (np.array([p.position for p in ps])[..., None] for ps in (true_pose, estimate_pose))
+    center_true = -(np.swapaxes(r_true, -1, -2) @ p_true)
+    center_est = -(np.swapaxes(r_est, -1, -2) @ p_est)
+    return (r_true @ (center_true - center_est))[..., 0]
 
 
 def _pose_to_dict(pose: Pose) -> dict:
@@ -212,16 +216,20 @@ def load_scenario(path: Path | str) -> Scenario:
         cloud = io.read_cloud_xyz(map_path)
     rows = doc["timesteps"]
     poses = _checked_poses(rows)  # None: build each Pose alone, so the first bad one raises its own error
-    timesteps = [
-        Timestep(
-            index=int(ts["index"]),
-            timestamp=float(ts["timestamp"]),
-            payload_key=str(ts["payload_key"]),
-            true_pose=_pose_from_dict(ts["true_pose"]) if poses is None else poses[2 * k],
-            estimate_pose=_pose_from_dict(ts["estimate_pose"]) if poses is None else poses[2 * k + 1],
-        )
-        for k, ts in enumerate(rows)
-    ]
+    timesteps = []
+    for k, ts in enumerate(rows):
+        try:
+            timesteps.append(
+                Timestep(
+                    index=int(ts["index"]),
+                    timestamp=float(ts["timestamp"]),
+                    payload_key=str(ts["payload_key"]),
+                    true_pose=_pose_from_dict(ts["true_pose"]) if poses is None else poses[2 * k],
+                    estimate_pose=_pose_from_dict(ts["estimate_pose"]) if poses is None else poses[2 * k + 1],
+                )
+            )
+        except OverflowError as exc:  # e.g. an integer numeral beyond the float range
+            raise ValueError(f"{path}: timestep {k}: {exc}") from None
     return Scenario(seed=int(doc["seed"]), cloud=cloud, timesteps=timesteps, map_path=str(map_path))
 
 

@@ -27,6 +27,9 @@ from .geometry import quat_to_matrix
 ROBUST_GAMMA = 0.6745
 
 MIN_ROTATION_SAMPLES = 1000
+# Quaternions turned into rows of R - I at a time by ``precompute_q``: its
+# temporaries stay this size whatever the sample count.
+ROTATION_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -55,25 +58,36 @@ class RotationUncertainty:
         return cls(np.zeros((3, 3, 3, 3)))
 
 
-def precompute_q(rotation_samples: np.ndarray, min_samples: int = MIN_ROTATION_SAMPLES) -> RotationUncertainty:
+def precompute_q(
+    rotation_samples, min_samples: int = MIN_ROTATION_SAMPLES, count: int | None = None
+) -> RotationUncertainty:
     """Estimate the rotation-uncertainty tensor from residual quaternions.
 
     ``rotation_samples`` is an (M, 4) array of scalar-first unit quaternions
-    drawn from the rotation-residual distribution of the estimator.
+    drawn from the rotation-residual distribution of the estimator or, with
+    ``count`` = M, an iterable of (k, 4) blocks holding M of them in all.
+    They become the (M, 9) rows of R - I one ``ROTATION_BLOCK`` (or one
+    given block) at a time, so those rows are all that grows with M.
     """
-    samples = np.asarray(rotation_samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 4:
-        raise ValueError("rotation samples must be an (M, 4) quaternion array")
-    if samples.shape[0] < min_samples:
-        raise InsufficientSamples(
-            f"need at least {min_samples} rotation samples, got {samples.shape[0]}"
-        )
-    mats = quat_to_matrix(samples)
-    mats -= np.eye(3)  # in place: a second 100k-sample stack would raise peak memory
-    # one (9, 9) contraction of the flattened rows: it sums each entry in the
-    # order the 4-D form ``einsum("mia,mjb->ijab")`` does, so it gives its bits
-    rows = mats.reshape(-1, 9)
-    q = np.einsum("mk,ml->kl", rows, rows).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3) / samples.shape[0]
+    if count is None:
+        samples = np.asarray(rotation_samples, dtype=float)
+        if samples.ndim != 2 or samples.shape[1] != 4:
+            raise ValueError("rotation samples must be an (M, 4) quaternion array")
+        count = len(samples)
+        rotation_samples = (samples[i : i + ROTATION_BLOCK] for i in range(0, count, ROTATION_BLOCK))
+    if count < min_samples:
+        raise InsufficientSamples(f"need at least {min_samples} rotation samples, got {count}")
+    rows = np.empty((count, 9))
+    filled = 0
+    for block in rotation_samples:
+        block_rows = (quat_to_matrix(block) - np.eye(3)).reshape(-1, 9)
+        rows[filled : filled + len(block_rows)] = block_rows
+        filled += len(block_rows)
+    if filled != count:
+        raise ValueError(f"rotation sample blocks hold {filled} quaternions, not the stated {count}")
+    # one (9, 9) contraction of all rows sums each entry in the order the 4-D
+    # ``einsum("mia,mjb->ijab")`` does, and gives its bits; blockwise sums would not
+    q = np.einsum("mk,ml->kl", rows, rows).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3) / count
     return RotationUncertainty(q)
 
 

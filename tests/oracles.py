@@ -261,6 +261,18 @@ def einsum_q_tensor(mats) -> np.ndarray:
     return np.einsum("mia,mjb->ijab", mats, mats) / len(mats)
 
 
+def vehicle_frame_error(true_pose, estimate_pose) -> np.ndarray:
+    """One pose pair's vehicle-frame error by (3, 3) @ (3,) products, as the
+    package computed it before it stacked the pairs of a block."""
+    from plbounds.geometry import quat_to_matrix
+
+    r_true = quat_to_matrix(true_pose.orientation)
+    r_est = quat_to_matrix(estimate_pose.orientation)
+    center_true = -r_true.T @ true_pose.position
+    center_est = -r_est.T @ estimate_pose.position
+    return r_true @ (center_true - center_est)
+
+
 def correction_matrix(quats, u) -> np.ndarray:
     """Mean outer product of (R - I) u over a quaternion sample."""
     u = np.asarray(u, dtype=float)

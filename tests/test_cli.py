@@ -98,9 +98,11 @@ def test_readme_config_document_is_the_defaults(tmp_path):
 
 
 def test_import_does_not_load_scipy_spatial():
-    # a fresh interpreter: this one may have loaded it for another test
+    # nor any of SciPy: only solving protection levels needs it, so commands
+    # that never solve do not pay for loading it.  A fresh interpreter: this
+    # one may have loaded it for another test.
     src = str(Path(plbounds.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import plbounds; print('scipy.spatial' in sys.modules)"
+    code = f"import sys; sys.path.insert(0, {src!r}); import plbounds, plbounds.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
@@ -347,6 +349,14 @@ def test_numerals_beyond_the_float_range_exit_3(scenario_dir, tmp_path, capsys):
         argv = ["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(tmp_path / "run")]
         assert main(argv) == 3
         assert f"input error: {bad}" in capsys.readouterr().err
+    # a pose coordinate in the scenario document
+    doc = json.loads((scenario_dir / "scenario.json").read_text())
+    doc["timesteps"][1]["estimate_pose"]["position"][0] = 10**400
+    scenario = scenario_dir / "overflow_scenario.json"
+    scenario.write_text(json.dumps(doc))
+    argv = ["run", str(scenario), "--config", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 3
+    assert f"input error: {scenario}: timestep 1: int too large to convert to float" in capsys.readouterr().err
 
 
 def test_pipeline_failure_exits_4(scenario_dir, tmp_path):

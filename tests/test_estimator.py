@@ -24,6 +24,8 @@ from plbounds.geometry import Pose, quat_from_euler_zyx, quat_normalize, quat_to
 from plbounds.sampling import apply_offset
 from plbounds.scenario import vehicle_frame_error
 
+import oracles
+
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 
@@ -343,6 +345,18 @@ def test_rotation_residual_samples_are_unit_and_deterministic():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
     c = est.rotation_residual_samples(500, seed=8)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("count, size", [(0, 3), (1, 1), (9, 3), (10, 3), (1000, 64), (1000, 1000), (7, 50)])
+def test_rotation_residual_blocks_are_the_rows_of_one_draw(count, size):
+    est = SyntheticEstimator(SyntheticEstimatorConfig(seed=0, sigma_rot=0.02))
+    blocks = list(est.rotation_residual_blocks(count, 7, size))
+    assert all(len(b) == size for b in blocks[:-1]) and all(0 < len(b) <= size for b in blocks)
+    joined = np.concatenate([np.empty((0, 4)), *blocks])
+    assert joined.tobytes() == est.rotation_residual_samples(count, 7).tobytes()
+    # the draw the estimator made before it drew in blocks
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([7, 0x726F74])))
+    assert joined.tobytes() == oracles.masked_rotvec_quats(rng.normal(0.0, 0.02, (count, 3))).tobytes()
 
 
 # ---------------------------------------------------------------------------

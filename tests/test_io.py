@@ -156,6 +156,11 @@ def _quaternion_file(draw, values=st.just(4), numerals=_NUMERALS):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+def _fast_route_expected(text: str) -> bool:
+    """Only a line of blanks or a bare -0 (JSON's integer 0) needs the per-line reader."""
+    return not (re.search(r"^[ \t]+\r?$", text, re.M) or re.search(r"-0(?![.eE0-9])", text))
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_quaternion_file())
 def test_quaternion_lines_match_json_reader_bit_for_bit(tmp_path, text):
@@ -164,8 +169,7 @@ def test_quaternion_lines_match_json_reader_bit_for_bit(tmp_path, text):
     want = _outcome(oracles.json_quaternion_lines, path)
     assert _outcome(io.read_quaternion_lines, path) == want
     assert want[0] == (text.count("["), 4)
-    # only a line of blanks or a bare -0 (JSON's integer 0) needs the per-line reader
-    if not (re.search(r"^[ \t]+\r?$", text, re.M) or re.search(r"-0(?![.eE0-9])", text)):
+    if _fast_route_expected(text):
         with _json_route_only():
             assert _outcome(io.read_quaternion_lines, path) == want
 
@@ -219,6 +223,62 @@ def test_quaternion_lines_point_cases_match_json_reader(tmp_path, text):
     path = tmp_path / "q.jsonl"
     path.write_bytes(text.encode())
     assert _outcome(io.read_quaternion_lines, path) == _outcome(oracles.json_quaternion_lines, path)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_quaternion_file(), chunk=st.integers(1, 48))
+def test_quaternion_lines_read_in_small_blocks_match_json_reader(tmp_path, text, chunk):
+    # block edges fall inside lines, on CR LF pairs and on blank lines
+    path = tmp_path / "q.jsonl"
+    path.write_bytes(text.encode())
+    want = _outcome(oracles.json_quaternion_lines, path)
+    with mock.patch.object(io, "_CHECK_CHUNK", chunk):
+        assert _outcome(io.read_quaternion_lines, path) == want
+        if _fast_route_expected(text):
+            with _json_route_only():
+                assert _outcome(io.read_quaternion_lines, path) == want
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=_quaternion_file(
+        values=st.sampled_from([4, 4, 4, 3, 5]),
+        numerals=st.one_of(_NUMERALS, _NUMERALS, _NUMERALS, _BAD_NUMERALS),
+    ),
+    chunk=st.integers(1, 48),
+)
+def test_quaternion_lines_read_in_small_blocks_fail_like_json_reader(tmp_path, text, chunk):
+    path = tmp_path / "q.jsonl"
+    path.write_bytes(text.encode())
+    with mock.patch.object(io, "_CHECK_CHUNK", chunk):
+        assert _outcome(io.read_quaternion_lines, path) == _outcome(oracles.json_quaternion_lines, path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 0, 0, 0]\r\n[0, 1, 0, 0]\r\n[0, 0, 1, 0]\r\n",
+        "[1, 0, 0, 0]\n\n\n\n[0, 1, 0, 0]\n\n",
+        "\r\n\r\n[1, 0, 0, 0]\r\n\r\n\r\n[0, 1, 0, 0]",
+        "[1, 0, 0, 0]\n[0, 1, 0, 0]",
+        "\n\n\n",
+        "[1, 0, 0, 0]\n\n[1, 0, 0]\n",
+        "[1, 0, 0, 0]\n  \n[0, 1, 0, 0]\n",
+        "[1, 0, 0, 0]\n[-0, 1, 0, 0]\n",
+        "[1, 0, 0, 0]\n\n[1" + "0" * 400 + ", 0, 0, 0]\n",
+        "[1, 0, 0, 0]\n[1, 0,",
+    ],
+)
+def test_quaternion_lines_match_json_reader_wherever_a_block_ends(tmp_path, text):
+    path = tmp_path / "q.jsonl"
+    path.write_bytes(text.encode())
+    want = _outcome(oracles.json_quaternion_lines, path)
+    for chunk in range(1, len(text) + 2):
+        with mock.patch.object(io, "_CHECK_CHUNK", chunk):
+            assert _outcome(io.read_quaternion_lines, path) == want, chunk
+            if "[" in text and isinstance(want[0], tuple) and _fast_route_expected(text):
+                with _json_route_only():
+                    assert _outcome(io.read_quaternion_lines, path) == want, chunk
 
 
 def test_results_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from plbounds.estimator import (
 from plbounds.geometry import Pose
 from plbounds.gmm import ProtectionLevelQuery
 from plbounds.metrics import AlarmLimits
-from plbounds import pipeline
+from plbounds import io, pipeline
 from plbounds.pipeline import (
     BLOCK_TIMESTEPS,
     VARIANTS,
@@ -390,15 +391,16 @@ def test_tensor_memory_order_does_not_change_results():
         assert a.samples.variances.tobytes() == b.samples.variances.tobytes()
 
 
-def test_default_rotation_uncertainty_branches(tmp_path):
+def test_default_rotation_uncertainty_branches(tmp_path, monkeypatch):
     config = PipelineConfig(q_samples=2000, seed=23)
     silent = SyntheticEstimator(SyntheticEstimatorConfig(sigma_rot=0.0))
     assert np.array_equal(default_rotation_uncertainty(silent, config).q, np.zeros((3, 3, 3, 3)))
 
     noisy = SyntheticEstimator(SyntheticEstimatorConfig(sigma_rot=0.03))
-    got = default_rotation_uncertainty(noisy, config)
     want = precompute_q(noisy.rotation_residual_samples(2000, 23))
-    assert np.array_equal(got.q, want.q)
+    for block in (pipeline.ROTATION_BLOCK, 1, 7, 500, 2000, 5000):  # drawn in blocks, with the bits of one draw
+        monkeypatch.setattr(pipeline, "ROTATION_BLOCK", block)
+        assert default_rotation_uncertainty(noisy, config).q.tobytes() == want.q.tobytes()
 
     raw = RawEstimate(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.ones(3), np.zeros(3))
     path = tmp_path / "est.jsonl"
@@ -406,6 +408,29 @@ def test_default_rotation_uncertainty_branches(tmp_path):
     assert np.array_equal(
         default_rotation_uncertainty(FileEstimator(path), config).q, np.zeros((3, 3, 3, 3))
     )
+
+
+def _traced_peak_mb(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_rotation_tensor_memory_stays_near_its_rows(tmp_path):
+    # 100k samples: the (M, 9) rows of R - I take 7.2 MB.  Building the whole
+    # (M, 3, 3) stack at once peaks at about 17.6 MB from the synthetic draw
+    # and 21.5 MB with a rotation file read first.
+    estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
+    config = PipelineConfig(seed=3)
+    default = default_rotation_uncertainty(estimator, config)
+    assert default.q.tobytes() == precompute_q(estimator.rotation_residual_samples(100_000, 3)).q.tobytes()
+    assert _traced_peak_mb(default_rotation_uncertainty, estimator, config) < 10.0
+    path = tmp_path / "rotations.jsonl"
+    io.write_quaternion_lines(estimator.rotation_residual_samples(100_000, 3), path)
+    assert _traced_peak_mb(lambda: precompute_q(io.read_quaternion_lines(path))) < 13.5
 
 
 # ---------------------------------------------------------------------------

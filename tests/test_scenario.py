@@ -17,6 +17,8 @@ from plbounds.scenario import (
     wall_point_count,
 )
 
+import oracles
+
 SMALL = ScenarioConfig(n_timesteps=4, blocks_x=1, blocks_y=2, wall_density=0.5, ground_density=0.1)
 
 
@@ -138,6 +140,19 @@ def test_vehicle_frame_error_pure_shift():
     err = vehicle_frame_error(truth, shifted)
     assert np.allclose(err, [0.0, -0.7, 0.0], atol=1e-12)
     assert np.allclose(vehicle_frame_error(truth, truth), 0.0, atol=1e-15)
+
+
+def test_stacked_vehicle_frame_errors_have_the_per_pose_bits():
+    rng = np.random.default_rng(12)
+
+    def pose():
+        q = rng.normal(size=4)
+        return Pose(rng.normal(scale=rng.choice([1.0, 100.0, 1e4]), size=3), q / np.linalg.norm(q))
+
+    truths, estimates = [pose() for _ in range(3000)], [pose() for _ in range(3000)]
+    want = np.array([oracles.vehicle_frame_error(t, e) for t, e in zip(truths, estimates)])
+    assert vehicle_frame_error(truths, estimates).tobytes() == want.tobytes()
+    assert vehicle_frame_error(truths[7], estimates[7]).tobytes() == want[7].tobytes()
 
 
 def test_save_load_roundtrip_bin(tmp_path):

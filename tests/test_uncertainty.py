@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from plbounds.errors import CorrectionNotPSD, InsufficientSamples
 from plbounds.estimator import to_vehicle_frame
+from plbounds import uncertainty
 from plbounds.geometry import quat_from_euler_zyx, quat_to_matrix
 from plbounds.uncertainty import (
     MIN_ROTATION_SAMPLES,
@@ -44,6 +47,36 @@ def test_precompute_q_has_the_bits_of_the_4d_einsum(count, scale, seed):
     got = precompute_q(quats, min_samples=1).q
     assert got.flags.c_contiguous
     assert got.tobytes() == oracles.einsum_q_tensor(quat_to_matrix(quats) - np.eye(3)).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    block=st.integers(1, 40),
+    whole_blocks=st.integers(0, 4),
+    past=st.integers(-1, 1),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_blocked_precompute_q_has_the_bits_of_the_4d_einsum(block, whole_blocks, past, seed, data):
+    # sample counts just below, at and just past a whole number of blocks
+    count = max(1, block * whole_blocks + past)
+    quats = oracles.rotvec_quats(np.random.default_rng(seed), count, 0.3)
+    want = oracles.einsum_q_tensor(quat_to_matrix(quats) - np.eye(3)).tobytes()
+    with mock.patch.object(uncertainty, "ROTATION_BLOCK", block):
+        assert precompute_q(quats, min_samples=1).q.tobytes() == want
+    # the same quaternions handed over as blocks of any sizes, empty ones too
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=6)))
+    blocks = iter(np.split(quats, cuts))
+    assert precompute_q(blocks, min_samples=1, count=count).q.tobytes() == want
+
+
+def test_precompute_q_checks_the_stated_block_count():
+    quats = oracles.rotvec_quats(np.random.default_rng(4), 30)
+    for count in (29, 31):
+        with pytest.raises(ValueError):
+            precompute_q(iter(np.split(quats, [10, 20])), min_samples=1, count=count)
+    with pytest.raises(InsufficientSamples):
+        precompute_q(iter([quats]), count=30)
 
 
 def test_precompute_q_rejects_small_samples():
