@@ -207,10 +207,11 @@ class Estimator(Protocol):
     An estimator may also define ``estimate_batch(ctxs, positions,
     orientations, cloud)``: the answers for the candidates 0..N-1 of T
     timesteps in one call, given the T contexts, the (T, N, 3) positions
-    and the (T, N, 4) orientations, as the stacked (T, N, ...)
-    ``(translation_error, rotation_error, sigma, corr)`` fields, each row
-    passed through ``check_estimates``; row (t, i) equals what
-    ``estimate(ctxs[t].for_candidate(i), Pose(positions[t, i],
+    and the (T, N, 4) unit orientations (normalized, as ``Pose`` holds
+    them), as the stacked (T, N, ...) ``(translation_error,
+    rotation_error, sigma, corr)`` fields, each row passed through
+    ``check_estimates``; row (t, i) equals what
+    ``estimate(ctxs[t].for_candidate(i), Pose.checked(positions[t, i],
     orientations[t, i]))`` returns.  A fifth element, if returned, maps the
     (t, i) of each candidate the batch could not answer to the package
     error ``estimate`` would raise for it; such a row holds values that
@@ -270,8 +271,7 @@ class SyntheticEstimator:
     The noise comes from one stream per (seed, timestamp): candidate i gets
     row i of its (N, 6) standard normal draw, the first three values scaled
     by ``sigma_noise`` and the last three by ``sigma_rot``.  A context
-    without a candidate index keys the stream by the pose's bits as well
-    and takes row 0.
+    without a candidate index takes row 0, as candidate 0 does.
     """
 
     def __init__(self, config: SyntheticEstimatorConfig = SyntheticEstimatorConfig()):
@@ -281,12 +281,8 @@ class SyntheticEstimator:
         self._corr = np.asarray(config.corr, dtype=float)
 
     def estimate(self, ctx: MeasurementContext, candidate: Pose, cloud: PointCloud | None = None) -> RawEstimate:
-        index = ctx.candidate_index
-        if index is None:  # no index to pick a row by: key the stream by the pose instead
-            pose_key = tuple(_float_key(v) for v in (*candidate.position, *candidate.orientation))
-            noise = self._noise(ctx, 1, pose_key)
-        else:
-            noise = self._noise(ctx, index + 1)[index:]
+        index = ctx.candidate_index or 0
+        noise = self._noise(ctx, index + 1)[index:]
         position, orientation = candidate.position[None, None], candidate.orientation[None, None]
         fields = self._errors([ctx], position, orientation, noise[None])
         return RawEstimate(*(field[0, 0] for field in fields))
@@ -302,14 +298,13 @@ class SyntheticEstimator:
         ``Estimator``)."""
         rows = positions.shape[:2]
         noise = np.array([self._noise(ctx, rows[1]) for ctx in ctxs]).reshape(rows + (6,))
-        orientations = quat_normalize(orientations)  # as ``Pose`` does
         return check_estimates(*self._errors(ctxs, positions, orientations, noise), rows)
 
-    def _noise(self, ctx: MeasurementContext, count: int, pose_key: tuple[int, ...] = ()) -> np.ndarray:
+    def _noise(self, ctx: MeasurementContext, count: int) -> np.ndarray:
         """The first ``count`` rows of the (seed, timestamp) stream's (M, 6)
         standard normal draw, one row per candidate index.  numpy fills the
         draw in order, so a row does not depend on how many follow it."""
-        key = [self.config.seed, _float_key(ctx.timestamp), *pose_key]
+        key = [self.config.seed, _float_key(ctx.timestamp)]
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key))).standard_normal((count, 6))
 
     def _errors(self, ctxs: list[MeasurementContext], positions, orientations, noise: np.ndarray) -> tuple:

@@ -2,8 +2,8 @@
 
 Four pipeline variants are supported:
 
-* ``VAR``: one estimator call at the state estimate; per-axis Gaussians
-  from the reported error and variance.
+* ``VAR``: the state estimate as the one candidate, with weight 1;
+  per-axis Gaussians from the reported error and variance.
 * ``VAR_E``: candidate states sampled around the estimate, every sample
   weighted equally in the mixture.
 * ``VAR_EO``: candidate sampling plus robust outlier weighting.
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PlboundsError, TimestepFailure
-from .estimator import RECORD_FIELDS, Estimator, MeasurementContext, SyntheticEstimator, to_vehicle_frame
-from .geometry import PointCloud, Pose, quat_to_matrix
+from .estimator import Estimator, MeasurementContext, SyntheticEstimator, to_vehicle_frame
+from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
 from .gmm import (
     MixtureStack,
     ProtectionLevelQuery,
@@ -39,6 +39,7 @@ from .metrics import (
 from .sampling import SamplingConfig, apply_offset, sample_candidates
 from .scenario import Scenario, vehicle_frame_error
 from .uncertainty import (
+    MIN_ROTATION_SAMPLES,
     ROTATION_BLOCK,
     ErrorSampleSet,
     RotationUncertainty,
@@ -77,6 +78,8 @@ class PipelineConfig:
             raise ValueError("min_candidates must be at least 2")
         if self.diagram_bins < 1:
             raise ValueError("diagram_bins must be at least 1")
+        if self.q_samples < MIN_ROTATION_SAMPLES:
+            raise ValueError(f"q_samples (rotation_uncertainty.n_samples) must be at least {MIN_ROTATION_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -123,36 +126,30 @@ def run_block(
     stage run once on the stacked candidates of all of them.
 
     ``offsets`` holds the (T, N, 3) translations and (T, N, 4) rotations of
-    the candidates from ``sample_candidates`` (``VAR`` has none).  An
-    estimator with ``estimate_batch`` is called once for all candidates,
+    the candidates from ``sample_candidates``; the candidate orientations
+    are normalized once, and the estimator sees them unit.  ``VAR`` has no
+    offsets: its one candidate is the estimate itself, at a zero offset.
+    An estimator with ``estimate_batch`` is called once for all candidates,
     any other once per candidate.  Candidates whose estimator call raises a
     package error (every candidate, when the batch call raises), whose row
     the batch reports failed, or whose covariance is indefinite, are
     excluded with a diagnostic; fewer than ``min_candidates`` survivors
-    abort the timestep, and any error aborts the block.  Every stage works
+    abort the timestep (under ``VAR`` the error that excludes the estimate
+    is raised as it is), and any error aborts the block.  Every stage works
     row by row, so a timestep's result does not depend on the other
     timesteps of the block, nor on candidate evaluation order.
     """
-    if config.variant == "VAR":
-        raws = [estimator.estimate(ctx.for_candidate(0), pose, cloud) for ctx, pose in zip(ctxs, estimate_poses)]
-        fields = [np.array([getattr(raw, name) for raw in raws]) for name in RECORD_FIELDS]
-        errors, covs, failed = to_vehicle_frame(quat_to_matrix(fields[1]), fields[0], *fields[2:])
-        if failed:
-            raise failed[min(failed)]
-        variances = np.diagonal(covs, axis1=1, axis2=2).copy()
-        weights = np.ones((len(raws), 1, 3))
-        samples = [ErrorSampleSet(errors[t : t + 1], variances[t : t + 1], weights[t]) for t in range(len(raws))]
-        pls = protection_levels_all(errors[:, None], variances[:, None], weights, config.query)
-        return [TimestepResult(ctx.timestamp, pl, 1, 0, s) for ctx, pl, s in zip(ctxs, pls, samples)]
-
-    translations, rotations = offsets
+    positions = np.array([pose.position for pose in estimate_poses])[:, None]
+    orientations = np.array([pose.orientation for pose in estimate_poses])[:, None]
+    if config.variant == "VAR":  # the one-candidate block: each estimate itself, at a zero offset
+        translations = np.zeros((len(ctxs), 1, 3))
+    else:
+        translations, rotations = offsets
+        positions, orientations = apply_offset(positions, orientations, translations, rotations)
+        orientations = quat_normalize(orientations)  # unit, as ``Pose`` holds them
     steps, n = translations.shape[:2]
-    positions, orientations = apply_offset(
-        np.array([pose.position for pose in estimate_poses])[:, None],
-        np.array([pose.orientation for pose in estimate_poses])[:, None],
-        translations,
-        rotations,
-    )
+    for a in (positions, orientations):  # as ``Pose.checked`` takes them
+        a.setflags(write=False)
     # a candidate whose estimator call fails keeps these neutral values,
     # which pass every check below, and is dropped at the end
     raw_error, raw_rotation = np.zeros((steps, n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (steps, n, 1))
@@ -171,7 +168,7 @@ def run_block(
         for t, ctx in enumerate(ctxs):
             for i in range(n):
                 try:
-                    candidate = Pose(positions[t, i], orientations[t, i])
+                    candidate = Pose.checked(positions[t, i], orientations[t, i])
                     raw = estimator.estimate(ctx.for_candidate(i), candidate, cloud)
                 except PlboundsError as exc:
                     failed[t, i] = exc
@@ -194,7 +191,10 @@ def run_block(
     keep = []
     for ctx, step_failed in zip(ctxs, excluded):
         kept = np.setdiff1d(np.arange(n), list(step_failed)) if step_failed else np.arange(n)
-        if len(kept) < config.min_candidates:
+        if config.variant == "VAR":
+            if step_failed:  # the estimate is the only candidate: its error is the timestep's
+                raise step_failed[0]
+        elif len(kept) < config.min_candidates:
             diagnostics = "; ".join(f"candidate {i} excluded: {step_failed[i]}" for i in sorted(step_failed))
             raise TimestepFailure(
                 f"{len(kept)} usable candidates at t={ctx.timestamp} "
@@ -210,7 +210,7 @@ def run_block(
         picked = np.array([t * n + keep[t] for t in group])
         group_means = means[picked]
         group_variances = np.diagonal(covs[picked], axis1=2, axis2=3).copy()
-        if config.variant == "VAR_E":
+        if config.variant in ("VAR", "VAR_E"):
             group_weights = np.full(group_means.shape, 1.0 / count)
         else:
             group_weights = outlier_weights(group_means)

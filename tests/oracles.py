@@ -308,3 +308,31 @@ def candidate_sample(translation_error, rotation_error, sigma, corr, offset, rot
     if np.linalg.eigvalsh(total).min() <= 0.0:
         return None
     return -rotate(conj, translation_error) - u, total
+
+
+# ---------------------------------------------------------------------------
+# the VAR bound as its own branch
+
+
+def var_block(estimator, ctxs, estimate_poses, cloud, query):
+    """``VAR``'s results for T timesteps the way the package bounded ``VAR``
+    before it became the one-candidate block: per timestep one ``estimate``
+    call at the estimate pose, then ``to_vehicle_frame`` with no offset
+    correction, then ``protection_levels_all`` with weight 1.  An estimator
+    error is raised as it is, then the first indefinite covariance's."""
+    from plbounds.estimator import RECORD_FIELDS, to_vehicle_frame
+    from plbounds.geometry import quat_to_matrix
+    from plbounds.gmm import protection_levels_all
+    from plbounds.pipeline import TimestepResult
+    from plbounds.uncertainty import ErrorSampleSet
+
+    raws = [estimator.estimate(ctx.for_candidate(0), pose, cloud) for ctx, pose in zip(ctxs, estimate_poses)]
+    fields = [np.array([getattr(raw, name) for raw in raws]) for name in RECORD_FIELDS]
+    errors, covs, failed = to_vehicle_frame(quat_to_matrix(fields[1]), fields[0], *fields[2:])
+    if failed:
+        raise failed[min(failed)]
+    variances = np.diagonal(covs, axis1=1, axis2=2).copy()
+    weights = np.ones((len(raws), 1, 3))
+    samples = [ErrorSampleSet(errors[t : t + 1], variances[t : t + 1], weights[t]) for t in range(len(raws))]
+    pls = protection_levels_all(errors[:, None], variances[:, None], weights, query)
+    return [TimestepResult(ctx.timestamp, pl, 1, 0, s) for ctx, pl, s in zip(ctxs, pls, samples)]

@@ -130,6 +130,8 @@ def test_load_config_rejections(tmp_path):
         {"sampling": {"r_max": 0.1}},
         {"scenario": {"estimate_offset_rotation": 0.1}},
         {"rotation_uncertainty": {"q_samples": 5}},
+        {"rotation_uncertainty": {"n_samples": -5}},
+        {"rotation_uncertainty": {"n_samples": 999}},
         {"pipeline": {"seed": 1}},
         {"sampling": {"include_estimate": 1}},
         {"estimator": {"corr": [0.0, 0.0]}},
@@ -139,6 +141,9 @@ def test_load_config_rejections(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_config(path)
+    fewest = tmp_path / "fewest.json"
+    fewest.write_text(json.dumps({"rotation_uncertainty": {"n_samples": 1000}}))
+    assert load_config(fewest).q_samples == 1000
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{broken")
     with pytest.raises(ConfigError):
@@ -372,6 +377,29 @@ def test_pipeline_failure_exits_4(scenario_dir, tmp_path):
     assert main(["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(out)]) == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "incomplete"
+
+
+def test_var_estimate_errors_exit_4(scenario_dir, tmp_path, capsys):
+    # VAR bounds the estimate alone: the first timestep whose record is
+    # missing or indefinite fails the run with that record's error
+    record = {"candidate_index": 0, "translation_error": [0.1, 0.0, 0.0], "rotation_error": [1.0, 0.0, 0.0, 0.0],
+              "sigma": [0.1, 0.1, 0.1], "corr": [0.0, 0.0, 0.0]}
+    cases = (
+        (None, "no estimate recorded for ('t000002', 0)"),
+        ({"corr": [0.9, -0.9, 0.9]}, "correlations [0.9, -0.9, 0.9] give an indefinite covariance"),
+    )
+    for k, (third, message) in enumerate(cases):
+        rows = [{**record, "payload_key": f"t{t:06d}"} for t in range(5)]
+        rows[2:3] = [{**rows[2], **third}] if third else []
+        table = tmp_path / f"estimates{k}.jsonl"
+        table.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        cfg = {**RUN_CONFIG, "variant": "VAR", "estimator": {"kind": "file", "path": str(table)}}
+        path = tmp_path / f"var_config{k}.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        argv = ["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(tmp_path / f"run{k}")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"pipeline failure: {message}\n"
 
 
 def test_version_and_bad_subcommand(capsys):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 import pytest
 
-from plbounds.errors import InfeasibleContext, MissingRecord, TimestepFailure
+from plbounds.errors import InfeasibleContext, MissingRecord, NotPositiveDefinite, TimestepFailure
 from plbounds.estimator import (
     RECORD_FIELDS,
     FileEstimator,
@@ -16,7 +16,7 @@ from plbounds.estimator import (
     SyntheticEstimatorConfig,
     write_estimate_records,
 )
-from plbounds.geometry import Pose
+from plbounds.geometry import Pose, quat_normalize
 from plbounds.gmm import ProtectionLevelQuery
 from plbounds.metrics import AlarmLimits
 from plbounds import io, pipeline
@@ -225,6 +225,13 @@ def test_failing_batch_excludes_every_candidate_like_the_loop():
         assert messages[0].count("excluded: synthetic estimator needs the true pose") == 24
 
 
+def _unit_candidates(pose, translations, rotations):
+    """The positions and unit orientations of a timestep's candidates, as
+    ``run_block`` hands them to ``estimate_batch``."""
+    positions, orientations = apply_offset(pose.position, pose.orientation, translations, rotations)
+    return positions, quat_normalize(orientations)
+
+
 def _recorded_table(path, seed=8):
     """Write what a synthetic estimator with correlations answers for every
     candidate of ``_timesteps(seed)``, less candidates 5 and 17 of timestep
@@ -232,7 +239,7 @@ def _recorded_table(path, seed=8):
     est = SyntheticEstimator(SyntheticEstimatorConfig(seed=seed, sigma_rot=0.02, corr=(0.3, 0.1, -0.2)))
     records = []
     for step, (ctx, pose, (translations, rotations)) in enumerate(_timesteps(seed)):
-        positions, orientations = apply_offset(pose.position, pose.orientation, translations, rotations)
+        positions, orientations = _unit_candidates(pose, translations, rotations)
         answers = est.estimate_batch([ctx], positions[None], orientations[None])
         for i, raw in enumerate(zip(*(a[0] for a in answers))):
             if step == 3 and i in (5, 17):
@@ -257,7 +264,7 @@ def test_file_estimator_batch_rows_are_its_single_answers(tmp_path):
     est, _ = _recorded_table(tmp_path / "est.jsonl")
     missing = 0
     for ctx, pose, (translations, rotations) in _timesteps(8):
-        positions, orientations = apply_offset(pose.position, pose.orientation, translations, rotations)
+        positions, orientations = _unit_candidates(pose, translations, rotations)
         *stacks, failed = est.estimate_batch([ctx], positions[None], orientations[None])
         stacks = [stack[0] for stack in stacks]
         for i in range(len(positions)):
@@ -276,7 +283,7 @@ def test_file_estimator_batch_rows_are_its_single_answers(tmp_path):
 def test_file_estimator_batch_over_many_contexts(tmp_path):
     est, _ = _recorded_table(tmp_path / "est.jsonl")
     timesteps = list(_timesteps(8))
-    stacks = [apply_offset(pose.position, pose.orientation, *offsets) for _, pose, offsets in timesteps]
+    stacks = [_unit_candidates(pose, *offsets) for _, pose, offsets in timesteps]
     ctxs = [ctx for ctx, _, _ in timesteps]
     *fields, failed = est.estimate_batch(ctxs, *(np.array(a) for a in zip(*stacks)))
     assert sorted(failed) == [(3, 5), (3, 17)]
@@ -554,7 +561,7 @@ def test_first_failing_timestep_in_order_is_reported(tmp_path):
     est = SyntheticEstimator(SyntheticEstimatorConfig(seed=2))
     records = []
     for ctx, pose, (translations, rotations) in _timesteps(2):
-        positions, orientations = apply_offset(pose.position, pose.orientation, translations, rotations)
+        positions, orientations = _unit_candidates(pose, translations, rotations)
         answers = est.estimate_batch([ctx], positions[None], orientations[None])
         for i, raw in enumerate(zip(*(a[0] for a in answers))):
             if i == 0 or ctx.payload_key not in ("t000004", "t000006"):
@@ -568,3 +575,74 @@ def test_first_failing_timestep_in_order_is_reported(tmp_path):
         "1 usable candidates at t=4.0 (minimum 2); candidate 1 excluded: no estimate recorded for ('t000004', 1); "
     )
     assert str(failure.value).count("excluded") == 23
+
+
+# ---------------------------------------------------------------------------
+# VAR, the one-candidate block
+
+
+def _var_table(path, scenario, estimator, missing=(), indefinite=()):
+    """Write what ``estimator`` answers for candidate 0 of every scenario
+    timestep, less the timesteps ``missing`` and with an indefinite
+    correlation at the timesteps ``indefinite``; returns the table."""
+    records = []
+    for ts in scenario.timesteps:
+        if ts.index in missing:
+            continue
+        raw = estimator.estimate(MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose, 0), ts.estimate_pose)
+        if ts.index in indefinite:
+            raw = replace(raw, corr=np.array([0.9, -0.9, 0.9]))
+        records.append((ts.payload_key, 0, raw))
+    write_estimate_records(records, path)
+    return FileEstimator(path)
+
+
+def test_var_results_are_its_one_estimate_call_bit_for_bit(tmp_path):
+    # every field of every result, against the branch VAR had before it
+    # became the one-candidate block; the estimate's orientation must reach
+    # the estimator normalized once, as the scenario's pose holds it
+    scenario_config = replace(SCENARIO_CONFIG, n_timesteps=2000, estimate_offset_rotation=math.radians(10.0))
+    scenario = _scenario(seed=12, config=scenario_config)
+    orientations = np.array([ts.estimate_pose.orientation for ts in scenario.timesteps])
+    assert (quat_normalize(orientations) != orientations).any()  # a second normalization would show
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=12, sigma_rot=0.02, corr=(0.3, 0.1, -0.2)))
+    table = _var_table(tmp_path / "est.jsonl", scenario, synthetic)
+    rotation = precompute_q(synthetic.rotation_residual_samples(2000, 12))
+    config = PipelineConfig(variant="VAR", seed=12)
+    ctxs = [MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose) for ts in scenario.timesteps]
+    poses = [ts.estimate_pose for ts in scenario.timesteps]
+    for estimator in (synthetic, OneAtATime(synthetic), table):
+        got = run_sequence(estimator, scenario, config, rotation)
+        want = oracles.var_block(estimator, ctxs, poses, scenario.cloud, config.query)
+        for result, expected, ts in zip(got.results, want, scenario.timesteps, strict=True):
+            _same_result(result, replace(expected, index=ts.index))
+
+
+def test_var_raises_the_error_of_its_one_candidate(tmp_path):
+    # an error that would exclude a sampled candidate is VAR's own error,
+    # not a TimestepFailure; the first failing timestep in order raises it
+    scenario = _scenario(seed=12)
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=12, corr=(0.3, 0.1, -0.2)))
+    config = PipelineConfig(variant="VAR", seed=12)
+    cases = (
+        ({3, 6}, (), 3, MissingRecord, "no estimate recorded for ('t000003', 0)"),
+        ((), {5}, 5, NotPositiveDefinite, "correlations [0.9, -0.9, 0.9] give an indefinite covariance"),
+        ({6}, {5}, 5, NotPositiveDefinite, "correlations [0.9, -0.9, 0.9] give an indefinite covariance"),
+    )
+    for k, (missing, indefinite, first, error, message) in enumerate(cases):
+        table = _var_table(tmp_path / f"est{k}.jsonl", scenario, synthetic, missing, indefinite)
+        with pytest.raises(error) as raised:
+            run_sequence(table, scenario, config, RotationUncertainty.zero())
+        assert type(raised.value) is error and str(raised.value) == message
+        ts = scenario.timesteps[first]
+        ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose)
+        with pytest.raises(error) as alone:
+            oracles.var_block(table, [ctx], [ts.estimate_pose], None, config.query)
+        assert str(alone.value) == message
+    no_truth, pose = MeasurementContext(1.0, "t000001"), scenario.timesteps[1].estimate_pose
+    message = "^synthetic estimator needs the true pose in the context$"
+    for estimator in (synthetic, OneAtATime(synthetic)):
+        with pytest.raises(InfeasibleContext, match=message):
+            run_timestep(estimator, no_truth, pose, None, None, RotationUncertainty.zero(), config)
+        with pytest.raises(InfeasibleContext, match=message):
+            oracles.var_block(estimator, [no_truth], [pose], None, config.query)

@@ -11,8 +11,10 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from plbounds.estimator import SyntheticEstimator, SyntheticEstimatorConfig
-from plbounds.pipeline import PipelineConfig, run_sequence
+from plbounds.pipeline import VARIANTS, PipelineConfig, run_sequence
 from plbounds.sampling import SamplingConfig
 from plbounds.scenario import ScenarioConfig, generate_scenario
 
@@ -35,11 +37,12 @@ def test_every_entry_point_the_tracer_wraps_resolves():
     assert tracer.missing == set()
 
 
-def test_a_traced_run_reports_every_declared_layer_metric_finite():
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_traced_run_reports_every_declared_layer_metric_finite(variant):
     tracing = _tracing()
     tracer = tracing.Tracer()
     scenario = generate_scenario(ScenarioConfig(n_timesteps=3, blocks_x=1, blocks_y=1, wall_density=0.2), 5)
-    config = PipelineConfig(variant="VAR_EO", sampling=SamplingConfig(n_candidates=6), seed=5, q_samples=1000)
+    config = PipelineConfig(variant=variant, sampling=SamplingConfig(n_candidates=6), seed=5, q_samples=1000)
     estimator = tracer.estimator(SyntheticEstimator(SyntheticEstimatorConfig(seed=5)))
     with tracer.installed():
         tracer.call("pipeline.run_sequence", run_sequence, estimator, scenario, config)
