@@ -54,8 +54,8 @@ from .estimator import (
 )
 from .sampling import SamplingConfig, apply_offset, sample_candidates
 from .uncertainty import (
+    EXCLUDED_AXES,
     DirectionalErrors,
-    ErrorSampleSet,
     RotationUncertainty,
     outlier_weights,
     precompute_q,
@@ -75,14 +75,12 @@ from .gmm import (
 from .metrics import (
     AlarmLimits,
     IntegrityDiagram,
-    IntegrityRecord,
     IntegrityReport,
     PerDirection,
     bound_gap,
     failure_rate,
     false_alarm_rate,
     integrity_diagram,
-    records_from_table,
     summarize,
 )
 from .scenario import (
@@ -97,9 +95,9 @@ from .scenario import (
 )
 from .pipeline import (
     VARIANTS,
+    BlockResult,
     PipelineConfig,
     SequenceResult,
-    TimestepResult,
     run_block,
     run_sequence,
     run_timestep,
@@ -152,7 +150,7 @@ __all__ = [
     # uncertainty
     "RotationUncertainty",
     "precompute_q",
-    "ErrorSampleSet",
+    "EXCLUDED_AXES",
     "transform_error",
     "outlier_weights",
     "DirectionalErrors",
@@ -169,7 +167,6 @@ __all__ = [
     # metrics
     "AlarmLimits",
     "PerDirection",
-    "IntegrityRecord",
     "IntegrityReport",
     "IntegrityDiagram",
     "bound_gap",
@@ -177,7 +174,6 @@ __all__ = [
     "false_alarm_rate",
     "summarize",
     "integrity_diagram",
-    "records_from_table",
     # scenario
     "ScenarioConfig",
     "Timestep",
@@ -190,7 +186,7 @@ __all__ = [
     # pipeline
     "VARIANTS",
     "PipelineConfig",
-    "TimestepResult",
+    "BlockResult",
     "SequenceResult",
     "run_block",
     "run_timestep",

@@ -39,7 +39,7 @@ from .estimator import (
 )
 from .geometry import quat_conjugate, quat_multiply, quat_normalize, quat_angular_offset
 from .gmm import ProtectionLevelQuery
-from .metrics import AlarmLimits, integrity_diagram, records_from_table, summarize
+from .metrics import AlarmLimits, integrity_diagram, summarize
 from .pipeline import VARIANTS, PipelineConfig, run_sequence
 from .sampling import SamplingConfig
 from .scenario import ScenarioConfig, generate_scenario, load_scenario, save_scenario
@@ -330,7 +330,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest.finish(["results.csv", "report.json", "diagram.json"])
     fr = sequence.report.failure_rate
     print(
-        f"{len(sequence.results)} timesteps, variant {settings.variant}; "
+        f"{sequence.report.n_records} timesteps, variant {settings.variant}; "
         f"failure rate lat/lon/vert = {fr.lateral:.4f}/{fr.longitudinal:.4f}/{fr.vertical:.4f}"
     )
     return 0
@@ -338,11 +338,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     settings = _apply_overrides(load_config(args.config), args)
-    records = records_from_table(io.read_results_csv(args.results))
+    table = io.read_results_csv(args.results)
     out = _resolve_out(args)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out, "metrics", {"results": str(args.results)})
-    report = summarize(records, settings.limits)
+    report = summarize(table[:, 1:4], table[:, 4:7], settings.limits)
     io.write_json(report.to_dict(), out / "report.json")
     manifest.finish(["report.json"])
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -351,11 +351,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_diagram(args: argparse.Namespace) -> int:
     settings = _apply_overrides(load_config(args.config), args)
-    records = records_from_table(io.read_results_csv(args.results))
+    table = io.read_results_csv(args.results)
     out = _resolve_out(args)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out, "diagram", {"results": str(args.results)})
-    diagram = integrity_diagram(records, settings.limits, settings.diagram_bins)
+    diagram = integrity_diagram(table[:, 1:4], table[:, 4:7], settings.limits, settings.diagram_bins)
     io.write_json(diagram.to_dict(), out / "diagram.json")
     manifest.finish(["diagram.json"])
     print(f"wrote integrity diagram for {diagram.n_records} records to {out / 'diagram.json'}")

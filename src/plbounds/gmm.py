@@ -29,7 +29,10 @@ def std_normal_cdf(z):
     """
     from scipy.special import erf  # here, so that commands that never solve do not load SciPy
 
-    return 0.5 * (1.0 + erf(np.asarray(z, dtype=float) / _SQRT2))
+    cdf = erf(np.asarray(z, dtype=float) / _SQRT2)
+    cdf += 1.0  # in place: the sum and product of 0.5 * (1 + erf), without their temporaries
+    cdf *= 0.5
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,12 @@ def _brackets(
 
     def cdf(x: np.ndarray) -> np.ndarray:
         # a stacked (1, N) @ (N, 1) per row keeps the bits of a lone row's
-        # dot product, which einsum and sum(axis=1) do not
-        return (std_normal_cdf((x[:, None] - means) / sigmas)[:, None, :] @ weights[:, :, None])[:, 0, 0]
+        # dot product, which einsum and sum(axis=1) do not.  Operand layout is
+        # part of the bits: numpy picks the BLAS kernel, and with it the order
+        # of the sum, from the strides, so these operands stay C-contiguous
+        z = x[:, None] - means
+        z /= sigmas
+        return (std_normal_cdf(z)[:, None, :] @ weights[:, :, None])[:, 0, 0]
 
     lo = np.min(means - 10.0 * sigmas, axis=1)
     hi = np.max(means + 10.0 * sigmas, axis=1)
@@ -236,9 +243,9 @@ def protection_levels_all(
     variances: np.ndarray,
     weights: np.ndarray,
     query: ProtectionLevelQuery = ProtectionLevelQuery(),
-) -> ProtectionLevels | list[ProtectionLevels]:
-    """Per-axis protection levels from (N, 3) mixture ingredients, or a list
-    of them, one per timestep, from (T, N, 3) stacks.
+) -> ProtectionLevels | np.ndarray:
+    """Per-axis protection levels from (N, 3) mixture ingredients, or the
+    (T, 3) array of them, one row per timestep, from (T, N, 3) stacks.
 
     Columns are the lateral, longitudinal and vertical sample sets; each
     column forms its own mixture, and all of them are solved in one
@@ -250,7 +257,5 @@ def protection_levels_all(
     if not (means.shape == variances.shape == weights.shape) or means.ndim not in (2, 3) or means.shape[-1] != 3:
         raise LengthMismatch("per-axis inputs must share shape (N, 3) or (T, N, 3)")
     columns = MixtureStack(*(np.swapaxes(a, -1, -2) for a in (means, variances, weights)))
-    bounds = _bounds(columns, query).tolist()
-    if means.ndim == 2:
-        return ProtectionLevels(*bounds)
-    return [ProtectionLevels(*row) for row in bounds]
+    bounds = _bounds(columns, query)
+    return ProtectionLevels(*bounds.tolist()) if means.ndim == 2 else bounds

@@ -224,16 +224,18 @@ def _plain_lines(chunk: np.ndarray) -> bool:
 
 
 def write_results_csv(rows, path: Path | str) -> None:
-    """Per-timestep table: t, pl_lat, pl_lon, pl_vert, err_x, err_y, err_z."""
+    """Per-timestep table, the (T, 7) rows t, pl_lat, pl_lon, pl_vert,
+    err_x, err_y, err_z, each value written as the ``repr`` of its float."""
+    table = np.asarray(rows, dtype=float)
+    if table.size and (table.ndim != 2 or table.shape[1] != len(RESULT_COLUMNS)):
+        raise ValueError(f"result row must have {len(RESULT_COLUMNS)} fields")
     with open(path, "w") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in rows:
-            if len(row) != len(RESULT_COLUMNS):
-                raise ValueError(f"result row must have {len(RESULT_COLUMNS)} fields")
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
 def read_results_csv(path: Path | str) -> np.ndarray:
+    """The (T, 7) table ``write_results_csv`` wrote."""
     with open(path) as fh:
         header = fh.readline().strip()
         if tuple(header.split(",")) != RESULT_COLUMNS:
@@ -241,5 +243,7 @@ def read_results_csv(path: Path | str) -> np.ndarray:
         body = fh.read().strip()
     if not body:
         return np.empty((0, len(RESULT_COLUMNS)))
-    rows = [[float(v) for v in line.split(",")] for line in body.splitlines()]
-    return np.asarray(rows, dtype=float)
+    table = np.asarray([[float(v) for v in line.split(",")] for line in body.splitlines()], dtype=float)
+    if table.shape[1] != len(RESULT_COLUMNS):
+        raise ValueError(f"{path}: expected {len(RESULT_COLUMNS)} fields per row")
+    return table

@@ -15,7 +15,6 @@ from typing import Generic, TypeVar
 import numpy as np
 
 from .errors import NoNominalRecords
-from .gmm import ProtectionLevels
 
 T = TypeVar("T")
 
@@ -51,69 +50,61 @@ class AlarmLimits:
         return getattr(self, direction)
 
 
-@dataclass(frozen=True)
-class IntegrityRecord:
-    """One timestep's protection levels and true vehicle-frame error."""
-
-    pl: ProtectionLevels
-    error: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.error, dtype=float)
-        if e.shape != (3,) or not np.all(np.isfinite(e)):
-            raise ValueError("error must be a finite 3-vector")
-        object.__setattr__(self, "error", e)
-
-
-def _columns(records: list[IntegrityRecord]) -> tuple[np.ndarray, np.ndarray]:
-    pls = np.array([r.pl.as_array() for r in records])
-    errs = np.abs(np.array([r.error for r in records]))
-    return pls, errs
+def _magnitudes(pl: np.ndarray, error: np.ndarray, allow_empty: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 3) protection levels and true-error magnitudes of T records,
+    checked: every bound finite and non-negative, every error finite, and
+    at least one record unless ``allow_empty``."""
+    pl, error = np.asarray(pl, dtype=float), np.asarray(error, dtype=float)
+    if pl.ndim != 2 or pl.shape[1] != 3 or error.shape != pl.shape:
+        raise ValueError(f"expected (T, 3) protection levels and errors, got shapes {pl.shape} and {error.shape}")
+    if not (np.isfinite(pl) & (pl >= 0.0)).all():
+        raise ValueError("protection levels must be finite and non-negative")
+    if not np.isfinite(error).all():
+        raise ValueError("errors must be finite")
+    if not (allow_empty or len(pl)):
+        raise ValueError("need at least one record")
+    return pl, np.abs(error)
 
 
-def records_from_table(rows: np.ndarray) -> list[IntegrityRecord]:
-    """Rebuild integrity records from a results table with columns
-    (t, pl_lat, pl_lon, pl_vert, err_x, err_y, err_z)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 7:
-        raise ValueError(f"expected a (N, 7) results table, got shape {rows.shape}")
-    return [
-        IntegrityRecord(ProtectionLevels(row[1], row[2], row[3]), row[4:7]) for row in rows
-    ]
+def _limits(limits: AlarmLimits) -> np.ndarray:
+    return np.array([limits.lateral, limits.longitudinal, limits.vertical])
 
 
-def bound_gap(
-    records: list[IntegrityRecord], limits: AlarmLimits, require_nominal: bool = False
-) -> PerDirection:
-    """Mean slack of the bound, ``pl - |err|``, over nominal records.
+def bound_gap(pl: np.ndarray, error: np.ndarray, limits: AlarmLimits, require_nominal: bool = False) -> PerDirection:
+    """Mean slack of the bound, ``pl - |err|``, over nominal records; ``pl``
+    and ``error`` are the (T, 3) bounds and true errors of T records.
 
     A direction with no nominal record yields None, or raises
     NoNominalRecords when ``require_nominal`` is set.
     """
-    if not records:
-        raise ValueError("need at least one record")
-    pls, errs = _columns(records)
+    return _bound_gap(*_magnitudes(pl, error), limits, require_nominal)
+
+
+def _bound_gap(pl: np.ndarray, err: np.ndarray, limits: AlarmLimits, require_nominal: bool = False) -> PerDirection:
+    nominal = ((err <= pl) & (pl <= _limits(limits))).T
+    gaps = (pl - err).T
     values = []
-    for d, name in enumerate(DIRECTIONS):
-        nominal = (errs[:, d] <= pls[:, d]) & (pls[:, d] <= limits.get(name))
-        if not np.any(nominal):
+    for name, mask, gap in zip(DIRECTIONS, nominal, gaps):
+        if not mask.any():
             if require_nominal:
                 raise NoNominalRecords(f"no nominal record in the {name} direction")
             values.append(None)
-        else:
-            values.append(float(np.mean(pls[nominal, d] - errs[nominal, d])))
+        else:  # np.mean's sum and division, of one axis's 1-D nominal subset at a time
+            subset = gap[mask]
+            values.append(float(np.add.reduce(subset) / len(subset)))
     return PerDirection(*values)
 
 
-def failure_rate(records: list[IntegrityRecord]) -> PerDirection:
+def failure_rate(pl: np.ndarray, error: np.ndarray) -> PerDirection:
     """Fraction of records whose bound fell below the true error magnitude."""
-    if not records:
-        raise ValueError("need at least one record")
-    pls, errs = _columns(records)
-    return PerDirection(*(float(np.mean(pls[:, d] < errs[:, d])) for d in range(3)))
+    return _failure_rate(*_magnitudes(pl, error))
 
 
-def false_alarm_rate(records: list[IntegrityRecord], limits: AlarmLimits) -> tuple[PerDirection, PerDirection]:
+def _failure_rate(pl: np.ndarray, err: np.ndarray) -> PerDirection:
+    return PerDirection(*(np.count_nonzero(pl < err, axis=0) / len(pl)).tolist())
+
+
+def false_alarm_rate(pl: np.ndarray, error: np.ndarray, limits: AlarmLimits) -> tuple[PerDirection, PerDirection]:
     """Population-weighted false-alarm rate per direction, plus degeneracy flags.
 
     With T records, N_PE position errors, N_FA false alarms (alarm raised,
@@ -121,26 +112,18 @@ def false_alarm_rate(records: list[IntegrityRecord], limits: AlarmLimits) -> tup
     ``N_FA (T - N_PE) / (N_FA (T - N_PE) + N_TA N_PE)``.  A zero denominator
     yields 0 with the direction's flag set.
     """
-    if not records:
-        raise ValueError("need at least one record")
-    pls, errs = _columns(records)
-    total = len(records)
+    return _false_alarm_rate(*_magnitudes(pl, error), limits)
+
+
+def _false_alarm_rate(pl: np.ndarray, err: np.ndarray, limits: AlarmLimits) -> tuple[PerDirection, PerDirection]:
+    alarm, position_error = pl > _limits(limits), err > _limits(limits)
+    counts = np.count_nonzero([position_error, alarm & ~position_error, alarm & position_error], axis=1)
     values, flags = [], []
-    for d, name in enumerate(DIRECTIONS):
-        limit = limits.get(name)
-        alarm = pls[:, d] > limit
-        position_error = errs[:, d] > limit
-        n_pe = int(np.count_nonzero(position_error))
-        n_fa = int(np.count_nonzero(alarm & ~position_error))
-        n_ta = int(np.count_nonzero(alarm & position_error))
-        numerator = n_fa * (total - n_pe)
+    for n_pe, n_fa, n_ta in zip(*counts.tolist()):
+        numerator = n_fa * (len(pl) - n_pe)
         denominator = numerator + n_ta * n_pe
-        if denominator == 0:
-            values.append(0.0)
-            flags.append(True)
-        else:
-            values.append(numerator / denominator)
-            flags.append(False)
+        values.append(numerator / denominator if denominator else 0.0)
+        flags.append(denominator == 0)
     return PerDirection(*values), PerDirection(*flags)
 
 
@@ -167,22 +150,24 @@ class IntegrityReport:
         }
 
 
-def summarize(records: list[IntegrityRecord], limits: AlarmLimits) -> IntegrityReport:
-    """All scalar integrity metrics in one report.
+def summarize(pl: np.ndarray, error: np.ndarray, limits: AlarmLimits) -> IntegrityReport:
+    """All scalar integrity metrics of the (T, 3) bounds and true errors of
+    T records in one report, each computed for the three axes at once.
 
-    An empty record list produces a report with every direction flagged as
-    lacking nominal records and zero rates.
+    No records produce a report with every direction flagged as lacking
+    nominal records and zero rates.
     """
-    if not records:
+    pl, err = _magnitudes(pl, error, allow_empty=True)
+    if not len(pl):
         none3 = PerDirection(None, None, None)
         zero3 = PerDirection(0.0, 0.0, 0.0)
         flags = PerDirection(True, True, True)
         return IntegrityReport(0, none3, zero3, zero3, flags, limits)
-    far, flags = false_alarm_rate(records, limits)
+    far, flags = _false_alarm_rate(pl, err, limits)
     return IntegrityReport(
-        n_records=len(records),
-        bound_gap=bound_gap(records, limits),
-        failure_rate=failure_rate(records),
+        n_records=len(pl),
+        bound_gap=_bound_gap(pl, err, limits),
+        failure_rate=_failure_rate(pl, err),
         false_alarm_rate=far,
         far_degenerate=flags,
         limits=limits,
@@ -244,8 +229,9 @@ class IntegrityDiagram:
         }
 
 
-def integrity_diagram(records: list[IntegrityRecord], limits: AlarmLimits, bins: int = 40) -> IntegrityDiagram:
-    """Bin every record into the (|error|, pl) plane, one grid per direction.
+def integrity_diagram(pl: np.ndarray, error: np.ndarray, limits: AlarmLimits, bins: int = 40) -> IntegrityDiagram:
+    """Bin the (T, 3) bounds and true errors of T records into the
+    (|error|, pl) plane, one grid per direction, all three at once.
 
     Bins are uniform over [0, 2 * limit] with one overflow bin past the end;
     region tallies follow the DiagramDirection taxonomy and always sum to
@@ -253,28 +239,25 @@ def integrity_diagram(records: list[IntegrityRecord], limits: AlarmLimits, bins:
     """
     if bins < 1:
         raise ValueError("need at least one bin")
-    pls, errs = _columns(records) if records else (np.empty((0, 3)), np.empty((0, 3)))
-    out = {}
-    for d, name in enumerate(DIRECTIONS):
-        limit = limits.get(name)
-        edges = np.linspace(0.0, 2.0 * limit, bins + 1)
-        width = 2.0 * limit / bins
-        counts = np.zeros((bins + 1, bins + 1), dtype=np.int64)
-        if len(records):
-            ei = np.minimum((errs[:, d] // width).astype(np.int64), bins)
-            pi = np.minimum((pls[:, d] // width).astype(np.int64), bins)
-            np.add.at(counts, (ei, pi), 1)
-        fail = pls[:, d] < errs[:, d]
-        hazardous = (errs[:, d] > limit) & (pls[:, d] <= limit)
-        misleading = fail & ~hazardous
-        alarm = ~fail & (pls[:, d] > limit)
-        nominal = ~fail & (pls[:, d] <= limit)
-        out[name] = DiagramDirection(
-            edges=edges,
-            counts=counts,
-            nominal=int(np.count_nonzero(nominal)),
-            alarm=int(np.count_nonzero(alarm)),
-            misleading=int(np.count_nonzero(misleading)),
-            hazardous=int(np.count_nonzero(hazardous)),
-        )
-    return IntegrityDiagram(len(records), bins, limits, out)
+    pl, err = _magnitudes(pl, error, allow_empty=True)
+    limit = _limits(limits)
+    width = 2.0 * limit / bins
+    side = bins + 1
+    # one flat index per record and axis into the three (side, side) grids
+    cells = (np.minimum(err // width, bins) * side + np.minimum(pl // width, bins)).astype(np.int64)
+    counts = np.bincount((cells + np.arange(3) * side * side).ravel(), minlength=3 * side * side)
+    fail = pl < err
+    hazardous = (err > limit) & (pl <= limit)
+    regions = (
+        ~fail & (pl <= limit),  # nominal
+        ~fail & (pl > limit),  # alarm
+        fail & ~hazardous,  # misleading
+        hazardous,
+    )
+    tallies = np.count_nonzero(regions, axis=1).tolist()
+    edges = np.linspace(0.0, 2.0 * limit, side, axis=1)
+    out = {
+        name: DiagramDirection(*direction)
+        for name, *direction in zip(DIRECTIONS, edges, counts.reshape(3, side, side), *tallies)
+    }
+    return IntegrityDiagram(len(pl), bins, limits, out)

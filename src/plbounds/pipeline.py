@@ -21,27 +21,13 @@ import numpy as np
 from .errors import PlboundsError, TimestepFailure
 from .estimator import Estimator, MeasurementContext, SyntheticEstimator, to_vehicle_frame
 from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
-from .gmm import (
-    MixtureStack,
-    ProtectionLevelQuery,
-    ProtectionLevels,
-    protection_level,
-    protection_levels_all,
-)
-from .metrics import (
-    AlarmLimits,
-    IntegrityDiagram,
-    IntegrityRecord,
-    IntegrityReport,
-    integrity_diagram,
-    summarize,
-)
+from .gmm import MixtureStack, ProtectionLevelQuery, protection_level, protection_levels_all
+from .metrics import AlarmLimits, IntegrityDiagram, IntegrityReport, integrity_diagram, summarize
 from .sampling import SamplingConfig, apply_offset, sample_candidates
 from .scenario import Scenario, vehicle_frame_error
 from .uncertainty import (
     MIN_ROTATION_SAMPLES,
     ROTATION_BLOCK,
-    ErrorSampleSet,
     RotationUncertainty,
     outlier_weights,
     precompute_q,
@@ -83,16 +69,33 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class TimestepResult:
-    timestamp: float
-    pl: ProtectionLevels
-    n_candidates: int
-    n_excluded: int
-    samples: ErrorSampleSet
-    diagnostics: tuple[str, ...] = ()
-    direction_theta: float | None = None
-    direction_excluded: str | None = None
-    index: int = -1
+class BlockResult:
+    """The bounds of T timesteps, as columns.
+
+    ``pl`` holds the (T, 3) lateral, longitudinal and vertical protection
+    levels; ``kept`` and ``excluded`` the (T,) counts of candidates kept and
+    excluded; ``direction_theta`` the (T,) direction angles of
+    ``VAR_EO_DIRECTIONAL`` (NaN under the other variants) and
+    ``direction_excluded`` the (T,) codes, into ``EXCLUDED_AXES``, of the
+    horizontal dimension it dropped.  ``exclusions`` holds one (timestep,
+    candidate, reason) row per excluded candidate, in that order.
+    ``samples`` holds, per kept count, the (G,) timesteps that kept that
+    many candidates and their (G, count, 3) mixture means, variances and
+    weights.
+    """
+
+    pl: np.ndarray
+    kept: np.ndarray
+    excluded: np.ndarray
+    direction_theta: np.ndarray
+    direction_excluded: np.ndarray
+    exclusions: tuple[tuple[int, int, str], ...]
+    samples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @property
+    def n_candidates(self) -> int:
+        """The candidates kept over all T timesteps, as a Python int."""
+        return int(self.kept.sum())
 
 
 def run_timestep(
@@ -103,14 +106,14 @@ def run_timestep(
     offsets: tuple[np.ndarray, np.ndarray] | None,
     rotation_uncertainty: RotationUncertainty,
     config: PipelineConfig,
-) -> TimestepResult:
+) -> BlockResult:
     """Protection levels for one timestep under the configured variant: the
     one-timestep case of ``run_block``.  ``offsets`` holds the (N, 3)
     translations and (N, 4) rotations of the candidates (``VAR`` has none).
     """
     if config.variant != "VAR":
         offsets = tuple(np.asarray(a, dtype=float)[None] for a in offsets)
-    return run_block(estimator, [ctx], [estimate_pose], cloud, offsets, rotation_uncertainty, config)[0]
+    return run_block(estimator, [ctx], [estimate_pose], cloud, offsets, rotation_uncertainty, config)
 
 
 def run_block(
@@ -121,7 +124,7 @@ def run_block(
     offsets: tuple[np.ndarray, np.ndarray] | None,
     rotation_uncertainty: RotationUncertainty,
     config: PipelineConfig,
-) -> list[TimestepResult]:
+) -> BlockResult:
     """Protection levels for T timesteps under the configured variant, each
     stage run once on the stacked candidates of all of them.
 
@@ -133,9 +136,10 @@ def run_block(
     any other once per candidate.  Candidates whose estimator call raises a
     package error (every candidate, when the batch call raises), whose row
     the batch reports failed, or whose covariance is indefinite, are
-    excluded with a diagnostic; fewer than ``min_candidates`` survivors
-    abort the timestep (under ``VAR`` the error that excludes the estimate
-    is raised as it is), and any error aborts the block.  Every stage works
+    excluded, each with its reason in the result's ``exclusions``; fewer
+    than ``min_candidates`` survivors abort the timestep (under ``VAR`` the
+    error that excludes the estimate is raised as it is), and any error
+    aborts the block.  Every stage works
     row by row, so a timestep's result does not depend on the other
     timesteps of the block, nor on candidate evaluation order.
     """
@@ -183,105 +187,75 @@ def run_block(
         rotation, errors, covs, np.reshape(translations, (-1, 3)), rotation_uncertainty
     )
     # the first stage to fail names the reason
-    excluded: list[dict[int, PlboundsError]] = [{} for _ in range(steps)]
-    for row, exc in (*inflate_failed.items(), *frame_failed.items()):
-        excluded[row // n][row % n] = exc
-    for (t, i), exc in failed.items():
-        excluded[t][i] = exc
-    keep = []
-    for ctx, step_failed in zip(ctxs, excluded):
-        kept = np.setdiff1d(np.arange(n), list(step_failed)) if step_failed else np.arange(n)
-        if config.variant == "VAR":
-            if step_failed:  # the estimate is the only candidate: its error is the timestep's
-                raise step_failed[0]
-        elif len(kept) < config.min_candidates:
-            diagnostics = "; ".join(f"candidate {i} excluded: {step_failed[i]}" for i in sorted(step_failed))
-            raise TimestepFailure(
-                f"{len(kept)} usable candidates at t={ctx.timestamp} "
-                f"(minimum {config.min_candidates}); {diagnostics}"
-            )
-        keep.append(kept)
+    excluded = {divmod(row, n): exc for row, exc in (*inflate_failed.items(), *frame_failed.items())}
+    excluded.update(failed)
+    keep = np.ones((steps, n), dtype=bool)
+    if excluded:
+        keep[tuple(np.array(list(excluded)).T)] = False
+    kept = keep.sum(axis=1)
+    short = np.flatnonzero(kept < (1 if config.variant == "VAR" else config.min_candidates))
+    if len(short):  # the first such timestep in order fails the block
+        t = int(short[0])
+        if config.variant == "VAR":  # the estimate is the only candidate: its error is the timestep's
+            raise excluded[t, 0]
+        diagnostics = "; ".join(f"candidate {i} excluded: {excluded[t, i]}" for i in range(n) if (t, i) in excluded)
+        raise TimestepFailure(
+            f"{kept[t]} usable candidates at t={ctxs[t].timestamp} "
+            f"(minimum {config.min_candidates}); {diagnostics}"
+        )
 
     # timesteps that kept equally many candidates are stacked together
-    samples: list[ErrorSampleSet] = [None] * steps
-    stacks = {}  # kept count: (timesteps, their (G, count, 3) means, variances and weights)
-    for count in sorted({len(kept) for kept in keep}):
-        group = [t for t in range(steps) if len(keep[t]) == count]
-        picked = np.array([t * n + keep[t] for t in group])
+    variances = np.diagonal(covs, axis1=1, axis2=2)
+    pl, theta, codes = np.empty((steps, 3)), np.full(steps, np.nan), np.zeros(steps, dtype=np.int8)
+    samples = []
+    for count in np.unique(kept).tolist():
+        group = np.flatnonzero(kept == count)
+        picked = (group[:, None] * n + np.arange(n))[keep[group]].reshape(len(group), count)
         group_means = means[picked]
-        group_variances = np.diagonal(covs[picked], axis1=2, axis2=3).copy()
+        group_variances = variances[picked]
         if config.variant in ("VAR", "VAR_E"):
             group_weights = np.full(group_means.shape, 1.0 / count)
         else:
             group_weights = outlier_weights(group_means)
-        for j, t in enumerate(group):
-            samples[t] = ErrorSampleSet(group_means[j], group_variances[j], group_weights[j])
-        stacks[count] = (group, group_means, group_variances, group_weights)
-
-    directions: list[tuple[float | None, str | None]] = [(None, None)] * steps
-    if config.variant == "VAR_EO_DIRECTIONAL":
-        projections = [project_directional(s) for s in samples]
-        directions = [(proj.theta, proj.excluded) for proj in projections]
-        h_mixtures = [(p.horizontal_means, p.horizontal_variances, p.horizontal_weights) for p in projections]
-        v_mixtures = [(p.vertical_means, p.vertical_variances, p.vertical_weights) for p in projections]
-        # the horizontal mixtures are checked and solved first, as a lone timestep's were
-        horizontal = _bounds_by_length(h_mixtures, config.query)
-        vertical = _bounds_by_length(v_mixtures, config.query)
-        pls = [ProtectionLevels(h, h, v) for h, v in zip(horizontal, vertical)]
-    else:
-        pls = [None] * steps
-        for group, *stack in stacks.values():
-            for t, pl in zip(group, protection_levels_all(*stack, config.query)):
-                pls[t] = pl
-    return [
-        TimestepResult(
-            timestamp=ctx.timestamp,
-            pl=pls[t],
-            n_candidates=len(keep[t]),
-            n_excluded=len(excluded[t]),
-            samples=samples[t],
-            diagnostics=tuple(f"candidate {i} excluded: {excluded[t][i]}" for i in sorted(excluded[t])),
-            direction_theta=directions[t][0],
-            direction_excluded=directions[t][1],
-        )
-        for t, ctx in enumerate(ctxs)
-    ]
-
-
-def _bounds_by_length(mixtures: list[tuple[np.ndarray, ...]], query: ProtectionLevelQuery) -> list[float]:
-    """``protection_level`` of each (means, variances, weights) mixture; the
-    mixtures with equally many components are solved as one stack."""
-    bounds = [0.0] * len(mixtures)
-    for length in sorted({len(m[0]) for m in mixtures}):
-        group = [k for k, m in enumerate(mixtures) if len(m[0]) == length]
-        stack = MixtureStack(*(np.array([mixtures[k][f] for k in group]) for f in range(3)))
-        for k, bound in zip(group, protection_level(stack, query).tolist()):
-            bounds[k] = bound
-    return bounds
+        samples.append((group, group_means, group_variances, group_weights))
+        if config.variant == "VAR_EO_DIRECTIONAL":
+            projected = project_directional(group_means, group_variances, group_weights)
+            theta[group], codes[group] = projected.theta, projected.excluded
+            # the horizontal mixtures are checked and solved first, as a lone timestep's were
+            for members, *mixture in projected.horizontal:
+                pl[group[members], :2] = protection_level(MixtureStack(*mixture), config.query)[:, None]
+            pl[group, 2] = protection_level(MixtureStack(*projected.vertical), config.query)
+        else:
+            pl[group] = protection_levels_all(group_means, group_variances, group_weights, config.query)
+    exclusions = tuple((t, i, str(exc)) for (t, i), exc in sorted(excluded.items()))
+    return BlockResult(pl, kept, n - kept, theta, codes, exclusions, tuple(samples))
 
 
 @dataclass(frozen=True)
 class SequenceResult:
-    results: list[TimestepResult]
-    records: list[IntegrityRecord]
+    """A scenario's bounds and integrity statistics, as columns.
+
+    ``timestamps`` and ``indices`` hold the (T,) timestamps and scenario
+    indices of its timesteps and ``error`` their (T, 3) true vehicle-frame
+    errors.  The other columns, and ``exclusions``, are ``BlockResult``'s
+    over the whole scenario, timesteps counted from 0.
+    """
+
+    timestamps: np.ndarray
+    indices: np.ndarray
+    pl: np.ndarray
+    error: np.ndarray
+    kept: np.ndarray
+    excluded: np.ndarray
+    direction_theta: np.ndarray
+    direction_excluded: np.ndarray
+    exclusions: tuple[tuple[int, int, str], ...]
     report: IntegrityReport
     diagram: IntegrityDiagram
 
-    def result_rows(self) -> list[tuple]:
-        rows = []
-        for res, rec in zip(self.results, self.records):
-            rows.append(
-                (
-                    res.timestamp,
-                    res.pl.lateral,
-                    res.pl.longitudinal,
-                    res.pl.vertical,
-                    rec.error[0],
-                    rec.error[1],
-                    rec.error[2],
-                )
-            )
-        return rows
+    def result_rows(self) -> np.ndarray:
+        """The (T, 7) results table: t, pl_lat, pl_lon, pl_vert, err_x, err_y, err_z."""
+        return np.column_stack((self.timestamps, self.pl, self.error))
 
 
 def default_rotation_uncertainty(estimator: Estimator, config: PipelineConfig) -> RotationUncertainty:
@@ -315,8 +289,11 @@ def run_sequence(
     if rotation_uncertainty is None:
         rotation_uncertainty = default_rotation_uncertainty(estimator, config)
 
-    results, records = [], []
-    for first in range(0, len(scenario.timesteps), BLOCK_TIMESTEPS):
+    steps = len(scenario.timesteps)
+    pl, error, theta = np.empty((steps, 3)), np.empty((steps, 3)), np.empty(steps)
+    kept, excluded, codes = np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64), np.empty(steps, np.int8)
+    exclusions = []
+    for first in range(0, steps, BLOCK_TIMESTEPS):
         block = scenario.timesteps[first : first + BLOCK_TIMESTEPS]
         ctxs = [MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose) for ts in block]
         poses = [ts.estimate_pose for ts in block]
@@ -324,26 +301,35 @@ def run_sequence(
         if config.variant != "VAR":
             offsets = sample_candidates(config.sampling, [[config.seed, 2, ts.index] for ts in block])
         try:
-            block_results = run_block(
-                estimator, ctxs, poses, scenario.cloud, offsets, rotation_uncertainty, config
-            )
+            parts = [run_block(estimator, ctxs, poses, scenario.cloud, offsets, rotation_uncertainty, config)]
         except Exception:
             # whatever failed, one timestep at a time: the first error in
             # timestep order is then raised as that timestep alone raises it
-            block_results = []
-            for k, (ctx, pose) in enumerate(zip(ctxs, poses)):
-                one = None if offsets is None else tuple(a[k] for a in offsets)
-                block_results.append(
-                    run_timestep(estimator, ctx, pose, scenario.cloud, one, rotation_uncertainty, config)
+            parts = [
+                run_timestep(
+                    estimator, ctx, pose, scenario.cloud, None if offsets is None else tuple(a[k] for a in offsets),
+                    rotation_uncertainty, config,
                 )
-        errors = vehicle_frame_error([ts.true_pose for ts in block], [ts.estimate_pose for ts in block])
-        for ts, result, error in zip(block, block_results, errors):
-            object.__setattr__(result, "index", ts.index)  # a result of this call, not yet shared
-            results.append(result)
-            records.append(IntegrityRecord(result.pl, error))
+                for k, (ctx, pose) in enumerate(zip(ctxs, poses))
+            ]
+        for k, part in enumerate(parts):  # the whole block, or its k-th timestep
+            rows = slice(first + k, first + k + len(part.kept))
+            pl[rows], kept[rows], excluded[rows] = part.pl, part.kept, part.excluded
+            theta[rows], codes[rows] = part.direction_theta, part.direction_excluded
+            exclusions += [(rows.start + t, i, reason) for t, i, reason in part.exclusions]
+        error[first : first + len(block)] = vehicle_frame_error(
+            [ts.true_pose for ts in block], [ts.estimate_pose for ts in block]
+        )
     return SequenceResult(
-        results=results,
-        records=records,
-        report=summarize(records, config.limits),
-        diagram=integrity_diagram(records, config.limits, config.diagram_bins),
+        timestamps=np.array([ts.timestamp for ts in scenario.timesteps], dtype=float),
+        indices=np.array([ts.index for ts in scenario.timesteps], dtype=np.int64),
+        pl=pl,
+        error=error,
+        kept=kept,
+        excluded=excluded,
+        direction_theta=theta,
+        direction_excluded=codes,
+        exclusions=tuple(exclusions),
+        report=summarize(pl, error, config.limits),
+        diagram=integrity_diagram(pl, error, config.limits, config.diagram_bins),
     )

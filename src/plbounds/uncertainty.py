@@ -145,81 +145,67 @@ def outlier_weights(errors: np.ndarray, gamma: float = ROBUST_GAMMA) -> np.ndarr
     return np.ascontiguousarray(np.swapaxes(weights, -1, -2))
 
 
-@dataclass(frozen=True)
-class ErrorSampleSet:
-    """Per-dimension mixture ingredients: sample means, variances and weights,
-    each of shape (N, 3) for the lateral/longitudinal/vertical axes."""
-
-    means: np.ndarray
-    variances: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.means, dtype=float)
-        v = np.asarray(self.variances, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if not (m.shape == v.shape == w.shape) or m.ndim != 2 or m.shape[1] != 3:
-            raise ValueError("means, variances and weights must share shape (N, 3)")
-        if np.any(v <= 0.0):
-            raise ValueError("variances must be strictly positive")
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "variances", v)
-        object.__setattr__(self, "weights", w)
-
-
 # ---------------------------------------------------------------------------
 # directional projection
 
 
+# the horizontal dimension a projection drops, by code; 0 drops none
+EXCLUDED_AXES = (None, "x", "y")
+
+
 @dataclass(frozen=True)
 class DirectionalErrors:
-    """Samples projected onto the dominant horizontal error direction.
+    """G stacked sample sets projected onto their dominant horizontal error
+    direction.
 
-    ``excluded`` names the horizontal dimension dropped because the
-    direction was too close to one axis ('x', 'y' or None).
+    ``theta`` holds the (G,) direction angles and ``excluded`` the (G,)
+    codes, into ``EXCLUDED_AXES``, of the horizontal dimension each set
+    dropped because its direction was too close to one axis.  The sets that
+    dropped the same one share a horizontal mixture length, 2N or N:
+    ``horizontal`` holds, per code present, the (g,) indices of those sets
+    and their (g, length) mixture means, variances and weights.
+    ``vertical`` holds the (G, N) vertical mixtures.
     """
 
-    theta: float
-    horizontal_means: np.ndarray
-    horizontal_variances: np.ndarray
-    horizontal_weights: np.ndarray
-    vertical_means: np.ndarray
-    vertical_variances: np.ndarray
-    vertical_weights: np.ndarray
-    excluded: str | None
+    theta: np.ndarray
+    excluded: np.ndarray
+    horizontal: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    vertical: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def project_directional(samples: ErrorSampleSet, direction_floor: float = 0.05) -> DirectionalErrors:
-    """Project the x/y sample sets onto the weighted mean error direction.
+def project_directional(
+    means: np.ndarray, variances: np.ndarray, weights: np.ndarray, direction_floor: float = 0.05
+) -> DirectionalErrors:
+    """Project the x/y columns of G sample sets, the (G, N, 3) means,
+    variances and weights, onto each set's weighted mean error direction.
 
-    The direction angle is ``atan2(w_y . e_y, w_x . e_x)``.  Magnitudes are
-    scaled by 1/cos and 1/sin, variances by their squares, and the two
+    A set's direction angle is ``atan2(w_y . e_y, w_x . e_x)``.  Magnitudes
+    are scaled by 1/cos and 1/sin, variances by their squares, and the two
     halves carry half their original weight each.  A half whose direction
     cosine falls below ``direction_floor`` is excluded and the remaining
     weights renormalized; the vertical set passes through with magnitudes
     taken absolute.
     """
-    ex, ey, ez = samples.means[:, 0], samples.means[:, 1], samples.means[:, 2]
-    vx, vy, vz = samples.variances[:, 0], samples.variances[:, 1], samples.variances[:, 2]
-    wx, wy, wz = samples.weights[:, 0], samples.weights[:, 1], samples.weights[:, 2]
-    theta = math.atan2(float(wy @ ey), float(wx @ ex))
-    c, s = math.cos(theta), math.sin(theta)
-    if abs(c) < direction_floor:
-        h_means, h_vars, h_weights, excluded = np.abs(ey / s), vy / s**2, wy, "x"
-    elif abs(s) < direction_floor:
-        h_means, h_vars, h_weights, excluded = np.abs(ex / c), vx / c**2, wx, "y"
-    else:
-        h_means = np.concatenate((np.abs(ex / c), np.abs(ey / s)))
-        h_vars = np.concatenate((vx / c**2, vy / s**2))
-        h_weights = np.concatenate((0.5 * wx, 0.5 * wy))
-        excluded = None
-    return DirectionalErrors(
-        theta=theta,
-        horizontal_means=h_means,
-        horizontal_variances=h_vars,
-        horizontal_weights=h_weights,
-        vertical_means=np.abs(ez),
-        vertical_variances=vz,
-        vertical_weights=wz,
-        excluded=excluded,
-    )
+    (ex, ey, ez), (vx, vy, vz), (wx, wy, wz) = ([a[..., k] for k in range(3)] for a in (means, variances, weights))
+    # a set's (1, N) @ (N, 1) product of its strided columns, stacked, runs the
+    # BLAS dot product of a lone set's columns (same strides, same kernel) and
+    # gives its bits; math.atan2 is kept, as np.arctan2 differs in the last bit
+    dots = [(w[:, None, :] @ e[:, :, None])[:, 0, 0].tolist() for w, e in ((wy, ey), (wx, ex))]
+    rows = []
+    for y, x in zip(*dots):
+        theta = math.atan2(y, x)
+        c, s = math.cos(theta), math.sin(theta)
+        rows.append((theta, c, s, c**2, s**2, 1 if abs(c) < direction_floor else 2 if abs(s) < direction_floor else 0))
+    theta, c, s, c2, s2, excluded = (np.array(column) for column in zip(*rows))
+    horizontal = []
+    for code in np.unique(excluded).tolist():
+        g = np.flatnonzero(excluded == code)
+        halves = [  # each kept half, scaled by its direction cosine (cos for x, sin for y)
+            (np.abs(e[g] / cosine[g, None]), v[g] / square[g, None], w[g])
+            for dropped, e, v, w, cosine, square in ((1, ex, vx, wx, c, c2), (2, ey, vy, wy, s, s2))
+            if code != dropped
+        ]
+        if len(halves) == 2:  # both halves, at half their weight
+            halves = [(m, v, 0.5 * w) for m, v, w in halves]
+        horizontal.append((g, *(np.concatenate(parts, axis=1) for parts in zip(*halves))))
+    return DirectionalErrors(theta, excluded.astype(np.int8), tuple(horizontal), (np.abs(ez), vz, wz))

@@ -323,16 +323,151 @@ def var_block(estimator, ctxs, estimate_poses, cloud, query):
     from plbounds.estimator import RECORD_FIELDS, to_vehicle_frame
     from plbounds.geometry import quat_to_matrix
     from plbounds.gmm import protection_levels_all
-    from plbounds.pipeline import TimestepResult
-    from plbounds.uncertainty import ErrorSampleSet
+    from plbounds.pipeline import BlockResult
 
     raws = [estimator.estimate(ctx.for_candidate(0), pose, cloud) for ctx, pose in zip(ctxs, estimate_poses)]
     fields = [np.array([getattr(raw, name) for raw in raws]) for name in RECORD_FIELDS]
     errors, covs, failed = to_vehicle_frame(quat_to_matrix(fields[1]), fields[0], *fields[2:])
     if failed:
         raise failed[min(failed)]
+    steps = len(raws)
     variances = np.diagonal(covs, axis1=1, axis2=2).copy()
-    weights = np.ones((len(raws), 1, 3))
-    samples = [ErrorSampleSet(errors[t : t + 1], variances[t : t + 1], weights[t]) for t in range(len(raws))]
+    weights = np.ones((steps, 1, 3))
     pls = protection_levels_all(errors[:, None], variances[:, None], weights, query)
-    return [TimestepResult(ctx.timestamp, pl, 1, 0, s) for ctx, pl, s in zip(ctxs, pls, samples)]
+    samples = ((np.arange(steps), errors[:, None], variances[:, None], weights),)
+    ones, zeros = np.ones(steps, dtype=np.int64), np.zeros(steps, dtype=np.int64)
+    return BlockResult(pls, ones, zeros, np.full(steps, np.nan), np.zeros(steps, dtype=np.int8), (), samples)
+
+
+# ---------------------------------------------------------------------------
+# directional projection, one sample set at a time
+
+
+def project_directional(means, variances, weights, direction_floor: float = 0.05):
+    """One (N, 3) sample set projected the way the package projected each
+    timestep's set before it stacked them: (theta, excluded axis or None,
+    horizontal (means, variances, weights), vertical (means, variances,
+    weights))."""
+    ex, ey, ez = means[:, 0], means[:, 1], means[:, 2]
+    vx, vy, vz = variances[:, 0], variances[:, 1], variances[:, 2]
+    wx, wy, wz = weights[:, 0], weights[:, 1], weights[:, 2]
+    theta = math.atan2(float(wy @ ey), float(wx @ ex))
+    c, s = math.cos(theta), math.sin(theta)
+    if abs(c) < direction_floor:
+        horizontal, excluded = (np.abs(ey / s), vy / s**2, wy), "x"
+    elif abs(s) < direction_floor:
+        horizontal, excluded = (np.abs(ex / c), vx / c**2, wx), "y"
+    else:
+        horizontal = (
+            np.concatenate((np.abs(ex / c), np.abs(ey / s))),
+            np.concatenate((vx / c**2, vy / s**2)),
+            np.concatenate((0.5 * wx, 0.5 * wy)),
+        )
+        excluded = None
+    return theta, excluded, horizontal, (np.abs(ez), vz, wz)
+
+
+# ---------------------------------------------------------------------------
+# integrity metrics over one record per timestep
+
+
+class IntegrityRecord:
+    """One timestep's protection levels and true error, as the package kept
+    them before its metrics took columns."""
+
+    def __init__(self, pl, error):
+        from plbounds.gmm import ProtectionLevels
+
+        self.pl = ProtectionLevels(*(float(v) for v in pl))
+        self.error = np.asarray(error, dtype=float)
+        if self.error.shape != (3,) or not np.all(np.isfinite(self.error)):
+            raise ValueError("error must be a finite 3-vector")
+
+
+def records(pl, error) -> list[IntegrityRecord]:
+    return [IntegrityRecord(p, e) for p, e in zip(pl, error)]
+
+
+def _columns(records):
+    pls = np.array([r.pl.as_array() for r in records])
+    errs = np.abs(np.array([r.error for r in records]))
+    return pls, errs
+
+
+def bound_gap(records, limits):
+    """Mean slack over nominal records, one direction at a time; None for a
+    direction without one."""
+    from plbounds.metrics import DIRECTIONS, PerDirection
+
+    pls, errs = _columns(records)
+    values = []
+    for d, name in enumerate(DIRECTIONS):
+        nominal = (errs[:, d] <= pls[:, d]) & (pls[:, d] <= limits.get(name))
+        values.append(float(np.mean(pls[nominal, d] - errs[nominal, d])) if np.any(nominal) else None)
+    return PerDirection(*values)
+
+
+def failure_rate(records):
+    from plbounds.metrics import PerDirection
+
+    pls, errs = _columns(records)
+    return PerDirection(*(float(np.mean(pls[:, d] < errs[:, d])) for d in range(3)))
+
+
+def false_alarm_rate(records, limits):
+    from plbounds.metrics import DIRECTIONS, PerDirection
+
+    pls, errs = _columns(records)
+    total = len(records)
+    values, flags = [], []
+    for d, name in enumerate(DIRECTIONS):
+        limit = limits.get(name)
+        alarm = pls[:, d] > limit
+        position_error = errs[:, d] > limit
+        n_pe = int(np.count_nonzero(position_error))
+        n_fa = int(np.count_nonzero(alarm & ~position_error))
+        n_ta = int(np.count_nonzero(alarm & position_error))
+        numerator = n_fa * (total - n_pe)
+        denominator = numerator + n_ta * n_pe
+        values.append(0.0 if denominator == 0 else numerator / denominator)
+        flags.append(denominator == 0)
+    return PerDirection(*values), PerDirection(*flags)
+
+
+def summarize(records, limits):
+    """The report of a record list, metric by metric and direction by direction."""
+    from plbounds.metrics import IntegrityReport, PerDirection
+
+    if not records:
+        zero3 = PerDirection(0.0, 0.0, 0.0)
+        return IntegrityReport(0, PerDirection(None, None, None), zero3, zero3, PerDirection(True, True, True), limits)
+    far, flags = false_alarm_rate(records, limits)
+    return IntegrityReport(len(records), bound_gap(records, limits), failure_rate(records), far, flags, limits)
+
+
+def integrity_diagram(records, limits, bins):
+    """The diagram of a record list, one direction at a time."""
+    from plbounds.metrics import DIRECTIONS, DiagramDirection, IntegrityDiagram
+
+    pls, errs = _columns(records) if records else (np.empty((0, 3)), np.empty((0, 3)))
+    out = {}
+    for d, name in enumerate(DIRECTIONS):
+        limit = limits.get(name)
+        edges = np.linspace(0.0, 2.0 * limit, bins + 1)
+        width = 2.0 * limit / bins
+        counts = np.zeros((bins + 1, bins + 1), dtype=np.int64)
+        if len(records):
+            ei = np.minimum((errs[:, d] // width).astype(np.int64), bins)
+            pi = np.minimum((pls[:, d] // width).astype(np.int64), bins)
+            np.add.at(counts, (ei, pi), 1)
+        fail = pls[:, d] < errs[:, d]
+        hazardous = (errs[:, d] > limit) & (pls[:, d] <= limit)
+        out[name] = DiagramDirection(
+            edges=edges,
+            counts=counts,
+            nominal=int(np.count_nonzero(~fail & (pls[:, d] <= limit))),
+            alarm=int(np.count_nonzero(~fail & (pls[:, d] > limit))),
+            misleading=int(np.count_nonzero(fail & ~hazardous)),
+            hazardous=int(np.count_nonzero(hazardous)),
+        )
+    return IntegrityDiagram(len(records), bins, limits, out)

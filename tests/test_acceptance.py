@@ -21,14 +21,12 @@ from plbounds.geometry import RigidTransform, quat_from_euler_zyx, quat_to_matri
 from plbounds.gmm import (
     GaussianMixture,
     ProtectionLevelQuery,
-    ProtectionLevels,
     gmm_cdf,
     protection_level,
 )
 from plbounds.metrics import (
     DIRECTIONS,
     AlarmLimits,
-    IntegrityRecord,
     failure_rate,
     false_alarm_rate,
     integrity_diagram,
@@ -287,31 +285,24 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
 
 
 def test_criterion_9_metrics_arithmetic():
-    def rec(pl: float, err: float) -> IntegrityRecord:
-        return IntegrityRecord(ProtectionLevels(pl, pl, pl), np.array([err, err, err]))
-
-    # T=10 records: N_TA=3, N_PE=4, N_FA=2 against unit limits
-    records = (
-        [rec(1.5, 1.2)] * 3 + [rec(0.9, 1.1)] + [rec(1.5, 0.5)] * 2 + [rec(0.8, 0.5)] * 4
-    )
-    far, _ = false_alarm_rate(records, AlarmLimits(1.0, 1.0, 1.0))
+    # T=10 records, one (pl, err) pair on every axis: N_TA=3, N_PE=4, N_FA=2
+    # against unit limits
+    pairs = [(1.5, 1.2)] * 3 + [(0.9, 1.1)] + [(1.5, 0.5)] * 2 + [(0.8, 0.5)] * 4
+    pl, err = (np.repeat(np.array(column)[:, None], 3, axis=1) for column in zip(*pairs))
+    far, _ = false_alarm_rate(pl, err, AlarmLimits(1.0, 1.0, 1.0))
     far_ok = all(far.get(d) == 0.5 for d in DIRECTIONS)
 
     rng = np.random.default_rng(39)
-    random_records = [
-        IntegrityRecord(
-            ProtectionLevels(*rng.uniform(0.0, 2.2, 3)), rng.uniform(-2.2, 2.2, 3)
-        )
-        for _ in range(15_000)
-    ]
-    diagram = integrity_diagram(random_records, AlarmLimits(), bins=12)
-    fr = failure_rate(random_records)
+    rows = [(rng.uniform(0.0, 2.2, 3), rng.uniform(-2.2, 2.2, 3)) for _ in range(15_000)]
+    pl, err = (np.array(column) for column in zip(*rows))
+    diagram = integrity_diagram(pl, err, AlarmLimits(), bins=12)
+    fr = failure_rate(pl, err)
     partition_ok = True
     for name in DIRECTIONS:
         dd = diagram.directions[name]
         total = dd.nominal + dd.alarm + dd.misleading + dd.hazardous
-        partition_ok &= total == len(random_records)
-        partition_ok &= dd.misleading + dd.hazardous == round(fr.get(name) * len(random_records))
+        partition_ok &= total == len(rows)
+        partition_ok &= dd.misleading + dd.hazardous == round(fr.get(name) * len(rows))
     ok = far_ok and partition_ok
     assert _report(
         9,

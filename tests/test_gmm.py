@@ -369,6 +369,51 @@ def test_protection_level_never_falls_as_the_risk_falls(columns, risk, shrink, t
     assert protection_level(m, tight) >= protection_level(m, loose)
 
 
+def _axes(columns):
+    """(N, 3) means, sigmas and weights from three per-axis mixtures, the
+    shorter ones padded by repeating their last component."""
+    n = max(len(c) for c in columns)
+    columns = [c + [c[-1]] * (n - len(c)) for c in columns]
+    means, sigmas, weights = (np.array([[row[k] for row in c] for c in columns]).T for k in range(3))
+    return means, sigmas, weights / weights.sum(axis=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    columns=st.lists(_MIXTURE, min_size=3, max_size=3),
+    risk=st.sampled_from([0.05, 0.01, 0.002]),
+    tolerance=st.sampled_from([1e-2, 1e-4, 1e-7]),
+    data=st.data(),
+)
+def test_permuting_the_candidates_moves_no_bound_past_two_tolerances(columns, risk, tolerance, data):
+    # a candidate is one row of means, variances and weights; reordering the
+    # rows reorders the sums, so two bisection paths may part at one step
+    means, sigmas, weights = _axes(columns)
+    order = data.draw(st.permutations(range(len(means))))
+    query = ProtectionLevelQuery(integrity_risk=risk, tolerance=tolerance)
+    before = protection_levels_all(means, sigmas**2, weights, query).as_array()
+    after = protection_levels_all(means[order], sigmas[order] ** 2, weights[order], query).as_array()
+    assert (np.abs(after - before) <= 2.0 * tolerance).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    columns=st.lists(_MIXTURE, min_size=3, max_size=3),
+    scale=st.floats(1e-2, 1e2),
+    risk=st.sampled_from([0.05, 0.01, 0.002]),
+    tolerance=st.sampled_from([1e-2, 1e-4, 1e-7]),
+)
+@example(columns=[[(0.5, 1.0, 1.0)], [(-1.0, 0.2, 0.5), (1.0, 0.3, 0.5)], [(0.0, 2.0, 1.0)]], scale=7.0, risk=0.01, tolerance=1e-2)
+def test_scaling_means_and_sigmas_scales_the_bounds(columns, scale, risk, tolerance):
+    # each bound brackets its own quantile to within two tolerances, the
+    # unscaled one's k times that after scaling
+    means, sigmas, weights = _axes(columns)
+    query = ProtectionLevelQuery(integrity_risk=risk, tolerance=tolerance)
+    base = protection_levels_all(means, sigmas**2, weights, query).as_array()
+    scaled = protection_levels_all(scale * means, (scale * sigmas) ** 2, weights, query).as_array()
+    assert (np.abs(scaled - scale * base) <= 2.0 * max(1.0, scale) * tolerance).all()
+
+
 def test_mixture_stack_raises_the_first_failing_rows_error():
     good = (np.zeros(2), np.ones(2), np.full(2, 0.5))
     bad_rows = [
@@ -402,7 +447,8 @@ def test_stacked_protection_levels_match_one_at_a_time():
     weights /= weights.sum(axis=1, keepdims=True)
     q = ProtectionLevelQuery(integrity_risk=0.01, tolerance=1e-6)
     stacked = protection_levels_all(means, variances, weights, q)
-    assert [pl.as_array().tobytes() for pl in stacked] == [
+    assert stacked.shape == (7, 3)
+    assert [row.tobytes() for row in stacked] == [
         protection_levels_all(means[t], variances[t], weights[t], q).as_array().tobytes() for t in range(7)
     ]
     rows = MixtureStack(means[..., 0], variances[..., 0], weights[..., 0])

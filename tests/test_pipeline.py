@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -121,8 +121,8 @@ def test_var_single_gaussian_hits_normal_quantile():
     result = run_timestep(
         estimator, ctx, ts.estimate_pose, None, [], RotationUncertainty.zero(), config
     )
-    assert result.n_candidates == 1 and result.n_excluded == 0
-    for value in result.pl.as_array():
+    assert result.kept.tolist() == [1] and result.excluded.tolist() == [0] and result.exclusions == ()
+    for value in result.pl[0]:
         assert abs(value - Z_995) <= 1e-3
 
 
@@ -135,9 +135,9 @@ def test_noiseless_mixture_collapses_to_true_error():
     for variant in ("VAR_E", "VAR_EO"):
         config = PipelineConfig(variant=variant, sampling=FAST_SAMPLING, seed=3)
         out = run_sequence(estimator, sc, config)
-        for result, ts in zip(out.results, sc.timesteps):
+        for pl, ts in zip(out.pl, sc.timesteps, strict=True):
             err = np.abs(vehicle_frame_error(ts.true_pose, ts.estimate_pose))
-            assert np.allclose(result.pl.as_array(), err, rtol=0.0, atol=5e-4)
+            assert np.allclose(pl, err, rtol=0.0, atol=5e-4)
 
 
 def test_equal_means_make_weighting_irrelevant():
@@ -145,9 +145,7 @@ def test_equal_means_make_weighting_irrelevant():
     estimator = _noiseless()
     uniform = run_sequence(estimator, sc, PipelineConfig(variant="VAR_E", sampling=FAST_SAMPLING, seed=3))
     weighted = run_sequence(estimator, sc, PipelineConfig(variant="VAR_EO", sampling=FAST_SAMPLING, seed=3))
-    a = np.array([r.pl.as_array() for r in uniform.results])
-    b = np.array([r.pl.as_array() for r in weighted.results])
-    assert np.allclose(a, b, rtol=0.0, atol=1e-9)
+    assert np.allclose(uniform.pl, weighted.pl, rtol=0.0, atol=1e-9)
 
 
 def test_rotation_uncertainty_never_shrinks_the_bound():
@@ -162,7 +160,7 @@ def test_rotation_uncertainty_never_shrinks_the_bound():
     without = run_timestep(
         estimator, ctx, ts.estimate_pose, None, offsets, RotationUncertainty.zero(), config
     )
-    assert np.all(with_q.pl.as_array() >= without.pl.as_array() - 3e-4)
+    assert np.all(with_q.pl >= without.pl - 3e-4)
 
 
 def test_candidate_exclusion_and_failure():
@@ -177,9 +175,8 @@ def test_candidate_exclusion_and_failure():
         flaky, ctx, ts.estimate_pose, None, offsets, RotationUncertainty.zero(), config
     )
     assert result.n_candidates == len(offsets[0]) - 2
-    assert result.n_excluded == 2
-    assert len(result.diagnostics) == 2
-    assert "candidate 0 excluded" in result.diagnostics[0]
+    assert result.kept.tolist() == [len(offsets[0]) - 2] and result.excluded.tolist() == [2]
+    assert result.exclusions == tuple((0, i, f"candidate {i} rejected for testing") for i in (0, 3))
 
     broken = FlakyEstimator(_noiseless(), frozenset(range(len(offsets[0]))))
     with pytest.raises(TimestepFailure):
@@ -205,10 +202,7 @@ def test_batched_and_per_candidate_estimates_give_the_same_result():
         config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=5)
         for ctx, pose, offsets in _timesteps(5):
             a, b = (run_timestep(e, ctx, pose, None, offsets, rotation, config) for e in (est, OneAtATime(est)))
-            for name in ("pl", "n_candidates", "n_excluded", "diagnostics", "direction_theta", "direction_excluded"):
-                assert getattr(a, name) == getattr(b, name)
-            for name in ("means", "variances", "weights"):
-                assert np.array_equal(getattr(a.samples, name), getattr(b.samples, name))
+            _same_result(a, b)
 
 
 def test_failing_batch_excludes_every_candidate_like_the_loop():
@@ -251,13 +245,38 @@ def _recorded_table(path, seed=8):
     return FileEstimator(path), precompute_q(est.rotation_residual_samples(2000, seed))
 
 
-def _same_result(a, b):
-    for field in fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if field.name == "samples":
-            assert all(getattr(x, n).tobytes() == getattr(y, n).tobytes() for n in ("means", "variances", "weights"))
-        else:
-            assert x == y, field.name
+COLUMNS = ("pl", "kept", "excluded", "direction_theta", "direction_excluded")
+
+
+def _row(result, t):
+    """Timestep ``t`` of a block or sequence result: the bytes of its row of
+    every column, and its (candidate, reason) exclusions."""
+    columns = tuple(getattr(result, name)[t].tobytes() for name in COLUMNS)
+    return columns, [(i, reason) for step, i, reason in result.exclusions if step == t]
+
+
+def _samples(result, t):
+    """The bytes of timestep ``t``'s mixture means, variances and weights in a block result."""
+    for group, *stacks in result.samples:
+        if t in group:
+            k = int(np.flatnonzero(group == t)[0])
+            return tuple(stack[k].tobytes() for stack in stacks)
+    raise AssertionError(f"timestep {t} is in no sample group")
+
+
+def _same_result(a, b, t=0, u=0):
+    """Timestep ``t`` of block result ``a`` is timestep ``u`` of ``b``, bit for bit, samples too."""
+    assert _row(a, t) == _row(b, u)
+    assert _samples(a, t) == _samples(b, u)
+
+
+def _same_sequence(a, b):
+    """Two sequence results agree bit for bit in every column and output."""
+    for name in ("timestamps", "indices", "error", *COLUMNS):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.exclusions == b.exclusions
+    assert a.result_rows().tobytes() == b.result_rows().tobytes()
+    assert (a.report.to_dict(), a.diagram.to_dict()) == (b.report.to_dict(), b.diagram.to_dict())
 
 
 def test_file_estimator_batch_rows_are_its_single_answers(tmp_path):
@@ -302,21 +321,23 @@ def test_file_estimator_batch_gives_the_loop_result(tmp_path):
         for ctx, pose, offsets in _timesteps(8):
             a, b = (run_timestep(e, ctx, pose, None, offsets, rotation, config) for e in (est, OneAtATime(est)))
             _same_result(a, b)
-            excluded.extend(a.diagnostics)
+            excluded.extend(a.exclusions)
     assert len(excluded) == 3 * 3  # two missing records and one indefinite covariance, per variant
-    assert "candidate 5 excluded: no estimate recorded for ('t000003', 5)" in excluded
+    assert (0, 5, "no estimate recorded for ('t000003', 5)") in excluded
 
 
 def test_file_estimator_matches_stored_records(tmp_path):
     path = tmp_path / "est.jsonl"
     est, rotation = _recorded_table(path)
     stored = oracles.StoredRecords(path)
+    scenario = _scenario(seed=8)
     for variant in VARIANTS:
         config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=8)
-        a, b = (run_sequence(e, _scenario(seed=8), config, rotation) for e in (est, stored))
-        assert a.result_rows() == b.result_rows()
-        for x, y in zip(a.results, b.results):
-            _same_result(x, y)
+        a, b = (run_sequence(e, scenario, config, rotation) for e in (est, stored))
+        _same_sequence(a, b)
+        (_, x), (_, y) = (next(_blocks(e, scenario, config, rotation, len(scenario.timesteps))) for e in (est, stored))
+        for t in range(len(scenario.timesteps)):  # the samples too
+            _same_result(x, y, t, t)
 
 
 def test_directional_variant_shares_horizontal_bound():
@@ -324,11 +345,10 @@ def test_directional_variant_shares_horizontal_bound():
     estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=7))
     config = PipelineConfig(variant="VAR_EO_DIRECTIONAL", sampling=FAST_SAMPLING, seed=7)
     out = run_sequence(estimator, sc, config)
-    for result in out.results:
-        assert result.pl.lateral == result.pl.longitudinal
-        assert result.direction_theta is not None
-        assert result.direction_excluded in (None, "x", "y")
-        assert result.pl.vertical > 0.0
+    assert np.array_equal(out.pl[:, 0], out.pl[:, 1])
+    assert np.isfinite(out.direction_theta).all()
+    assert set(out.direction_excluded.tolist()) <= {0, 1, 2}  # EXCLUDED_AXES: none, "x", "y"
+    assert (out.pl[:, 2] > 0.0).all()
 
 
 def test_non_directional_variants_leave_theta_unset():
@@ -337,7 +357,7 @@ def test_non_directional_variants_leave_theta_unset():
     for variant in ("VAR", "VAR_E", "VAR_EO"):
         config = PipelineConfig(variant=variant, sampling=FAST_SAMPLING, seed=2)
         out = run_sequence(estimator, sc, config)
-        assert all(r.direction_theta is None for r in out.results)
+        assert np.isnan(out.direction_theta).all() and not out.direction_excluded.any()
 
 
 def test_thread_count_does_not_change_results():
@@ -346,19 +366,21 @@ def test_thread_count_does_not_change_results():
     rows = []
     for threads in (1, 4):
         config = PipelineConfig(variant="VAR_EO", sampling=FAST_SAMPLING, seed=11, threads=threads)
-        rows.append(run_sequence(estimator, sc, config).result_rows())
+        rows.append(run_sequence(estimator, sc, config).result_rows().tobytes())
     assert rows[0] == rows[1]
 
 
 def test_sequence_bookkeeping():
     sc = _scenario(seed=13)
     out = run_sequence(SyntheticEstimator(), sc, PipelineConfig(sampling=FAST_SAMPLING, seed=13))
-    assert len(out.results) == len(sc.timesteps)
-    assert [r.index for r in out.results] == [ts.index for ts in sc.timesteps]
+    assert out.pl.shape == (len(sc.timesteps), 3)
+    assert out.indices.tolist() == [ts.index for ts in sc.timesteps]
+    assert out.timestamps.tolist() == [ts.timestamp for ts in sc.timesteps]
     assert out.report.n_records == len(sc.timesteps)
     assert out.diagram.n_records == len(sc.timesteps)
     rows = out.result_rows()
-    assert len(rows) == len(sc.timesteps) and len(rows[0]) == 7
+    assert rows.shape == (len(sc.timesteps), 7)
+    assert rows[:, 1:4].tobytes() == out.pl.tobytes() and rows[:, 4:].tobytes() == out.error.tobytes()
     # the recorded error is the scenario's true estimate error
     for row, ts in zip(rows, sc.timesteps):
         err = vehicle_frame_error(ts.true_pose, ts.estimate_pose)
@@ -369,15 +391,15 @@ def test_sequence_rerun_is_deterministic():
     sc = _scenario(seed=17)
     estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=17))
     config = PipelineConfig(variant="VAR_EO", sampling=FAST_SAMPLING, seed=17)
-    a = run_sequence(estimator, sc, config).result_rows()
-    b = run_sequence(estimator, sc, config).result_rows()
-    assert a == b
+    a = run_sequence(estimator, sc, config)
+    b = run_sequence(estimator, sc, config)
+    _same_sequence(a, b)
 
 
 def test_empty_scenario_yields_empty_report():
     cfg = ScenarioConfig(n_timesteps=0, blocks_x=1, blocks_y=1, wall_density=0.2, ground=False)
     out = run_sequence(SyntheticEstimator(), _scenario(config=cfg), PipelineConfig())
-    assert out.results == [] and out.result_rows() == []
+    assert out.pl.shape == (0, 3) and out.result_rows().shape == (0, 7) and out.exclusions == ()
     assert out.report.n_records == 0
     assert out.diagram.n_records == 0
 
@@ -389,13 +411,12 @@ def test_tensor_memory_order_does_not_change_results():
     estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=22, sigma_noise=(0.01, 0.01, 0.01), sigma_rot=0.05))
     config = PipelineConfig(variant="VAR_EO", sampling=FAST_SAMPLING, seed=22)
     q = default_rotation_uncertainty(estimator, replace(config, q_samples=2000)).q
-    c_order, f_order = (
-        run_sequence(estimator, sc, config, RotationUncertainty(order(q)))
-        for order in (np.ascontiguousarray, np.asfortranarray)
-    )
-    assert c_order.result_rows() == f_order.result_rows()
-    for a, b in zip(c_order.results, f_order.results):  # the inflated variances too
-        assert a.samples.variances.tobytes() == b.samples.variances.tobytes()
+    tensors = [RotationUncertainty(order(q)) for order in (np.ascontiguousarray, np.asfortranarray)]
+    c_order, f_order = (run_sequence(estimator, sc, config, tensor) for tensor in tensors)
+    _same_sequence(c_order, f_order)
+    (_, c_block), (_, f_block) = (next(_blocks(estimator, sc, config, tensor, len(sc.timesteps))) for tensor in tensors)
+    for t in range(len(sc.timesteps)):  # the inflated variances too
+        _same_result(c_block, f_block, t, t)
 
 
 def test_default_rotation_uncertainty_branches(tmp_path, monkeypatch):
@@ -450,9 +471,40 @@ def _one_at_a_time(estimator, scenario, config, rotation):
     for ts in scenario.timesteps:
         ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose)
         offsets = None if config.variant == "VAR" else _offsets(config.sampling, [config.seed, 2, ts.index])
-        result = run_timestep(estimator, ctx, ts.estimate_pose, None, offsets, rotation, config)
-        results.append(replace(result, index=ts.index))
+        results.append(run_timestep(estimator, ctx, ts.estimate_pose, None, offsets, rotation, config))
     return results
+
+
+def _blocks(estimator, scenario, config, rotation, size):
+    """``run_block`` over the consecutive ``size``-timestep chunks of a
+    scenario, as ``run_sequence`` makes them: (first timestep, result) pairs."""
+    for first in range(0, len(scenario.timesteps), size):
+        block = scenario.timesteps[first : first + size]
+        ctxs = [MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose) for ts in block]
+        seeds = [[config.seed, 2, ts.index] for ts in block]
+        offsets = None if config.variant == "VAR" else sample_candidates(config.sampling, seeds)
+        poses = [ts.estimate_pose for ts in block]
+        yield first, run_block(estimator, ctxs, poses, scenario.cloud, offsets, rotation, config)
+
+
+def _timesteps_of(sequence, scenario):
+    """A sequence result holds one row per scenario timestep, in order."""
+    assert sequence.indices.tolist() == [ts.index for ts in scenario.timesteps]
+    assert sequence.timestamps.tolist() == [ts.timestamp for ts in scenario.timesteps]
+    assert len(sequence.pl) == len(scenario.timesteps)
+
+
+def _matches_one_at_a_time(estimator, scenario, config, rotation, size):
+    """``run_sequence`` in blocks of ``size``, and those blocks' samples, give
+    every timestep what ``run_timestep`` gives it alone."""
+    want = _one_at_a_time(estimator, scenario, config, rotation)
+    got = run_sequence(estimator, scenario, config, rotation)
+    _timesteps_of(got, scenario)
+    for t, one in enumerate(want):
+        assert _row(got, t) == _row(one, 0)
+    for first, block in _blocks(estimator, scenario, config, rotation, size):
+        for k in range(len(block.kept)):
+            _same_result(block, want[first + k], k)
 
 
 def _block_estimators(tmp_path):
@@ -475,9 +527,9 @@ def test_block_results_match_one_timestep_runs(tmp_path, steps):
             config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=8)
             block_offsets = None if variant == "VAR" else offsets
             block = run_block(estimator, ctxs, poses, None, block_offsets, rotation, config)
-            assert len(block) == steps
-            for got, (ctx, pose, one_offsets) in zip(block, timesteps):
-                _same_result(got, run_timestep(estimator, ctx, pose, None, one_offsets, rotation, config))
+            assert len(block.kept) == steps
+            for t, (ctx, pose, one_offsets) in enumerate(timesteps):
+                _same_result(block, run_timestep(estimator, ctx, pose, None, one_offsets, rotation, config), t)
 
 
 def test_sequence_results_do_not_depend_on_block_boundaries(tmp_path, monkeypatch):
@@ -485,12 +537,9 @@ def test_sequence_results_do_not_depend_on_block_boundaries(tmp_path, monkeypatc
     for estimator, rotation in _block_estimators(tmp_path):
         for variant in VARIANTS:
             config = PipelineConfig(variant=variant, sampling=BATCH_SAMPLING, seed=8)
-            want = _one_at_a_time(estimator, scenario, config, rotation)
             for size in (BLOCK_TIMESTEPS, 3, 1):
                 monkeypatch.setattr(pipeline, "BLOCK_TIMESTEPS", size)
-                got = run_sequence(estimator, scenario, config, rotation)
-                for a, b in zip(got.results, want, strict=True):
-                    _same_result(a, b)
+                _matches_one_at_a_time(estimator, scenario, config, rotation, size)
 
 
 def test_sequence_longer_than_a_block_matches_one_timestep_runs():
@@ -498,9 +547,7 @@ def test_sequence_longer_than_a_block_matches_one_timestep_runs():
     estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=9, sigma_rot=0.02))
     config = PipelineConfig(variant="VAR_EO_DIRECTIONAL", sampling=FAST_SAMPLING, seed=9)
     rotation = default_rotation_uncertainty(estimator, replace(config, q_samples=2000))
-    got = run_sequence(estimator, scenario, config, rotation)
-    for a, b in zip(got.results, _one_at_a_time(estimator, scenario, config, rotation), strict=True):
-        _same_result(a, b)
+    _matches_one_at_a_time(estimator, scenario, config, rotation, BLOCK_TIMESTEPS)
 
 
 @dataclass
@@ -614,8 +661,12 @@ def test_var_results_are_its_one_estimate_call_bit_for_bit(tmp_path):
     for estimator in (synthetic, OneAtATime(synthetic), table):
         got = run_sequence(estimator, scenario, config, rotation)
         want = oracles.var_block(estimator, ctxs, poses, scenario.cloud, config.query)
-        for result, expected, ts in zip(got.results, want, scenario.timesteps, strict=True):
-            _same_result(result, replace(expected, index=ts.index))
+        _timesteps_of(got, scenario)
+        for t in range(len(want.pl)):
+            assert _row(got, t) == _row(want, t)
+        (_, block), = _blocks(estimator, scenario, config, rotation, len(ctxs))  # the samples too
+        for t in range(len(want.pl)):
+            _same_result(block, want, t, t)
 
 
 def test_var_raises_the_error_of_its_one_candidate(tmp_path):

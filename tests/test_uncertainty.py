@@ -13,8 +13,8 @@ from plbounds.geometry import quat_from_euler_zyx, quat_to_matrix
 from plbounds.uncertainty import (
     MIN_ROTATION_SAMPLES,
     ROBUST_GAMMA,
+    EXCLUDED_AXES,
     DirectionalErrors,
-    ErrorSampleSet,
     RotationUncertainty,
     outlier_weights,
     precompute_q,
@@ -301,57 +301,82 @@ def test_outlier_weights_validation():
 
 
 # ---------------------------------------------------------------------------
-# sample sets and directional projection
-
-
-def test_error_sample_set_validation():
-    with pytest.raises(ValueError):
-        ErrorSampleSet(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))  # zero variance
-    with pytest.raises(ValueError):
-        ErrorSampleSet(np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2)))
+# directional projection
 
 
 def _sample_set(ex, ey, ez, w=None):
+    """One sample set as a stack of one: (1, N, 3) means, variances and weights."""
     n = len(ex)
     means = np.column_stack([ex, ey, ez])
     variances = np.full((n, 3), 0.04)
     weights = np.full((n, 3), 1.0 / n) if w is None else w
-    return ErrorSampleSet(means, variances, weights)
+    return means[None], variances[None], weights[None]
+
+
+def _one(proj: DirectionalErrors):
+    """The projection of a stack of one set: theta, the excluded axis and the
+    horizontal and vertical (means, variances, weights)."""
+    (rows, *horizontal), = proj.horizontal
+    assert rows.tolist() == [0]
+    return proj.theta[0], EXCLUDED_AXES[proj.excluded[0]], [a[0] for a in horizontal], [a[0] for a in proj.vertical]
 
 
 def test_project_directional_known_angle():
     # all errors on the 3-4-5 direction: theta = atan2(4, 3), and both
     # halves project to the same magnitude 5
     n = 4
-    s = _sample_set([3.0] * n, [4.0] * n, [1.0] * n)
-    proj = project_directional(s)
-    assert np.isclose(proj.theta, np.arctan2(4.0, 3.0))
-    assert proj.excluded is None
-    assert np.allclose(proj.horizontal_means, 5.0)
-    assert np.allclose(proj.horizontal_weights, 0.5 / n)
-    assert np.isclose(proj.horizontal_weights.sum(), 1.0)
+    theta, excluded, (h_means, h_vars, h_weights), (v_means, _, _) = _one(
+        project_directional(*_sample_set([3.0] * n, [4.0] * n, [1.0] * n))
+    )
+    assert np.isclose(theta, np.arctan2(4.0, 3.0))
+    assert excluded is None
+    assert np.allclose(h_means, 5.0)
+    assert np.allclose(h_weights, 0.5 / n)
+    assert np.isclose(h_weights.sum(), 1.0)
     # variances scale with the squared direction cosines
-    assert np.allclose(proj.horizontal_variances[:n], 0.04 / 0.36)
-    assert np.allclose(proj.horizontal_variances[n:], 0.04 / 0.64)
-    assert np.allclose(proj.vertical_means, 1.0)
+    assert np.allclose(h_vars[:n], 0.04 / 0.36)
+    assert np.allclose(h_vars[n:], 0.04 / 0.64)
+    assert np.allclose(v_means, 1.0)
 
 
 def test_project_directional_excludes_degenerate_axis():
     n = 3
-    s = _sample_set([0.0] * n, [2.0] * n, [-1.0] * n)
-    proj = project_directional(s)
-    assert proj.excluded == "x"
-    assert np.allclose(proj.horizontal_means, 2.0)
-    assert np.isclose(proj.horizontal_weights.sum(), 1.0)
-    s = _sample_set([2.0] * n, [0.0] * n, [1.0] * n)
-    proj = project_directional(s)
-    assert proj.excluded == "y"
-    assert np.allclose(proj.horizontal_means, 2.0)
+    _, excluded, (h_means, _, h_weights), _ = _one(project_directional(*_sample_set([0.0] * n, [2.0] * n, [-1.0] * n)))
+    assert excluded == "x"
+    assert np.allclose(h_means, 2.0)
+    assert np.isclose(h_weights.sum(), 1.0)
+    _, excluded, (h_means, _, _), _ = _one(project_directional(*_sample_set([2.0] * n, [0.0] * n, [1.0] * n)))
+    assert excluded == "y"
+    assert np.allclose(h_means, 2.0)
 
 
 def test_project_directional_vertical_passthrough():
     s = _sample_set([1.0, 1.0], [1.0, 1.0], [-3.0, 2.0])
-    proj = project_directional(s)
-    assert np.array_equal(proj.vertical_means, [3.0, 2.0])
-    assert np.array_equal(proj.vertical_variances, s.variances[:, 2])
-    assert np.array_equal(proj.vertical_weights, s.weights[:, 2])
+    _, _, _, (v_means, v_vars, v_weights) = _one(project_directional(*s))
+    assert np.array_equal(v_means, [3.0, 2.0])
+    assert np.array_equal(v_vars, s[1][0, :, 2])
+    assert np.array_equal(v_weights, s[2][0, :, 2])
+
+
+def test_stacked_projection_matches_one_set_at_a_time():
+    # 24 candidates, as a timestep has, and sets whose directions lie near
+    # each axis, so that all three mixture shapes are stacked; every value
+    # must have the bits the per-set projection gives
+    rng = np.random.default_rng(41)
+    means = rng.normal(size=(40, 24, 3))
+    means[:8, :, 0] *= 1e-3  # direction near the y axis: x dropped
+    means[8:16, :, 1] *= 1e-3  # near the x axis: y dropped
+    variances = rng.uniform(0.01, 0.5, size=(40, 24, 3))
+    weights = outlier_weights(means)
+    proj = project_directional(means, variances, weights)
+    assert sorted(set(proj.excluded.tolist())) == [0, 1, 2]
+    horizontal = {}
+    for rows, *mixture in proj.horizontal:
+        for k, row in enumerate(rows.tolist()):
+            horizontal[row] = [a[k].tobytes() for a in mixture]
+    for g in range(len(means)):
+        theta, excluded, h, v = oracles.project_directional(means[g], variances[g], weights[g])
+        assert proj.theta[g].tobytes() == np.float64(theta).tobytes()
+        assert EXCLUDED_AXES[proj.excluded[g]] == excluded
+        assert horizontal[g] == [np.ascontiguousarray(a).tobytes() for a in h]
+        assert [a[g].tobytes() for a in proj.vertical] == [np.ascontiguousarray(a).tobytes() for a in v]
