@@ -32,7 +32,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--timesteps", type=int, default=400)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument(
         "--miscalibration",
         type=float,
@@ -56,7 +55,7 @@ def main(argv=None) -> int:
     print(f"{'':<20} {header:^20} {header:^20} {header:^20}")
     reports = {}
     for variant in VARIANTS:
-        config = PipelineConfig(variant=variant, seed=args.seed, threads=args.threads)
+        config = PipelineConfig(variant=variant, seed=args.seed)
         report = run_sequence(estimator, scenario, config).report
         reports[variant] = report.to_dict()
         print(

@@ -26,7 +26,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--timesteps", type=int, default=400)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument(
         "--factors", nargs="+", type=float, default=list(DEFAULT_FACTORS),
         help="miscalibration factors to sweep",
@@ -48,7 +47,7 @@ def main(argv=None) -> int:
             SyntheticEstimatorConfig(seed=args.seed, miscalibration=factor)
         )
         for variant in args.variants:
-            config = PipelineConfig(variant=variant, seed=args.seed, threads=args.threads)
+            config = PipelineConfig(variant=variant, seed=args.seed)
             report = run_sequence(estimator, scenario, config).report
             rates = {d: report.failure_rate.get(d) for d in DIRECTIONS}
             rows.append({"miscalibration": factor, "variant": variant, "failure_rate": rates})

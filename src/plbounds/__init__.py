@@ -64,9 +64,7 @@ from .uncertainty import (
 )
 from .gmm import (
     GaussianMixture,
-    MixtureStack,
     ProtectionLevelQuery,
-    ProtectionLevels,
     gmm_cdf,
     gmm_quantile,
     protection_level,
@@ -157,13 +155,11 @@ __all__ = [
     "project_directional",
     # mixture solver
     "GaussianMixture",
-    "MixtureStack",
     "gmm_cdf",
     "gmm_quantile",
     "protection_level",
     "protection_levels_all",
     "ProtectionLevelQuery",
-    "ProtectionLevels",
     # metrics
     "AlarmLimits",
     "PerDirection",

@@ -280,10 +280,6 @@ def _rotation_uncertainty(settings: Settings) -> RotationUncertainty | None:
     return None  # derive from the estimator inside run_sequence
 
 
-def _pipeline_config(settings: Settings) -> PipelineConfig:
-    return PipelineConfig(**{f.name: getattr(settings, f.name) for f in fields(PipelineConfig)})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -323,7 +319,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "estimator": settings.estimator_kind,
         },
     )
-    sequence = run_sequence(estimator, scenario, _pipeline_config(settings), rotation)
+    config = PipelineConfig(**{f.name: getattr(settings, f.name) for f in fields(PipelineConfig)})
+    sequence = run_sequence(estimator, scenario, config, rotation)
     io.write_results_csv(sequence.result_rows(), out / "results.csv")
     io.write_json(sequence.report.to_dict(), out / "report.json")
     io.write_json(sequence.diagram.to_dict(), out / "diagram.json")
@@ -378,10 +375,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{args.predictions}: expected columns {','.join(CALIBRATION_COLUMNS)}"
             )
-        table = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    if not table:
+        rows = []  # (estimate, normalized predicted rotation, true translation, normalized true rotation)
+        for number, line in enumerate(fh, start=2):
+            try:
+                if line.strip():
+                    row = np.array([float(v) for v in line.split(",")])
+                    if len(row) != len(CALIBRATION_COLUMNS):
+                        raise ValueError(f"expected {len(CALIBRATION_COLUMNS)} values, got {len(row)}")
+                    pred_q = quat_normalize(row[12:16])
+                    raw = RawEstimate(row[0:3], pred_q, row[6:9], row[9:12])
+                    rows.append((raw, pred_q, row[3:6], quat_normalize(row[16:20])))
+            except ValueError as exc:
+                raise ValueError(f"{args.predictions}:{number}: {exc}") from None
+    if not rows:
         raise ValueError(f"{args.predictions}: no data rows")
-    data = np.asarray(table, dtype=float)
     out = _resolve_out(args)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out, "calibrate", {"predictions": str(args.predictions)})
@@ -389,12 +396,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     weights = LossWeights()
     residuals = []
     huber_total = nll_total = angular_total = 0.0
-    for row in data:
-        pred_t, true_t = row[0:3], row[3:6]
-        sigma, corr = row[6:9], row[9:12]
-        pred_q = quat_normalize(row[12:16])
-        true_q = quat_normalize(row[16:20])
-        raw = RawEstimate(pred_t, pred_q, sigma, corr)
+    for raw, pred_q, true_t, true_q in rows:
         e = raw.translation_error - true_t
         huber_total += huber_loss(e)
         nll_total += gaussian_nll(e, assemble_covariance(raw.sigma, raw.corr))

@@ -37,47 +37,11 @@ def std_normal_cdf(z):
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """A one-dimensional mixture: component means, variances and weights."""
+    """One-dimensional mixtures: component means, variances and weights.
 
-    means: np.ndarray
-    variances: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.means, dtype=float)
-        v = np.asarray(self.variances, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if not (m.shape == v.shape == w.shape) or m.ndim != 1 or m.size == 0:
-            raise LengthMismatch(
-                f"means, variances and weights must be equal-length 1-d arrays, "
-                f"got {m.shape}, {v.shape}, {w.shape}"
-            )
-        if not np.all(np.isfinite(m)) or not np.all(np.isfinite(v)) or not np.all(np.isfinite(w)):
-            raise ValueError("mixture parameters must be finite")
-        if np.any(v <= 0.0):
-            raise ValueError("variances must be strictly positive")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
-        total = float(w.sum())
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise WeightSumViolation(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "variances", v)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.sqrt(self.variances)
-
-
-@dataclass(frozen=True)
-class MixtureStack:
-    """Mixtures with equally many components: one mixture per row of the
-    (..., N) means, variances and weights.
-
-    Every row passes the ``GaussianMixture`` checks, run once on the whole
-    stack; the first row, in C order, that fails raises the error its own
-    ``GaussianMixture`` raises.
+    (N,) arrays hold one mixture; (..., N) stacks hold one mixture per row.
+    The checks run once on the whole stack, and the first row, in C order,
+    that fails raises the error it raises alone.
     """
 
     means: np.ndarray
@@ -86,16 +50,23 @@ class MixtureStack:
 
     def __post_init__(self) -> None:
         # contiguous rows, so that a row's weight sum has a lone mixture's bits
-        m, v, w = (np.ascontiguousarray(a, dtype=float) for a in (self.means, self.variances, self.weights))
+        m, v, w = (np.asarray(a, dtype=float, order="C") for a in (self.means, self.variances, self.weights))
         if not (m.shape == v.shape == w.shape) or m.ndim == 0:
-            raise LengthMismatch(
-                f"means, variances and weights must be equal-shape stacks, got {m.shape}, {v.shape}, {w.shape}"
-            )
+            raise LengthMismatch(f"mixture arrays must share a shape, got {m.shape}, {v.shape}, {w.shape}")
         ok = (np.isfinite(m) & np.isfinite(v) & np.isfinite(w) & (v > 0.0) & (w >= 0.0)).all(axis=-1)
         ok &= (np.abs(w.sum(axis=-1) - 1.0) <= _WEIGHT_TOL) & (m.shape[-1] > 0)
         if not ok.all():
             first = np.unravel_index(np.argmin(ok), ok.shape)
-            GaussianMixture(m[first], v[first], w[first])  # raises that row's error
+            m, v, w = m[first], v[first], w[first]
+            if m.size == 0:
+                raise LengthMismatch(f"a mixture needs at least one component, got {m.shape}, {v.shape}, {w.shape}")
+            if not (np.isfinite(m).all() and np.isfinite(v).all() and np.isfinite(w).all()):
+                raise ValueError("mixture parameters must be finite")
+            if np.any(v <= 0.0):
+                raise ValueError("variances must be strictly positive")
+            if np.any(w < 0.0):
+                raise ValueError("weights must be non-negative")
+            raise WeightSumViolation(f"weights sum to {float(w.sum())!r}, expected 1")
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "weights", w)
@@ -105,8 +76,15 @@ class MixtureStack:
         return np.sqrt(self.variances)
 
 
+def _one(mixture: GaussianMixture) -> GaussianMixture:
+    if mixture.means.ndim != 1:
+        raise LengthMismatch(f"expected one mixture of (N,) arrays, got a stack of shape {mixture.means.shape}")
+    return mixture
+
+
 def gmm_cdf(mixture: GaussianMixture, x) -> np.ndarray | float:
-    """Mixture CDF: the weighted sum of component normal CDFs."""
+    """CDF of one mixture: the weighted sum of component normal CDFs."""
+    mixture = _one(mixture)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     z = (xs[:, None] - mixture.means[None, :]) / mixture.sigmas[None, :]
     vals = std_normal_cdf(z) @ mixture.weights
@@ -128,23 +106,6 @@ class ProtectionLevelQuery:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-
-
-@dataclass(frozen=True)
-class ProtectionLevels:
-    """Statistical error bounds per vehicle axis, in meters."""
-
-    lateral: float
-    longitudinal: float
-    vertical: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("lateral", self.lateral), ("longitudinal", self.longitudinal), ("vertical", self.vertical)):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} protection level must be finite and non-negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lateral, self.longitudinal, self.vertical])
 
 
 def _brackets(
@@ -196,13 +157,11 @@ def _brackets(
 
 
 def gmm_quantile(
-    mixture: GaussianMixture,
-    probability: float,
-    tolerance: float = 1e-4,
-    max_iterations: int = 200,
+    mixture: GaussianMixture, probability: float, tolerance: float = 1e-4, max_iterations: int = 200
 ) -> float:
-    """Solve ``cdf(x) = probability`` for x by bisection; returns the
-    midpoint of the final bracket (see ``_brackets``)."""
+    """Solve one mixture's ``cdf(x) = probability`` for x by bisection;
+    returns the midpoint of the final bracket (see ``_brackets``)."""
+    mixture = _one(mixture)
     if not 0.0 < probability < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
     stack = (mixture.means[None], mixture.sigmas[None], mixture.weights[None])
@@ -210,9 +169,12 @@ def gmm_quantile(
     return float(0.5 * (lo[0] + hi[0]))
 
 
-def _bounds(mixtures: MixtureStack, query: ProtectionLevelQuery) -> np.ndarray:
-    """Two-sided bound of each mixture of the stack at the queried
-    integrity risk, all solved in one ``_brackets`` call.
+def protection_level(
+    mixture: GaussianMixture, query: ProtectionLevelQuery = ProtectionLevelQuery()
+) -> float | np.ndarray:
+    """Two-sided error bound at the queried integrity risk: a float for one
+    mixture, the array of its rows' bounds for a stack, all solved in one
+    ``_brackets`` call.
 
     Each tail gets half the risk.  The bound is the larger magnitude of the
     outer edges of the two tail brackets (the upper edge of the ``1 - risk/2``
@@ -220,22 +182,13 @@ def _bounds(mixtures: MixtureStack, query: ProtectionLevelQuery) -> np.ndarray:
     at most the risk whatever the tolerance.
     """
     half = 0.5 * query.integrity_risk
-    n = mixtures.means.shape[-1]
-    tails = [np.repeat(a.reshape(-1, n), 2, axis=0) for a in (mixtures.means, mixtures.sigmas, mixtures.weights)]
+    n = mixture.means.shape[-1]
+    tails = [np.repeat(a.reshape(-1, n), 2, axis=0) for a in (mixture.means, mixture.sigmas, mixture.weights)]
     p = np.tile([1.0 - half, half], len(tails[0]) // 2)
     lo, hi = _brackets(*tails, p, query.tolerance, query.max_iterations)
     upper, lower = np.abs(hi[0::2]), np.abs(lo[1::2])
-    return np.where(lower > upper, lower, upper).reshape(mixtures.means.shape[:-1])  # max(upper, lower)
-
-
-def protection_level(
-    mixture: GaussianMixture | MixtureStack, query: ProtectionLevelQuery = ProtectionLevelQuery()
-) -> float | np.ndarray:
-    """Two-sided error bound at the queried integrity risk (see ``_bounds``);
-    a ``MixtureStack`` gives the array of its rows' bounds."""
-    if isinstance(mixture, MixtureStack):
-        return _bounds(mixture, query)
-    return float(_bounds(MixtureStack(mixture.means, mixture.variances, mixture.weights), query))
+    bounds = np.where(lower > upper, lower, upper).reshape(mixture.means.shape[:-1])  # max(upper, lower)
+    return float(bounds) if bounds.ndim == 0 else bounds
 
 
 def protection_levels_all(
@@ -243,19 +196,16 @@ def protection_levels_all(
     variances: np.ndarray,
     weights: np.ndarray,
     query: ProtectionLevelQuery = ProtectionLevelQuery(),
-) -> ProtectionLevels | np.ndarray:
-    """Per-axis protection levels from (N, 3) mixture ingredients, or the
-    (T, 3) array of them, one row per timestep, from (T, N, 3) stacks.
+) -> np.ndarray:
+    """Per-axis protection levels: the (3,) array of them from (N, 3)
+    mixture ingredients, or the (T, 3) array, one row per timestep, from
+    (T, N, 3) stacks.
 
     Columns are the lateral, longitudinal and vertical sample sets; each
     column forms its own mixture, and all of them are solved in one
     bisection.
     """
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    means, variances, weights = (np.asarray(a, dtype=float) for a in (means, variances, weights))
     if not (means.shape == variances.shape == weights.shape) or means.ndim not in (2, 3) or means.shape[-1] != 3:
         raise LengthMismatch("per-axis inputs must share shape (N, 3) or (T, N, 3)")
-    columns = MixtureStack(*(np.swapaxes(a, -1, -2) for a in (means, variances, weights)))
-    bounds = _bounds(columns, query)
-    return ProtectionLevels(*bounds.tolist()) if means.ndim == 2 else bounds
+    return protection_level(GaussianMixture(*(np.swapaxes(a, -1, -2) for a in (means, variances, weights))), query)

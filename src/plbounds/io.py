@@ -67,8 +67,12 @@ def write_json(obj, path: Path | str) -> None:
 
 
 def read_json(path: Path | str):
+    """The JSON document in the file; invalid JSON raises ValueError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_jsonl(rows, path: Path | str) -> None:

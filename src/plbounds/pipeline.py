@@ -21,7 +21,7 @@ import numpy as np
 from .errors import PlboundsError, TimestepFailure
 from .estimator import Estimator, MeasurementContext, SyntheticEstimator, to_vehicle_frame
 from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
-from .gmm import MixtureStack, ProtectionLevelQuery, protection_level, protection_levels_all
+from .gmm import GaussianMixture, ProtectionLevelQuery, protection_level, protection_levels_all
 from .metrics import AlarmLimits, IntegrityDiagram, IntegrityReport, integrity_diagram, summarize
 from .sampling import SamplingConfig, apply_offset, sample_candidates
 from .scenario import Scenario, vehicle_frame_error
@@ -223,8 +223,8 @@ def run_block(
             theta[group], codes[group] = projected.theta, projected.excluded
             # the horizontal mixtures are checked and solved first, as a lone timestep's were
             for members, *mixture in projected.horizontal:
-                pl[group[members], :2] = protection_level(MixtureStack(*mixture), config.query)[:, None]
-            pl[group, 2] = protection_level(MixtureStack(*projected.vertical), config.query)
+                pl[group[members], :2] = protection_level(GaussianMixture(*mixture), config.query)[:, None]
+            pl[group, 2] = protection_level(GaussianMixture(*projected.vertical), config.query)
         else:
             pl[group] = protection_levels_all(group_means, group_variances, group_weights, config.query)
     exclusions = tuple((t, i, str(exc)) for (t, i), exc in sorted(excluded.items()))

@@ -203,18 +203,29 @@ def save_scenario(scenario: Scenario, out_dir: Path | str, map_format: str = "bi
     return path
 
 
+def _problem(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def load_scenario(path: Path | str) -> Scenario:
+    """The scenario ``save_scenario`` wrote; a malformed document raises
+    ValueError naming the file, and the timestep of a bad timestep field."""
     path = Path(path)
     doc = io.read_json(path)
-    if doc.get("schema") != 1:
-        raise ValueError(f"{path}: unsupported scenario schema {doc.get('schema')!r}")
-    map_name = doc["map"]
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != 1:
+        raise ValueError(f"{path}: unsupported scenario schema {schema!r}")
+    try:
+        map_name, rows, seed = doc["map"], doc["timesteps"], int(doc["seed"])
+        if not (isinstance(map_name, str) and isinstance(rows, list)):
+            raise TypeError("expected a string 'map' and a list of 'timesteps'")
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {_problem(exc)}") from None
     map_path = path.parent / map_name
     if map_name.endswith(".bin"):
         cloud = io.read_cloud_bin(map_path)
     else:
         cloud = io.read_cloud_xyz(map_path)
-    rows = doc["timesteps"]
     poses = _checked_poses(rows)  # None: build each Pose alone, so the first bad one raises its own error
     timesteps = []
     for k, ts in enumerate(rows):
@@ -228,9 +239,9 @@ def load_scenario(path: Path | str) -> Scenario:
                     estimate_pose=_pose_from_dict(ts["estimate_pose"]) if poses is None else poses[2 * k + 1],
                 )
             )
-        except OverflowError as exc:  # e.g. an integer numeral beyond the float range
-            raise ValueError(f"{path}: timestep {k}: {exc}") from None
-    return Scenario(seed=int(doc["seed"]), cloud=cloud, timesteps=timesteps, map_path=str(map_path))
+        except (LookupError, TypeError, OverflowError) as exc:  # OverflowError: a numeral beyond the float range
+            raise ValueError(f"{path}: timestep {k}: {_problem(exc)}") from None
+    return Scenario(seed=seed, cloud=cloud, timesteps=timesteps, map_path=str(map_path))
 
 
 def _checked_poses(rows: list) -> list[Pose] | None:

@@ -376,9 +376,9 @@ class IntegrityRecord:
     them before its metrics took columns."""
 
     def __init__(self, pl, error):
-        from plbounds.gmm import ProtectionLevels
-
-        self.pl = ProtectionLevels(*(float(v) for v in pl))
+        self.pl = np.array([float(v) for v in pl])
+        if self.pl.shape != (3,) or not (np.isfinite(self.pl) & (self.pl >= 0.0)).all():
+            raise ValueError("protection levels must be three finite non-negative values")
         self.error = np.asarray(error, dtype=float)
         if self.error.shape != (3,) or not np.all(np.isfinite(self.error)):
             raise ValueError("error must be a finite 3-vector")
@@ -389,7 +389,7 @@ def records(pl, error) -> list[IntegrityRecord]:
 
 
 def _columns(records):
-    pls = np.array([r.pl.as_array() for r in records])
+    pls = np.array([r.pl for r in records])
     errs = np.abs(np.array([r.error for r in records]))
     return pls, errs
 

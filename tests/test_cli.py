@@ -364,6 +364,34 @@ def test_numerals_beyond_the_float_range_exit_3(scenario_dir, tmp_path, capsys):
     assert f"input error: {scenario}: timestep 1: int too large to convert to float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda doc: doc["timesteps"][1].pop("true_pose"), "timestep 1: missing key 'true_pose'"),
+        (lambda doc: doc.pop("map"), "missing key 'map'"),
+        (lambda doc: doc["timesteps"][2].pop("index"), "timestep 2: missing key 'index'"),
+        (lambda doc: doc.pop("timesteps"), "missing key 'timesteps'"),
+        (lambda doc: doc.pop("seed"), "missing key 'seed'"),
+        (lambda doc: doc.update(timesteps=5), "expected a string 'map' and a list of 'timesteps'"),
+        (None, "Expecting"),  # the document cut off halfway
+    ],
+    ids=["true_pose", "map", "index", "timesteps", "seed", "timesteps_not_a_list", "truncated"],
+)
+def test_malformed_scenario_documents_exit_3(config_path, scenario_dir, tmp_path, capsys, edit, where):
+    text = (scenario_dir / "scenario.json").read_text()
+    if edit is None:
+        text = text[: len(text) // 2]
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        text = json.dumps(doc)
+    scenario = scenario_dir / "malformed_scenario.json"
+    scenario.write_text(text)
+    argv = ["run", str(scenario), "--config", str(config_path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"input error: {scenario}: {where}")
+
+
 def test_pipeline_failure_exits_4(scenario_dir, tmp_path):
     # a file estimator with no records rejects every candidate
     empty = tmp_path / "estimates.jsonl"
@@ -439,6 +467,30 @@ def test_calibrate_known_losses(tmp_path, capsys):
     assert np.array_equal(residuals[0], [1.0, 0.0, 0.0, 0.0])
     assert np.allclose(residuals[1], [c45, 0.0, 0.0, c45], atol=1e-12)
     assert "2 rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (["1"] * 19, "expected 20 values, got 19"),
+        (["1"] * 5 + ["x"] + ["1"] * 14, "could not convert string to float: 'x'"),
+        (["0"] * 6 + ["1"] * 3 + ["0"] * 3 + ["2", "0", "0", "0"] * 2, "quaternion norm 2.0 too far from 1"),
+    ],
+    ids=["short_row", "not_a_number", "quaternion_norm"],
+)
+def test_calibrate_names_the_line_of_a_bad_row(tmp_path, capsys, cells, message):
+    good = ["0"] * 6 + ["1"] * 3 + ["0"] * 3 + ["1", "0", "0", "0", "1", "0", "0", "0"]
+    path = tmp_path / "predictions.csv"
+    path.write_text("\n".join([",".join(CALIBRATION_COLUMNS), ",".join(good), "", ",".join(cells)]) + "\n")
+    assert main(["calibrate", str(path), "--out", str(tmp_path / "cal")]) == 3
+    assert capsys.readouterr().err == f"input error: {path}:4: {message}\n"
+
+
+def test_calibrate_indefinite_correlation_exits_4(tmp_path):
+    row = ["0"] * 6 + ["1"] * 3 + ["0.9", "-0.9", "0.9"] + ["1", "0", "0", "0", "1", "0", "0", "0"]
+    path = tmp_path / "predictions.csv"
+    path.write_text(",".join(CALIBRATION_COLUMNS) + "\n" + ",".join(row) + "\n")
+    assert main(["calibrate", str(path), "--out", str(tmp_path / "cal")]) == 4
 
 
 def test_calibrate_rejects_empty_table(tmp_path):

@@ -9,9 +9,7 @@ from plbounds import gmm
 from plbounds.errors import BracketingFailure, LengthMismatch, NonConvergence, WeightSumViolation
 from plbounds.gmm import (
     GaussianMixture,
-    MixtureStack,
     ProtectionLevelQuery,
-    ProtectionLevels,
     gmm_cdf,
     gmm_quantile,
     protection_level,
@@ -60,6 +58,8 @@ def test_mixture_validation():
     with pytest.raises(LengthMismatch):
         GaussianMixture(np.zeros(0), np.zeros(0), np.zeros(0))
     with pytest.raises(LengthMismatch):
+        GaussianMixture(np.zeros(()), np.ones(()), np.ones(()))
+    with pytest.raises(WeightSumViolation):  # a (2, 2) stack is two mixtures, each summing to 0.5
         GaussianMixture(np.zeros((2, 2)), np.ones((2, 2)), np.full((2, 2), 0.25))
     with pytest.raises(WeightSumViolation):
         GaussianMixture(np.zeros(2), np.ones(2), np.array([0.5, 0.5 + 1e-9]))
@@ -204,7 +204,7 @@ def test_protection_level_is_the_outer_bracket_edge():
     m = GaussianMixture([0.0], [1.0], [1.0])
     query = ProtectionLevelQuery(integrity_risk=0.01, tolerance=1e-2)
     assert protection_level(m, query) >= Z_995
-    assert protection_levels_all(np.zeros((2, 3)), np.ones((2, 3)), np.full((2, 3), 0.5), query).lateral >= Z_995
+    assert protection_levels_all(np.zeros((2, 3)), np.ones((2, 3)), np.full((2, 3), 0.5), query)[0] >= Z_995
     assert abs(gmm_quantile(m, 0.995, tolerance=1e-2) - 2.568) <= 1e-3
 
 
@@ -253,14 +253,6 @@ def test_query_validation():
         ProtectionLevelQuery(max_iterations=0)
 
 
-def test_protection_levels_validation():
-    with pytest.raises(ValueError):
-        ProtectionLevels(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ProtectionLevels(1.0, float("nan"), 1.0)
-    assert np.array_equal(ProtectionLevels(1.0, 2.0, 3.0).as_array(), [1.0, 2.0, 3.0])
-
-
 def test_protection_levels_all_matches_per_column():
     rng = np.random.default_rng(13)
     means = rng.normal(size=(6, 3))
@@ -269,7 +261,8 @@ def test_protection_levels_all_matches_per_column():
     weights /= weights.sum(axis=0, keepdims=True)
     q = ProtectionLevelQuery(integrity_risk=0.05)
     pls = protection_levels_all(means, variances, weights, q)
-    for d, value in enumerate(pls.as_array()):
+    assert pls.shape == (3,)
+    for d, value in enumerate(pls):
         single = protection_level(GaussianMixture(means[:, d], variances[:, d], weights[:, d]), q)
         assert value == single
 
@@ -362,8 +355,8 @@ def test_protection_level_never_falls_as_the_risk_falls(columns, risk, shrink, t
     means, sigmas, weights = (np.array([[row[k] for row in c] for c in columns]).T for k in range(3))
     weights /= weights.sum(axis=0)
     loose, tight = (ProtectionLevelQuery(integrity_risk=r, tolerance=tolerance) for r in (risk, smaller))
-    before = protection_levels_all(means, sigmas**2, weights, loose).as_array()
-    after = protection_levels_all(means, sigmas**2, weights, tight).as_array()
+    before = protection_levels_all(means, sigmas**2, weights, loose)
+    after = protection_levels_all(means, sigmas**2, weights, tight)
     assert (after >= before).all()
     m = GaussianMixture(means[:, 0], sigmas[:, 0] ** 2, weights[:, 0])
     assert protection_level(m, tight) >= protection_level(m, loose)
@@ -391,8 +384,8 @@ def test_permuting_the_candidates_moves_no_bound_past_two_tolerances(columns, ri
     means, sigmas, weights = _axes(columns)
     order = data.draw(st.permutations(range(len(means))))
     query = ProtectionLevelQuery(integrity_risk=risk, tolerance=tolerance)
-    before = protection_levels_all(means, sigmas**2, weights, query).as_array()
-    after = protection_levels_all(means[order], sigmas[order] ** 2, weights[order], query).as_array()
+    before = protection_levels_all(means, sigmas**2, weights, query)
+    after = protection_levels_all(means[order], sigmas[order] ** 2, weights[order], query)
     assert (np.abs(after - before) <= 2.0 * tolerance).all()
 
 
@@ -409,8 +402,8 @@ def test_scaling_means_and_sigmas_scales_the_bounds(columns, scale, risk, tolera
     # unscaled one's k times that after scaling
     means, sigmas, weights = _axes(columns)
     query = ProtectionLevelQuery(integrity_risk=risk, tolerance=tolerance)
-    base = protection_levels_all(means, sigmas**2, weights, query).as_array()
-    scaled = protection_levels_all(scale * means, (scale * sigmas) ** 2, weights, query).as_array()
+    base = protection_levels_all(means, sigmas**2, weights, query)
+    scaled = protection_levels_all(scale * means, (scale * sigmas) ** 2, weights, query)
     assert (np.abs(scaled - scale * base) <= 2.0 * max(1.0, scale) * tolerance).all()
 
 
@@ -431,12 +424,12 @@ def test_mixture_stack_raises_the_first_failing_rows_error():
             for later in range(at + 1, 3):  # a later failing row of another kind does not count
                 rows[later] = bad_rows[(k + 1) % len(bad_rows)]
             with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
-                MixtureStack(*(np.array([row[k] for row in rows]) for k in range(3)))
+                GaussianMixture(*(np.array([row[k] for row in rows]) for k in range(3)))
     with pytest.raises(LengthMismatch, match=re.escape("got (0,), (0,), (0,)")):
-        MixtureStack(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 0)))
+        GaussianMixture(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 0)))
     with pytest.raises(LengthMismatch):
-        MixtureStack(np.zeros((2, 3)), np.ones((3, 2)), np.full((2, 3), 1 / 3))
-    MixtureStack(*(np.array([row[k] for row in (good, good)]) for k in range(3)))
+        GaussianMixture(np.zeros((2, 3)), np.ones((3, 2)), np.full((2, 3), 1 / 3))
+    GaussianMixture(*(np.array([row[k] for row in (good, good)]) for k in range(3)))
 
 
 def test_stacked_protection_levels_match_one_at_a_time():
@@ -449,8 +442,96 @@ def test_stacked_protection_levels_match_one_at_a_time():
     stacked = protection_levels_all(means, variances, weights, q)
     assert stacked.shape == (7, 3)
     assert [row.tobytes() for row in stacked] == [
-        protection_levels_all(means[t], variances[t], weights[t], q).as_array().tobytes() for t in range(7)
+        protection_levels_all(means[t], variances[t], weights[t], q).tobytes() for t in range(7)
     ]
-    rows = MixtureStack(means[..., 0], variances[..., 0], weights[..., 0])
+    rows = GaussianMixture(means[..., 0], variances[..., 0], weights[..., 0])
     alone = [GaussianMixture(means[t, :, 0], variances[t, :, 0], weights[t, :, 0]) for t in range(7)]
     assert protection_level(rows, q).tolist() == [protection_level(m, q) for m in alone]
+
+
+# ---------------------------------------------------------------------------
+# one mixture type for one mixture and for stacks
+
+_BAD_KINDS = ("nan", "zero_variance", "negative_weight", "weight_sum")
+
+
+def _good_stack(rng, shape):
+    """Valid (..., N) means, variances and weights, one mixture per row."""
+    weights = rng.uniform(0.1, 1.0, shape)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return rng.normal(0.0, 2.0, shape), rng.uniform(0.01, 2.0, shape), weights
+
+
+def _error_alone(means, variances, weights):
+    try:
+        GaussianMixture(means, variances, weights)
+    except Exception as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_stack_raises_the_error_of_its_first_bad_row_alone(lead, n, seed, data):
+    rng = np.random.default_rng(seed)
+    means, variances, weights = _good_stack(rng, (*lead, n))
+    rows = list(np.ndindex(*lead))
+    planted = data.draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from(_BAD_KINDS), st.integers(0, n - 1))))
+    for row, kind, k in planted:
+        if kind == "nan":
+            data.draw(st.sampled_from((means, variances, weights)))[row][k] = np.nan
+        elif kind == "zero_variance":
+            variances[row][k] = 0.0
+        elif kind == "negative_weight":
+            weights[row][k] = -abs(weights[row][k])
+        else:
+            weights[row][k] += 1e-9
+    first = next(
+        (exc for exc in (_error_alone(means[r], variances[r], weights[r]) for r in rows) if exc is not None), None
+    )
+    assert (first is None) == (not planted)
+    if first is None:
+        GaussianMixture(means, variances, weights)
+    else:
+        with pytest.raises(type(first), match=f"^{re.escape(str(first))}$"):
+            GaussianMixture(means, variances, weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    tolerance=st.sampled_from([1e-2, 1e-4, 1e-7]),
+)
+def test_a_stack_bounds_each_row_as_it_bounds_the_row_alone(lead, n, seed, tolerance):
+    rng = np.random.default_rng(seed)
+    query = ProtectionLevelQuery(integrity_risk=0.01, tolerance=tolerance)
+    means, variances, weights = _good_stack(rng, (*lead, n))
+    bounds = protection_level(GaussianMixture(means, variances, weights), query)
+    assert isinstance(bounds, np.ndarray) and bounds.shape == tuple(lead)
+    for row in np.ndindex(*lead):
+        alone = protection_level(GaussianMixture(means[row], variances[row], weights[row]), query)
+        assert isinstance(alone, float) and bounds[row].tobytes() == np.float64(alone).tobytes()
+    # the (T, 3, N) view of (T, N, 3) candidates that protection_levels_all solves
+    candidates = [np.ascontiguousarray(np.swapaxes(a, -1, -2)) for a in _good_stack(rng, (lead[0], 3, n))]
+    axes = [np.swapaxes(a, -1, -2) for a in candidates]
+    bounds = protection_level(GaussianMixture(*axes), query)
+    assert bounds.shape == (lead[0], 3)
+    assert bounds.tobytes() == protection_levels_all(*candidates, query).tobytes()
+    for row in np.ndindex(lead[0], 3):
+        alone = protection_level(GaussianMixture(*(a[row] for a in axes)), query)
+        assert bounds[row].tobytes() == np.float64(alone).tobytes()
+
+
+def test_cdf_and_quantile_take_one_mixture_only():
+    stack = GaussianMixture(np.zeros((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
+    with pytest.raises(LengthMismatch, match=re.escape("got a stack of shape (2, 1)")):
+        gmm_cdf(stack, 0.0)
+    with pytest.raises(LengthMismatch, match=re.escape("got a stack of shape (2, 1)")):
+        gmm_quantile(stack, 0.5)
