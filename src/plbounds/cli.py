@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .errors import ConfigError, PlboundsError
+from .errors import ConfigError, NotPositiveDefinite, PlboundsError
 from .estimator import (
     FileEstimator,
     LossWeights,
@@ -375,7 +375,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{args.predictions}: expected columns {','.join(CALIBRATION_COLUMNS)}"
             )
-        rows = []  # (estimate, normalized predicted rotation, true translation, normalized true rotation)
+        # (estimate, its covariance, normalized predicted rotation, true translation, normalized true rotation)
+        rows = []
         for number, line in enumerate(fh, start=2):
             try:
                 if line.strip():
@@ -384,9 +385,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                         raise ValueError(f"expected {len(CALIBRATION_COLUMNS)} values, got {len(row)}")
                     pred_q = quat_normalize(row[12:16])
                     raw = RawEstimate(row[0:3], pred_q, row[6:9], row[9:12])
-                    rows.append((raw, pred_q, row[3:6], quat_normalize(row[16:20])))
+                    cov = assemble_covariance(raw.sigma, raw.corr)
+                    rows.append((raw, cov, pred_q, row[3:6], quat_normalize(row[16:20])))
             except ValueError as exc:
                 raise ValueError(f"{args.predictions}:{number}: {exc}") from None
+            except NotPositiveDefinite as exc:
+                raise NotPositiveDefinite(f"{args.predictions}:{number}: {exc}") from None
     if not rows:
         raise ValueError(f"{args.predictions}: no data rows")
     out = _resolve_out(args)
@@ -396,10 +400,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     weights = LossWeights()
     residuals = []
     huber_total = nll_total = angular_total = 0.0
-    for raw, pred_q, true_t, true_q in rows:
+    for raw, cov, pred_q, true_t, true_q in rows:
         e = raw.translation_error - true_t
         huber_total += huber_loss(e)
-        nll_total += gaussian_nll(e, assemble_covariance(raw.sigma, raw.corr))
+        nll_total += gaussian_nll(e, cov)
         residual = quat_normalize(quat_multiply(true_q, quat_conjugate(pred_q)))
         angular_total += quat_angular_offset(residual)
         residuals.append(residual)

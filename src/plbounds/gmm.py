@@ -5,7 +5,9 @@ position error: the magnitude the error exceeds only with the configured
 integrity risk.  It is computed from the weighted mixture of per-candidate
 error distributions by solving the mixture CDF for both tail quantiles at
 half the risk each and taking the larger magnitude of their outer bracket
-edges.
+edges.  Each quantile is bracketed on the fixed lattice of multiples of the
+solver tolerance, so a bound is a lattice point and moves monotonically
+with the risk.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .errors import BracketingFailure, LengthMismatch, NonConvergence, WeightSumViolation
 
 _WEIGHT_TOL = 1e-12
+_START_MARGIN = 1e-10  # probability margin of the start bracket; see _start
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -108,6 +111,68 @@ class ProtectionLevelQuery:
             raise ValueError("max_iterations must be positive")
 
 
+def _cdf(means: np.ndarray, sigmas: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """CDF of each (K, N) mixture row at its own point ``x[k]``."""
+    # a stacked (1, N) @ (N, 1) per row keeps the bits of a lone row's dot
+    # product, which einsum and sum(axis=1) do not.  Operand layout is part
+    # of the bits: numpy picks the BLAS kernel, and with it the order of the
+    # sum, from the strides, so these operands stay C-contiguous
+    z = x[:, None] - means
+    z /= sigmas
+    return (std_normal_cdf(z)[:, None, :] @ weights[:, :, None])[:, 0, 0]
+
+
+def _start(means: np.ndarray, sigmas: np.ndarray, probabilities, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice indices ``(lo, hi)`` of a start bracket of ``cdf(x) = p`` for
+    each (..., N) mixture row, from its component quantiles alone.
+
+    Every component CDF is monotone, so the mixture CDF, their weighted sum,
+    is at most ``p - eps`` at ``min_i(mu_i + sigma_i z(p - eps))`` and at
+    least ``p + eps`` at ``max_i(mu_i + sigma_i z(p + eps))``.  The margin
+    ``eps`` covers the 1e-12 weight-sum tolerance and the rounding of the
+    computed CDF, so that CDF is below p at ``lo * tolerance`` and reaches p
+    at ``hi * tolerance`` without being evaluated.  This holds while the
+    rounding of x is small against every sigma (|mu_i| / sigma_i below
+    about 1e5).  A p within eps of 0 or 1 gives non-finite ends.
+    """
+    from scipy.special import ndtri
+
+    p = np.asarray(probabilities, dtype=float)[..., None]
+    lo = np.floor(np.min(means + sigmas * ndtri(p - _START_MARGIN), axis=-1) / tolerance)
+    hi = np.ceil(np.max(means + sigmas * ndtri(p + _START_MARGIN), axis=-1) / tolerance)
+    return lo, hi
+
+
+def _bisect(
+    means: np.ndarray,
+    sigmas: np.ndarray,
+    weights: np.ndarray,
+    probabilities: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tolerance: float,
+    max_iterations: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect each row's bracket of lattice indices, with
+    ``cdf(lo * tolerance) < p <= cdf(hi * tolerance)``, down to one cell.
+
+    The K rows are solved together.  A bracket of w cells is one cell wide
+    after ``ceil(log2 w)`` steps; every row takes as many steps as the
+    widest, because a one-cell bracket's midpoint is its ``lo``, which
+    leaves it as it is.  Since the lattice does not depend on p or on the
+    start, the final cell is the one where the computed CDF crosses p.
+    """
+    steps = (int(np.max(hi - lo, initial=1.0)) - 1).bit_length()
+    if steps > max_iterations:
+        raise NonConvergence(f"no convergence within {max_iterations} bisection steps (needs {steps})")
+    for _ in range(steps):
+        mid = (lo + hi) // 2
+        above = _cdf(means, sigmas, weights, mid * tolerance) >= probabilities
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return lo, hi
+
+
 def _brackets(
     means: np.ndarray,
     sigmas: np.ndarray,
@@ -116,51 +181,39 @@ def _brackets(
     tolerance: float,
     max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Final bisection brackets ``(lo, hi)`` of ``cdf_k(x) = probabilities[k]``
-    for the K mixtures whose components are the rows of the (K, N) means,
-    standard deviations and weights, solved together.
+    """Final brackets ``(lo, hi)``, one lattice cell ``tolerance`` wide, of
+    ``cdf_k(x) = probabilities[k]`` for the K mixtures whose components are
+    the rows of the (K, N) means, standard deviations and weights, solved
+    together; the edges are multiples of ``tolerance``.
 
-    Each bracket spans its mixture's components by ten standard deviations,
-    where the normal CDF is exactly 0 and 1 in double precision.  A target
-    outside it therefore exceeds the weight sum, which no widening can
-    reach, and raises ``BracketingFailure`` at once.  A row stops once its bracket
-    half-width falls below ``tolerance``.  Rows are masked out as they
-    finish, so every row takes exactly the steps it would take alone.
+    The start bracket comes from the component quantiles (see ``_start``).
+    A p too close to 0 or 1 for that starts from the span of the components
+    widened by ten standard deviations, where the normal CDF is exactly 0
+    and 1 in double precision.  A target beyond the CDF at its upper end
+    therefore exceeds the weight sum, which no widening can reach, and
+    raises ``BracketingFailure``.
     """
     means, sigmas, weights = (np.ascontiguousarray(a, dtype=float) for a in (means, sigmas, weights))
     p = np.asarray(probabilities, dtype=float)
-
-    def cdf(x: np.ndarray) -> np.ndarray:
-        # a stacked (1, N) @ (N, 1) per row keeps the bits of a lone row's
-        # dot product, which einsum and sum(axis=1) do not.  Operand layout is
-        # part of the bits: numpy picks the BLAS kernel, and with it the order
-        # of the sum, from the strides, so these operands stay C-contiguous
-        z = x[:, None] - means
-        z /= sigmas
-        return (std_normal_cdf(z)[:, None, :] @ weights[:, :, None])[:, 0, 0]
-
-    lo = np.min(means - 10.0 * sigmas, axis=1)
-    hi = np.max(means + 10.0 * sigmas, axis=1)
-    outside = ~((cdf(lo) <= p) & (p <= cdf(hi)))
-    if outside.any():
-        raise BracketingFailure(f"could not bracket probability {p[outside][0]}")
-    for iterations in range(max_iterations + 1):
-        active = 0.5 * (hi - lo) > tolerance
-        if not active.any():
-            return lo, hi
-        if iterations == max_iterations:
-            raise NonConvergence(f"no convergence within {max_iterations} bisection steps")
-        mid = 0.5 * (lo + hi)
-        above = cdf(mid) >= p
-        hi = np.where(active & above, mid, hi)
-        lo = np.where(active & ~above, mid, lo)
+    lo, hi = _start(means, sigmas, p, tolerance)
+    wide = ~(np.isfinite(lo) & np.isfinite(hi))
+    if wide.any():
+        rows = means[wide], sigmas[wide], weights[wide]
+        lo[wide] = np.floor(np.min(rows[0] - 10.0 * rows[1], axis=1) / tolerance)
+        hi[wide] = np.ceil(np.max(rows[0] + 10.0 * rows[1], axis=1) / tolerance)
+        outside = p[wide] > _cdf(*rows, hi[wide] * tolerance)  # the CDF is exactly 0 < p at lo
+        if outside.any():
+            raise BracketingFailure(f"could not bracket probability {p[wide][outside][0]}")
+    lo, hi = _bisect(means, sigmas, weights, p, lo, hi, tolerance, max_iterations)
+    return lo * tolerance, hi * tolerance
 
 
 def gmm_quantile(
     mixture: GaussianMixture, probability: float, tolerance: float = 1e-4, max_iterations: int = 200
 ) -> float:
-    """Solve one mixture's ``cdf(x) = probability`` for x by bisection;
-    returns the midpoint of the final bracket (see ``_brackets``)."""
+    """Solve one mixture's ``cdf(x) = probability`` for x by bisection on
+    the lattice of multiples of ``tolerance``; returns the midpoint of the
+    final one-cell bracket (see ``_brackets``)."""
     mixture = _one(mixture)
     if not 0.0 < probability < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
@@ -174,19 +227,30 @@ def protection_level(
 ) -> float | np.ndarray:
     """Two-sided error bound at the queried integrity risk: a float for one
     mixture, the array of its rows' bounds for a stack, all solved in one
-    ``_brackets`` call.
+    bisection.
 
     Each tail gets half the risk.  The bound is the larger magnitude of the
     outer edges of the two tail brackets (the upper edge of the ``1 - risk/2``
     bracket, the lower edge of the ``risk/2`` one), so the mass beyond it is
-    at most the risk whatever the tolerance.
+    at most the risk whatever the tolerance.  When a tail's start bracket
+    lies beyond every magnitude the other tail's can reach, that tail sets
+    the bound, and only it is bisected; the bound has the bits that solving
+    both tails gives.
     """
     half = 0.5 * query.integrity_risk
     n = mixture.means.shape[-1]
-    tails = [np.repeat(a.reshape(-1, n), 2, axis=0) for a in (mixture.means, mixture.sigmas, mixture.weights)]
-    p = np.tile([1.0 - half, half], len(tails[0]) // 2)
-    lo, hi = _brackets(*tails, p, query.tolerance, query.max_iterations)
-    upper, lower = np.abs(hi[0::2]), np.abs(lo[1::2])
+    means, sigmas, weights = (a.reshape(-1, n) for a in (mixture.means, mixture.sigmas, mixture.weights))
+    p = np.array([1.0 - half, half])
+    lo, hi = _start(means[:, None], sigmas[:, None], p, query.tolerance)  # (R, 2): upper tail, lower tail
+    reach = np.maximum(hi, -lo)  # the largest magnitude in each bracket
+    upper_alone = lo[:, 0] > reach[:, 1]
+    lower_alone = -hi[:, 1] > reach[:, 0]
+    rows, tails = np.nonzero(np.stack((~lower_alone, ~upper_alone), axis=1))
+    lo[rows, tails], hi[rows, tails] = _bisect(
+        means[rows], sigmas[rows], weights[rows], p[tails], lo[rows, tails], hi[rows, tails],
+        query.tolerance, query.max_iterations,
+    )
+    upper, lower = np.abs(hi[:, 0] * query.tolerance), np.abs(lo[:, 1] * query.tolerance)
     bounds = np.where(lower > upper, lower, upper).reshape(mixture.means.shape[:-1])  # max(upper, lower)
     return float(bounds) if bounds.ndim == 0 else bounds
 

@@ -230,17 +230,15 @@ def load_scenario(path: Path | str) -> Scenario:
     timesteps = []
     for k, ts in enumerate(rows):
         try:
-            timesteps.append(
-                Timestep(
-                    index=int(ts["index"]),
-                    timestamp=float(ts["timestamp"]),
-                    payload_key=str(ts["payload_key"]),
-                    true_pose=_pose_from_dict(ts["true_pose"]) if poses is None else poses[2 * k],
-                    estimate_pose=_pose_from_dict(ts["estimate_pose"]) if poses is None else poses[2 * k + 1],
-                )
-            )
+            fields = int(ts["index"]), float(ts["timestamp"]), str(ts["payload_key"])
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: timestep {k}: {_problem(exc)}") from None
+        try:  # a bad pose raises the lone Pose's ValueError as it is
+            true_pose = _pose_from_dict(ts["true_pose"]) if poses is None else poses[2 * k]
+            estimate_pose = _pose_from_dict(ts["estimate_pose"]) if poses is None else poses[2 * k + 1]
         except (LookupError, TypeError, OverflowError) as exc:  # OverflowError: a numeral beyond the float range
             raise ValueError(f"{path}: timestep {k}: {_problem(exc)}") from None
+        timesteps.append(Timestep(*fields, true_pose, estimate_pose))
     return Scenario(seed=seed, cloud=cloud, timesteps=timesteps, map_path=str(map_path))
 
 

@@ -60,41 +60,89 @@ def grid_protection_level(means, sigmas, weights, integrity_risk: float, fine: f
     return max(abs(hi), abs(lo))
 
 
-def scalar_bisection(means, variances, weights, p: float, tolerance: float, max_iterations: int, phi=None):
-    """Final bracket (lo, hi) of one mixture quantile, by the one-quantile
-    bisection loop the package used before it solved many at once.  The
-    CDF is evaluated the way that loop's caller did, a (1, N) @ (N,)
-    product, so the brackets are comparable bit for bit.  ``phi`` replaces
-    the standard normal CDF, to reach the bracket-doubling branch."""
+def scalar_bisection(means, variances, weights, p: float, tolerance: float, max_iterations: int):
+    """Final bracket (lo, hi) of one mixture quantile, by a scalar bisection
+    over the integer indices of the lattice of multiples of ``tolerance``.
+    It starts from the lattice-rounded span of the component quantiles at
+    ``p -/+ 1e-10`` (from NormalDist, not SciPy), or, for a p within 1e-10
+    of 0 or 1, from the components widened by ten standard deviations,
+    checked.  The CDF is evaluated the way the package's one-mixture
+    solver did, a (1, N) @ (N,) product, so the brackets are comparable bit
+    for bit."""
     from scipy.special import erf
 
-    phi = phi or (lambda z: 0.5 * (1.0 + erf(z / math.sqrt(2.0))))
     means, weights = np.asarray(means, dtype=float), np.asarray(weights, dtype=float)
     sigmas = np.sqrt(np.asarray(variances, dtype=float))
 
     def cdf(x):
-        return float((phi((np.array([x])[:, None] - means[None, :]) / sigmas[None, :]) @ weights)[0])
+        z = (np.array([x])[:, None] - means[None, :]) / sigmas[None, :]
+        return float((0.5 * (1.0 + erf(z / math.sqrt(2.0))) @ weights)[0])
 
-    lo, hi = float(np.min(means - 10.0 * sigmas)), float(np.max(means + 10.0 * sigmas))
-    expansions = 0
-    while not cdf(lo) <= p <= cdf(hi):
-        if expansions >= 5:
+    eps = 1e-10
+    if 0.0 < p - eps and p + eps < 1.0:
+        lo = math.floor(min(m + s * normal_quantile(p - eps) for m, s in zip(means, sigmas)) / tolerance)
+        hi = math.ceil(max(m + s * normal_quantile(p + eps) for m, s in zip(means, sigmas)) / tolerance)
+    else:
+        lo = math.floor(float(np.min(means - 10.0 * sigmas)) / tolerance)
+        hi = math.ceil(float(np.max(means + 10.0 * sigmas)) / tolerance)
+        if not cdf(lo * tolerance) < p <= cdf(hi * tolerance):
             raise ArithmeticError(f"could not bracket probability {p}")
-        width = hi - lo
-        lo -= width
-        hi += width
-        expansions += 1
     iterations = 0
-    while 0.5 * (hi - lo) > tolerance:
+    while hi - lo > 1:
         if iterations >= max_iterations:
             raise ArithmeticError(f"no convergence within {max_iterations} bisection steps")
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) >= p:
+        mid = (lo + hi) // 2
+        if cdf(mid * tolerance) >= p:
             hi = mid
         else:
             lo = mid
         iterations += 1
-    return lo, hi
+    return lo * tolerance, hi * tolerance
+
+
+def midpoint_protection_level(mixture, query):
+    """``protection_level`` as the package computed it before it bisected
+    on a lattice: both tails of every row bisected together, by midpoints,
+    from the components widened by ten standard deviations, until the
+    bracket half-width is below the tolerance; the bound is the larger
+    magnitude of the two outer bracket edges."""
+    from plbounds.gmm import std_normal_cdf
+
+    half = 0.5 * query.integrity_risk
+    n = mixture.means.shape[-1]
+    means, sigmas, weights = (
+        np.repeat(a.reshape(-1, n), 2, axis=0) for a in (mixture.means, mixture.sigmas, mixture.weights)
+    )
+    p = np.tile([1.0 - half, half], len(means) // 2)
+
+    def cdf(x):
+        return (std_normal_cdf((x[:, None] - means) / sigmas)[:, None, :] @ weights[:, :, None])[:, 0, 0]
+
+    lo = np.min(means - 10.0 * sigmas, axis=1)
+    hi = np.max(means + 10.0 * sigmas, axis=1)
+    if not ((cdf(lo) <= p) & (p <= cdf(hi))).all():
+        raise ArithmeticError("could not bracket a tail probability")
+    for iterations in range(query.max_iterations + 1):
+        active = 0.5 * (hi - lo) > query.tolerance
+        if not active.any():
+            break
+        if iterations == query.max_iterations:
+            raise ArithmeticError(f"no convergence within {query.max_iterations} bisection steps")
+        mid = 0.5 * (lo + hi)
+        above = cdf(mid) >= p
+        hi = np.where(active & above, mid, hi)
+        lo = np.where(active & ~above, mid, lo)
+    upper, lower = np.abs(hi[0::2]), np.abs(lo[1::2])
+    bounds = np.maximum(upper, lower).reshape(mixture.means.shape[:-1])
+    return float(bounds) if bounds.ndim == 0 else bounds
+
+
+def midpoint_protection_levels_all(means, variances, weights, query):
+    """``protection_levels_all`` by ``midpoint_protection_level``."""
+    from plbounds.gmm import GaussianMixture
+
+    axes = (np.swapaxes(np.asarray(a, dtype=float), -1, -2) for a in (means, variances, weights))
+    return midpoint_protection_level(GaussianMixture(*axes), query)
 
 
 def robust_weights(column, gamma: float = 0.6745):

@@ -374,8 +374,18 @@ def test_numerals_beyond_the_float_range_exit_3(scenario_dir, tmp_path, capsys):
         (lambda doc: doc.pop("seed"), "missing key 'seed'"),
         (lambda doc: doc.update(timesteps=5), "expected a string 'map' and a list of 'timesteps'"),
         (None, "Expecting"),  # the document cut off halfway
+        (
+            lambda doc: doc["timesteps"][1].update(timestamp="abc"),
+            "timestep 1: could not convert string to float: 'abc'",
+        ),
+        (
+            lambda doc: doc["timesteps"][2].update(index="2a"),
+            "timestep 2: invalid literal for int() with base 10: '2a'",
+        ),
     ],
-    ids=["true_pose", "map", "index", "timesteps", "seed", "timesteps_not_a_list", "truncated"],
+    ids=[
+        "true_pose", "map", "index", "timesteps", "seed", "timesteps_not_a_list", "truncated", "timestamp", "index_text"
+    ],
 )
 def test_malformed_scenario_documents_exit_3(config_path, scenario_dir, tmp_path, capsys, edit, where):
     text = (scenario_dir / "scenario.json").read_text()
@@ -486,11 +496,16 @@ def test_calibrate_names_the_line_of_a_bad_row(tmp_path, capsys, cells, message)
     assert capsys.readouterr().err == f"input error: {path}:4: {message}\n"
 
 
-def test_calibrate_indefinite_correlation_exits_4(tmp_path):
+def test_calibrate_indefinite_correlation_exits_4(tmp_path, capsys):
+    good = ["0"] * 6 + ["1"] * 3 + ["0", "0", "0"] + ["1", "0", "0", "0", "1", "0", "0", "0"]
     row = ["0"] * 6 + ["1"] * 3 + ["0.9", "-0.9", "0.9"] + ["1", "0", "0", "0", "1", "0", "0", "0"]
     path = tmp_path / "predictions.csv"
-    path.write_text(",".join(CALIBRATION_COLUMNS) + "\n" + ",".join(row) + "\n")
-    assert main(["calibrate", str(path), "--out", str(tmp_path / "cal")]) == 4
+    path.write_text(",".join(CALIBRATION_COLUMNS) + "\n" + ",".join(good) + "\n" + ",".join(row) + "\n")
+    out = tmp_path / "cal"
+    assert main(["calibrate", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"pipeline failure: {path}:3: correlations [0.9, -0.9, 0.9] give an indefinite covariance")
+    assert not (out / "manifest.json").exists()
 
 
 def test_calibrate_rejects_empty_table(tmp_path):

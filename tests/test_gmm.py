@@ -167,18 +167,18 @@ def _stacks(mixtures):
 
 def test_brackets_match_scalar_loop_bit_for_bit():
     # rows converge after different numbers of steps (different widths and
-    # probabilities), so the masking is exercised.  Half the targets are the
-    # CDF at the first midpoint, where cdf(mid) >= p is an equality that a
-    # last-bit change in the stacked CDF would flip.
+    # probabilities).  Half the targets are the CDF at a lattice point inside
+    # the bracket, the first midpoint, where cdf(mid) >= p is an equality
+    # that a last-bit change in the stacked CDF would flip.
     rng = np.random.default_rng(17)
     for trial in range(150):
         mixtures = _random_mixtures(rng, 6, int(rng.integers(1, 40)))
         probabilities = rng.choice([1e-9, 0.005, 0.025, 0.3, 0.5, 0.975, 0.995], 6)
+        tolerance = float(rng.choice([1e-2, 1e-4, 1e-7]))
         for k in range(0, 6, 2):
             m = mixtures[k]
-            mid = 0.5 * (np.min(m.means - 10.0 * m.sigmas) + np.max(m.means + 10.0 * m.sigmas))
-            probabilities[k] = gmm_cdf(m, float(mid))
-        tolerance = float(rng.choice([1e-2, 1e-4, 1e-7]))
+            lo, hi = gmm._start(m.means, m.sigmas, probabilities[k], tolerance)
+            probabilities[k] = gmm_cdf(m, float((lo + hi) // 2 * tolerance))
         lo, hi = gmm._brackets(*_stacks(mixtures), probabilities, tolerance, 200)
         for k, (m, p) in enumerate(zip(mixtures, probabilities)):
             want = oracles.scalar_bisection(m.means, m.variances, m.weights, p, tolerance, 200)
@@ -186,10 +186,14 @@ def test_brackets_match_scalar_loop_bit_for_bit():
 
 
 def test_one_failing_row_fails_the_solve():
-    m = GaussianMixture([0.0], [1.0], [1.0])
+    # components at -5 and +5 span 1e13 cells of 1e-12: 44 steps, beyond 40
+    narrow = GaussianMixture([0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
+    wide = GaussianMixture([-5.0, 5.0], [1.0, 1.0], [0.5, 0.5])
     with pytest.raises(NonConvergence):
-        gmm._brackets(*_stacks([m, m]), [0.5, 0.975], 1e-12, 40)
+        gmm._brackets(*_stacks([narrow, wide]), [0.975, 0.5], 1e-12, 40)
+    gmm._brackets(*_stacks([narrow, narrow]), [0.975, 0.5], 1e-12, 40)
     # the CDF tops out at the weight sum, 1 - 5e-13, below this target
+    m = GaussianMixture([0.0], [1.0], [1.0])
     short = GaussianMixture([1.0], [1.0], [1.0 - 5e-13])
     with pytest.raises(BracketingFailure):
         gmm._brackets(*_stacks([m, short]), [0.5, 1.0 - 1e-14], 1e-4, 200)
@@ -200,12 +204,12 @@ def test_one_failing_row_fails_the_solve():
 
 
 def test_protection_level_is_the_outer_bracket_edge():
-    # the bracket midpoint gives 2.568 here, below the exact 2.5758
+    # the bracket midpoint gives 2.575 here, below the exact 2.5758
     m = GaussianMixture([0.0], [1.0], [1.0])
     query = ProtectionLevelQuery(integrity_risk=0.01, tolerance=1e-2)
     assert protection_level(m, query) >= Z_995
     assert protection_levels_all(np.zeros((2, 3)), np.ones((2, 3)), np.full((2, 3), 0.5), query)[0] >= Z_995
-    assert abs(gmm_quantile(m, 0.995, tolerance=1e-2) - 2.568) <= 1e-3
+    assert abs(gmm_quantile(m, 0.995, tolerance=1e-2) - 2.575) <= 1e-3
 
 
 def test_protection_level_standard_normal():
@@ -535,3 +539,100 @@ def test_cdf_and_quantile_take_one_mixture_only():
         gmm_cdf(stack, 0.0)
     with pytest.raises(LengthMismatch, match=re.escape("got a stack of shape (2, 1)")):
         gmm_quantile(stack, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the lattice solver: start brackets and the tail that sets the bound
+
+
+def _wide_stack(seed, shape, spread=100.0):
+    """(..., N) means, standard deviations from 1e-3 to 1e3 (log-uniform)
+    and weights, one mixture per row."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.01, 1.0, shape)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return rng.uniform(-spread, spread, shape), 10.0 ** rng.uniform(-3.0, 3.0, shape), weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    mirrored=st.booleans(),
+    risk=st.floats(1e-9, 0.5),
+    tolerance=st.floats(1e-7, 1e-2),
+)
+@example(rows=1, n=1, seed=0, mirrored=True, risk=0.01, tolerance=1e-2)
+def test_protection_level_has_the_bits_of_both_tails_solved(rows, n, seed, mirrored, risk, tolerance):
+    means, sigmas, weights = _wide_stack(seed, (rows, n), spread=5.0)
+    if mirrored:  # equal mass in both tails, so that neither dominates
+        means, sigmas, weights = np.concatenate((means, -means), 1), np.tile(sigmas, 2), np.tile(0.5 * weights, 2)
+    query = ProtectionLevelQuery(integrity_risk=risk, tolerance=tolerance)
+    half = 0.5 * risk
+    tails = [np.repeat(a, 2, axis=0) for a in (means, sigmas, weights)]
+    lo, hi = gmm._brackets(*tails, np.tile([1.0 - half, half], rows), tolerance, query.max_iterations)
+    upper, lower = np.abs(hi[0::2]), np.abs(lo[1::2])
+    want = np.where(lower > upper, lower, upper)
+    got = protection_level(GaussianMixture(means, sigmas**2, weights), query)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_protection_level_bisects_only_the_tail_that_sets_the_bound(monkeypatch):
+    solved, bisect = [], gmm._bisect
+
+    def counted(means, *rest):
+        solved.append(len(means))  # rows bisected
+        return bisect(means, *rest)
+
+    monkeypatch.setattr(gmm, "_bisect", counted)
+    query = ProtectionLevelQuery(integrity_risk=0.01, tolerance=1e-4)
+    for means, tails in (([4.0, 4.2], 1), ([-4.0, -4.2], 1), ([-1.0, 1.0], 2)):
+        solved.clear()
+        m = GaussianMixture(means, [0.01, 0.01], [0.5, 0.5])
+        bound = protection_level(m, query)
+        assert solved == [tails]
+        assert gmm_cdf(m, -bound) + (1.0 - gmm_cdf(m, bound)) <= 0.01
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 96),
+    seed=st.integers(0, 2**32 - 1),
+    risk=st.floats(1e-9, 0.5),
+    upper=st.booleans(),
+    # on the 2^-60 lattice the ends are the extreme component quantiles
+    # themselves, unrounded: x / 2^-60 is an integer for |x| above 2^-8
+    tolerance=st.sampled_from([1e-2, 1e-4, 1e-7, 2.0**-60]),
+    weight_sum=st.sampled_from([1.0 - 9e-13, 1.0, 1.0 + 9e-13]),
+)
+@example(n=1, seed=0, risk=1e-9, upper=False, tolerance=1e-7, weight_sum=1.0 + 9e-13)
+@example(n=1, seed=0, risk=0.01, upper=True, tolerance=2.0**-60, weight_sum=1.0 - 9e-13)
+def test_the_start_bracket_holds_the_crossing(n, seed, risk, upper, tolerance, weight_sum):
+    means, sigmas, weights = _wide_stack(seed, (1, n))
+    weights *= weight_sum
+    GaussianMixture(means, sigmas**2, weights)  # still a valid mixture
+    p = np.array([1.0 - 0.5 * risk if upper else 0.5 * risk])
+    lo, hi = gmm._start(means, sigmas, p, tolerance)
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert gmm._cdf(means, sigmas, weights, lo * tolerance) < p
+    assert gmm._cdf(means, sigmas, weights, hi * tolerance) >= p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    risk=st.floats(1e-9, 0.5),
+    upper=st.booleans(),
+    tolerance=st.sampled_from([1e-2, 1e-4, 1e-7]),
+    below=st.integers(0, 10**6),
+    above=st.integers(0, 10**6),
+)
+def test_a_wider_start_bracket_ends_in_the_same_cell(n, seed, risk, upper, tolerance, below, above):
+    means, sigmas, weights = _wide_stack(seed, (1, n), spread=5.0)
+    p = np.array([1.0 - 0.5 * risk if upper else 0.5 * risk])
+    lo, hi = gmm._start(means, sigmas, p, tolerance)
+    want = gmm._bisect(means, sigmas, weights, p, lo, hi, tolerance, 200)
+    got = gmm._bisect(means, sigmas, weights, p, lo - below, hi + above, tolerance, 200)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

@@ -697,3 +697,19 @@ def test_var_raises_the_error_of_its_one_candidate(tmp_path):
             run_timestep(estimator, no_truth, pose, None, None, RotationUncertainty.zero(), config)
         with pytest.raises(InfeasibleContext, match=message):
             oracles.var_block(estimator, [no_truth], [pose], None, config.query)
+
+
+def test_lattice_bounds_stay_within_two_tolerances_of_midpoint_bisection(monkeypatch):
+    # the lattice solver's final cell and the midpoint solver's final bracket
+    # both hold the quantile and are at most one tolerance wide
+    scenario = _scenario(seed=12, config=replace(SCENARIO_CONFIG, n_timesteps=2000))
+    estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=12))
+    for variant in VARIANTS:
+        config = PipelineConfig(variant=variant, seed=12)
+        lattice = run_sequence(estimator, scenario, config).pl
+        with monkeypatch.context() as patched:
+            patched.setattr(pipeline, "protection_level", oracles.midpoint_protection_level)
+            patched.setattr(pipeline, "protection_levels_all", oracles.midpoint_protection_levels_all)
+            midpoint = run_sequence(estimator, scenario, config).pl
+        assert lattice.shape == midpoint.shape == (2000, 3)
+        assert np.abs(lattice - midpoint).max() <= 2.0 * config.query.tolerance, variant
