@@ -26,6 +26,7 @@ from .geometry import (
     quat_normalize,
     quat_to_matrix,
 )
+from .sampling import stream_keys, stream_normals
 
 RECORD_FIELDS = ("translation_error", "rotation_error", "sigma", "corr")
 
@@ -268,10 +269,13 @@ class SyntheticEstimator:
     scale times ``miscalibration``, so values below 1 simulate an
     overconfident model.
 
-    The noise comes from one stream per (seed, timestamp): candidate i gets
-    row i of its (N, 6) standard normal draw, the first three values scaled
-    by ``sigma_noise`` and the last three by ``sigma_rot``.  A context
-    without a candidate index takes row 0, as candidate 0 does.
+    The noise comes from the counter-based stream keyed on (seed, timestamp
+    bits) (see ``sampling.stream_keys``): candidate i takes the standard
+    normals at slots 6i..6i+5, the first three scaled by ``sigma_noise`` and
+    the last three by ``sigma_rot``.  A candidate's noise therefore depends
+    on neither the other timesteps nor the candidates that follow it, and
+    ``estimate`` and ``estimate_batch`` agree bit for bit.  A context
+    without a candidate index takes candidate 0's slots.
     """
 
     def __init__(self, config: SyntheticEstimatorConfig = SyntheticEstimatorConfig()):
@@ -281,10 +285,9 @@ class SyntheticEstimator:
         self._corr = np.asarray(config.corr, dtype=float)
 
     def estimate(self, ctx: MeasurementContext, candidate: Pose, cloud: PointCloud | None = None) -> RawEstimate:
-        index = ctx.candidate_index or 0
-        noise = self._noise(ctx, index + 1)[index:]
+        noise = self._noise([ctx], 6 * (ctx.candidate_index or 0) + np.arange(6))
         position, orientation = candidate.position[None, None], candidate.orientation[None, None]
-        fields = self._errors([ctx], position, orientation, noise[None])
+        fields = self._errors([ctx], position, orientation, noise[:, None])
         return RawEstimate(*(field[0, 0] for field in fields))
 
     def estimate_batch(
@@ -297,15 +300,13 @@ class SyntheticEstimator:
         """The estimates of candidates 0..N-1 of every context at once (see
         ``Estimator``)."""
         rows = positions.shape[:2]
-        noise = np.array([self._noise(ctx, rows[1]) for ctx in ctxs]).reshape(rows + (6,))
+        noise = self._noise(ctxs, np.arange(6 * rows[1])).reshape(rows + (6,))
         return check_estimates(*self._errors(ctxs, positions, orientations, noise), rows)
 
-    def _noise(self, ctx: MeasurementContext, count: int) -> np.ndarray:
-        """The first ``count`` rows of the (seed, timestamp) stream's (M, 6)
-        standard normal draw, one row per candidate index.  numpy fills the
-        draw in order, so a row does not depend on how many follow it."""
-        key = [self.config.seed, _float_key(ctx.timestamp)]
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key))).standard_normal((count, 6))
+    def _noise(self, ctxs: list[MeasurementContext], slots: np.ndarray) -> np.ndarray:
+        """The (T, S) standard normals at ``slots`` of each context's
+        (seed, timestamp) stream."""
+        return stream_normals(stream_keys([(self.config.seed, _float_key(ctx.timestamp)) for ctx in ctxs]), slots)
 
     def _errors(self, ctxs: list[MeasurementContext], positions, orientations, noise: np.ndarray) -> tuple:
         """Noisy raw estimates of the (T, N, 3) positions and (T, N, 4)

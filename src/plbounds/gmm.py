@@ -12,6 +12,7 @@ with the risk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,18 +25,31 @@ _START_MARGIN = 1e-10  # probability margin of the start bracket; see _start
 _SQRT2 = math.sqrt(2.0)
 
 
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use, so that commands that never
+    draw or solve do not load SciPy."""
+    import scipy.special
+
+    return scipy.special
+
+
 def std_normal_cdf(z):
     """Standard normal CDF via the error function, ``0.5 (1 + erf(z / sqrt 2))``.
 
     The underlying erf is the C library implementation, accurate to a few
     ulp; reference values are pinned in the test suite.
     """
-    from scipy.special import erf  # here, so that commands that never solve do not load SciPy
-
-    cdf = erf(np.asarray(z, dtype=float) / _SQRT2)
+    cdf = _special().erf(np.asarray(z, dtype=float) / _SQRT2)
     cdf += 1.0  # in place: the sum and product of 0.5 * (1 + erf), without their temporaries
     cdf *= 0.5
     return cdf
+
+
+def std_normal_quantile(p):
+    """Standard normal quantile, SciPy's ``ndtri`` (Cephes, plain C
+    arithmetic, so the same bits on every CPU)."""
+    return _special().ndtri(p)
 
 
 @dataclass(frozen=True)
@@ -135,11 +149,9 @@ def _start(means: np.ndarray, sigmas: np.ndarray, probabilities, tolerance: floa
     rounding of x is small against every sigma (|mu_i| / sigma_i below
     about 1e5).  A p within eps of 0 or 1 gives non-finite ends.
     """
-    from scipy.special import ndtri
-
     p = np.asarray(probabilities, dtype=float)[..., None]
-    lo = np.floor(np.min(means + sigmas * ndtri(p - _START_MARGIN), axis=-1) / tolerance)
-    hi = np.ceil(np.max(means + sigmas * ndtri(p + _START_MARGIN), axis=-1) / tolerance)
+    lo = np.floor(np.min(means + sigmas * std_normal_quantile(p - _START_MARGIN), axis=-1) / tolerance)
+    hi = np.ceil(np.max(means + sigmas * std_normal_quantile(p + _START_MARGIN), axis=-1) / tolerance)
     return lo, hi
 
 

@@ -130,7 +130,9 @@ def run_block(
 
     ``offsets`` holds the (T, N, 3) translations and (T, N, 4) rotations of
     the candidates from ``sample_candidates``; the candidate orientations
-    are normalized once, and the estimator sees them unit.  ``VAR`` has no
+    are normalized once, except where the rotation offset is the identity
+    (there the estimate's orientation is kept bit for bit, as under
+    ``VAR``), and the estimator sees them unit.  ``VAR`` has no
     offsets: its one candidate is the estimate itself, at a zero offset.
     An estimator with ``estimate_batch`` is called once for all candidates,
     any other once per candidate.  Candidates whose estimator call raises a
@@ -150,7 +152,10 @@ def run_block(
     else:
         translations, rotations = offsets
         positions, orientations = apply_offset(positions, orientations, translations, rotations)
-        orientations = quat_normalize(orientations)  # unit, as ``Pose`` holds them
+        # unit, as ``Pose`` holds them; a row without a rotation offset keeps
+        # the estimate's orientation bits, which a second pass could move
+        turned = (rotations != (1.0, 0.0, 0.0, 0.0)).any(axis=-1, keepdims=True)
+        orientations = np.where(turned, quat_normalize(orientations), orientations)
     steps, n = translations.shape[:2]
     for a in (positions, orientations):  # as ``Pose.checked`` takes them
         a.setflags(write=False)

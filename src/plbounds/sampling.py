@@ -1,13 +1,16 @@
-"""Candidate-state sampling around a pose estimate."""
+"""Candidate-state sampling around a pose estimate, and the counter-based
+random draws it and the synthetic estimator take their values from."""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import quat_from_euler_zyx, quat_multiply, quat_normalize, quat_to_matrix
+from .gmm import std_normal_quantile
 
 
 @dataclass(frozen=True)
@@ -32,41 +35,106 @@ class SamplingConfig:
             raise ValueError("need at least two candidates")
 
 
-def _offset_rotations(angles: np.ndarray) -> np.ndarray:
-    """(..., 4) rotations composing the (..., 3) roll, pitch and yaw angles."""
-    # normalized twice, as offsets always were: the second pass can move
-    # the last bit, and archived runs depend on those bits
-    return quat_normalize(quat_from_euler_zyx(angles[..., 2], angles[..., 1], angles[..., 0]))
-
-
 def draw_offsets(rng: np.random.Generator, n: int, t_max: float, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     """``n`` rigid offsets: (n, 3) translations uniform within ``t_max`` per
     axis, then (n, 4) rotations composing per-axis angles uniform within
     ``r_max`` (one block of translations is drawn before the angles)."""
     translations = rng.uniform(-t_max, t_max, (n, 3))
-    return translations, _offset_rotations(rng.uniform(-r_max, r_max, (n, 3)))
+    angles = rng.uniform(-r_max, r_max, (n, 3))
+    # normalized twice, as scenario offsets always were: the second pass can
+    # move the last bit, and archived scenarios depend on those bits
+    return translations, quat_normalize(quat_from_euler_zyx(angles[:, 2], angles[:, 1], angles[:, 0]))
+
+
+# ---------------------------------------------------------------------------
+# counter-based draws: every value is a pure function of (key, slot)
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): its golden-ratio
+# increment, and below its finalizer
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(x):
+    """The SplitMix64 finalizer of a Python int below 2**64, or of each
+    entry of a uint64 array."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def stream_keys(seeds) -> np.ndarray:
+    """(T,) uint64 keys of T seeds, each a non-negative int or a sequence of
+    them.  The key chains the finalizer over the seed's words: starting from
+    0, ``key = mix64((key ^ word) + gamma)`` for each word, and a word wider
+    than 64 bits is folded in 64 bits at a time, low bits first.  Raises
+    ValueError for a negative word, as numpy's SeedSequence does."""
+    keys = []
+    for seed in seeds:
+        key = 0
+        for word in (seed,) if isinstance(seed, (int, np.integer)) else seed:
+            word = operator.index(word)
+            if word < 0:
+                raise ValueError(f"seed words must be non-negative, got {word}")
+            for shift in range(0, max(word.bit_length(), 1), 64):
+                key = _mix64(((key ^ ((word >> shift) & _M64)) + _GAMMA) & _M64)
+        keys.append(key)
+    return np.array(keys, dtype=np.uint64)
+
+
+def _words(keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(T, S) words: slot s of key k is ``mix64(k + (s + 1) gamma)``, output
+    s of the SplitMix64 generator seeded at k."""
+    return _mix64(keys[:, None] + (np.asarray(slots, dtype=np.uint64) + 1) * _GAMMA)
+
+
+def stream_uniforms(keys: np.ndarray, slots) -> np.ndarray:
+    """(T, S) uniforms in [0, 1) on the 2**-53 grid: the top 53 bits of
+    each word."""
+    return (_words(keys, slots) >> 11) * 2.0**-53
+
+
+def stream_normals(keys: np.ndarray, slots) -> np.ndarray:
+    """(T, S) standard normals, one word each: the normal quantile of the
+    midpoint of the word's top-52-bit cell.  The midpoints lie strictly in
+    (0, 1) and mirror each other, so no draw is infinite and the draws are
+    symmetric about 0 (53 bits plus a half would round the last cell up to
+    1)."""
+    return std_normal_quantile(((_words(keys, slots) >> 12) + 0.5) * 2.0**-52)
+
+
+def _euler_zyx(half_angles: np.ndarray) -> np.ndarray:
+    """(..., 4) unit quaternions of the intrinsic Z-Y-X rotations with the
+    (..., 3) roll, pitch and yaw half-angles: the closed-form product of the
+    three axis quaternions, normalized once."""
+    cos, sin = np.cos(half_angles), np.sin(half_angles)
+    (cr, cp, cy), (sr, sp, sy) = (cos[..., k] for k in range(3)), (sin[..., k] for k in range(3))
+    a, b, c, d = cy * cp, sy * sp, cy * sp, sy * cp  # the yaw-pitch product
+    return quat_normalize(np.stack((a * cr + b * sr, a * sr - b * cr, c * cr + d * sr, d * cr - c * sr), axis=-1))
 
 
 def sample_candidates(config: SamplingConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Draw exactly ``n_candidates`` offsets for each of T timesteps,
     deterministically in (seed, config); ``seeds`` holds one seed per
-    timestep.
+    timestep (see ``stream_keys``).
 
     Returns (T, N, 3) translations and (T, N, 4) scalar-first rotations,
-    each offset expressed in the frame of the pose it perturbs.  Each seed
-    has its own PCG64 generator, seeded through SeedSequence, so a
-    timestep's offsets do not depend on the others; reference outputs are
-    pinned in the test suite.
+    each offset expressed in the frame of the pose it perturbs.  Candidate
+    i reads the uniforms at slots 6i..6i+5 of its timestep's stream: three
+    translations, then the roll, pitch and yaw half-angles.  So a
+    candidate's offset depends only on its seed and its index, not on the
+    other timesteps, on N or on how many candidates follow it; with
+    ``include_estimate`` candidate 0 is the zero offset and its slots go
+    unread.  Reference outputs are pinned in the test suite.
     """
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))) for seed in seeds]
-    shape = (len(rngs), config.n_candidates - (1 if config.include_estimate else 0), 3)
-    # each stream draws its translations, then its angles, as in draw_offsets
-    translations = np.array([rng.uniform(-config.t_max, config.t_max, shape[1:]) for rng in rngs]).reshape(shape)
-    angles = np.array([rng.uniform(-config.r_max, config.r_max, shape[1:]) for rng in rngs]).reshape(shape)
-    rotations = _offset_rotations(angles)
-    if config.include_estimate:
-        translations = np.concatenate((np.zeros((len(rngs), 1, 3)), translations), axis=1)
-        rotations = np.concatenate((np.tile([1.0, 0.0, 0.0, 0.0], (len(rngs), 1, 1)), rotations), axis=1)
+    first = 1 if config.include_estimate else 0
+    keys = stream_keys(seeds)
+    shape = (len(keys), config.n_candidates - first, 6)
+    draws = 2.0 * stream_uniforms(keys, np.arange(6 * first, 6 * config.n_candidates)).reshape(shape) - 1.0
+    draws *= (config.t_max,) * 3 + (0.5 * config.r_max,) * 3  # uniform in [-1, 1), scaled
+    translations = np.zeros((len(keys), config.n_candidates, 3))
+    rotations = np.tile([1.0, 0.0, 0.0, 0.0], (len(keys), config.n_candidates, 1))
+    translations[:, first:], rotations[:, first:] = draws[..., :3], _euler_zyx(draws[..., 3:])
     return translations, rotations
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately takes a different route than the package:
 normal quantiles come from the standard library's NormalDist, mixture
 quantiles from a two-stage grid scan over math.erf, rotations are applied
-with the quaternion sandwich instead of a matrix, and the file readers
+with the quaternion sandwich instead of a matrix, the random draws come
+from the SplitMix64 generator stepped in Python ints, and the file readers
 are the per-line loops the bulk loads replaced.  Slow is fine; trustworthy matters.
 """
 
@@ -252,6 +253,100 @@ class StoredRecords:
         if key not in self._records:
             raise self._missing(f"no estimate recorded for {key}")
         return self._records[key]
+
+
+# ---------------------------------------------------------------------------
+# counter-based draws from the SplitMix64 generator, in Python ints
+
+_M64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """The SplitMix64 generator as Steele, Lea and Flood publish it (OOPSLA
+    2014): the state advances by the golden gamma, and each output is the
+    finalizer of the new state."""
+
+    def __init__(self, state: int):
+        self.state = state & _M64
+
+    def next(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _M64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return z ^ (z >> 31)
+
+
+def stream_key(words) -> int:
+    """The key of a seed's words: for each 64-bit piece of each word, low
+    pieces first, the key becomes the first output of the generator seeded
+    at ``key ^ piece``."""
+    key = 0
+    for word in words:
+        if word < 0:
+            raise ValueError("negative seed word")
+        pieces = [(word >> shift) & _M64 for shift in range(0, max(word.bit_length(), 1), 64)]
+        for piece in pieces:
+            key = SplitMix64(key ^ piece).next()
+    return key
+
+
+def stream_words(key: int, count: int) -> list[int]:
+    """The first ``count`` outputs of the generator seeded at ``key``."""
+    generator = SplitMix64(key)
+    return [generator.next() for _ in range(count)]
+
+
+def candidate_offsets(words, n_candidates: int, t_max: float, r_max: float):
+    """One timestep's sampled offsets, candidates 1..N-1 (candidate 0 is
+    the zero offset): candidate i's six uniforms, 53-bit floats from outputs
+    6i..6i+5, give three translations and the roll, pitch and yaw
+    half-angles; its rotation is the product of the three axis quaternions,
+    with math.cos and math.sin, normalized in Python floats.  Returns lists
+    of (3,) translations and (4,) rotations."""
+    draws = stream_words(stream_key(words), 6 * n_candidates)
+    translations, rotations = [], []
+    for i in range(1, n_candidates):
+        x = [2.0 * ((w >> 11) * 2.0**-53) - 1.0 for w in draws[6 * i : 6 * i + 6]]
+        translations.append([t_max * v for v in x[:3]])
+        roll, pitch, yaw = (0.5 * r_max * v for v in x[3:])
+        q = [1.0, 0.0, 0.0, 0.0]
+        for axis, half in ((3, yaw), (2, pitch), (1, roll)):  # z, then y, then x, intrinsically
+            factor = [math.cos(half), 0.0, 0.0, 0.0]
+            factor[axis] = math.sin(half)
+            q = _hamilton(q, factor)
+        norm = math.sqrt(sum(v * v for v in q))
+        rotations.append([v / norm if q[0] >= 0.0 else -v / norm for v in q])
+    return translations, rotations
+
+
+def _hamilton(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return [
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the VAR bound of a calibrated oracle, as a model
+
+
+def var_failure_probability(error: float, sigma: float, integrity_risk: float) -> float:
+    """P(|e| > PL) on one axis for ``VAR`` fed a calibrated estimate: the
+    estimator reports the true error e plus noise n ~ N(0, sigma^2) with
+    sigma itself, so the bound is the two-sided one of N(e + n, sigma^2),
+    PL = |e + n| + z sigma with z the 1 - risk/2 quantile (the solver's
+    lattice adds at most its tolerance, ignored here).  It fails where
+    |e + n| < |e| - z sigma: for a = |e| / sigma > z the integral of the
+    normal density over n / sigma in (z - 2a, -z) (mirrored for e < 0),
+    and 0 otherwise."""
+    z = normal_quantile(1.0 - 0.5 * integrity_risk)
+    a = abs(error) / sigma
+    return normal_cdf(-z) - normal_cdf(z - 2.0 * a) if a > z else 0.0
 
 
 # ---------------------------------------------------------------------------

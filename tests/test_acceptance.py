@@ -4,6 +4,10 @@ Nine criteria, one test each: mixture CDF accuracy, quantile solver
 accuracy, the rotation covariance correction, end-to-end failure-rate
 consistency, the overconfidence ablation, robust outlier weighting, the
 map-point geometry, byte-level determinism and the metrics arithmetic.
+Criterion 4 is one-sided, and the sampled variants pass it failing almost
+never, so two more tests check ``VAR`` from both sides: 4a that its bound
+on a calibrated oracle is the model's, 4b that its failure count falls in
+the model's binomial band.
 Criterion 7 keeps only its rigid-transform check: the local-map code it
 also checked is gone.  Each test prints one summary line with the measured
 quantity and its limit.
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 
 from plbounds.cli import main as cli_main
-from plbounds.estimator import SyntheticEstimator, SyntheticEstimatorConfig
+from plbounds.estimator import MeasurementContext, SyntheticEstimator, SyntheticEstimatorConfig
 from plbounds.geometry import RigidTransform, quat_from_euler_zyx, quat_to_matrix
 from plbounds.gmm import (
     GaussianMixture,
@@ -31,17 +35,18 @@ from plbounds.metrics import (
     false_alarm_rate,
     integrity_diagram,
 )
-from plbounds.pipeline import PipelineConfig, run_sequence
+from plbounds.pipeline import PipelineConfig, run_block, run_sequence
 from plbounds.scenario import ScenarioConfig, generate_scenario
-from plbounds.uncertainty import outlier_weights, precompute_q
+from plbounds.uncertainty import RotationUncertainty, outlier_weights, precompute_q
 
 import oracles
 
 BIG_N = 10_000
 RUN_SEED = 2101
+VAR_SIGMA = 0.1  # the calibrated oracle's noise on every axis
 
 
-def _report(criterion: int, detail: str, ok: bool) -> bool:
+def _report(criterion: int | str, detail: str, ok: bool) -> bool:
     print(f"criterion {criterion}: {detail} -> {'PASS' if ok else 'FAIL'}")
     return ok
 
@@ -67,6 +72,20 @@ def calibrated_rates(city_scenario):
     estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=RUN_SEED))
     config = PipelineConfig(variant="VAR_EO", seed=RUN_SEED, threads=4)
     return run_sequence(estimator, city_scenario, config).report.failure_rate
+
+
+@pytest.fixture(scope="module")
+def var_model_run(city_scenario):
+    """VAR on the calibrated oracle without rotation noise, whose bound the
+    model in ``oracles.var_failure_probability`` describes: the sequence's
+    results, and one block over every timestep for its mixture samples."""
+    estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=RUN_SEED, sigma_noise=(VAR_SIGMA,) * 3, sigma_rot=0.0))
+    config = PipelineConfig(variant="VAR", seed=RUN_SEED)
+    steps = city_scenario.timesteps
+    ctxs = [MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose) for ts in steps]
+    poses = [ts.estimate_pose for ts in steps]
+    block = run_block(estimator, ctxs, poses, city_scenario.cloud, None, RotationUncertainty.zero(), config)
+    return run_sequence(estimator, city_scenario, config), block, config.query
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +204,47 @@ def test_criterion_5_overconfidence_ablation(overconfident_rates):
         for d in DIRECTIONS
     )
     assert _report(5, f"overconfident oracle ablation ({detail})", ok)
+
+
+def test_var_bound_is_the_calibrated_model(var_model_run):
+    # the premise of the failure-count check below: each axis's mixture is
+    # the one Gaussian N(e + n, sigma^2), n ~ N(0, sigma^2) independent per
+    # axis and timestep, and the bound is its two-sided one, |e + n| + z sigma
+    sequence, block, query = var_model_run
+    (group, means, variances, weights), = block.samples
+    assert group.tolist() == list(range(BIG_N)) and means.shape == (BIG_N, 1, 3)
+    assert np.allclose(variances, VAR_SIGMA**2, rtol=1e-12, atol=0.0) and (weights == 1.0).all()
+    assert block.pl.tobytes() == sequence.pl.tobytes()
+    noise = (means[:, 0] - sequence.error).ravel() / VAR_SIGMA
+    assert abs(noise.mean()) < 5.0 / math.sqrt(noise.size)
+    assert abs(noise.var() - 1.0) < 5.0 * math.sqrt(2.0 / noise.size)
+    assert abs(np.corrcoef(noise[:-1], noise[1:])[0, 1]) < 5.0 / math.sqrt(noise.size)
+    cdf = np.array([oracles.normal_cdf(v) for v in np.sort(noise)])
+    steps = np.arange(noise.size + 1) / noise.size
+    ks = max(float(np.max(steps[1:] - cdf)), float(np.max(cdf - steps[:-1])))
+    assert ks < 1.95 / math.sqrt(noise.size)  # the KS statistic's 0.1% level
+    z = oracles.normal_quantile(1.0 - 0.5 * query.integrity_risk)
+    slack = sequence.pl - (np.abs(means[:, 0]) + z * VAR_SIGMA)
+    ok = slack.min() >= -1e-9 and slack.max() <= query.tolerance + 1e-9
+    detail = f"VAR bound - (|e + n| + z sigma) in [{slack.min():.1e}, {slack.max():.1e}]"
+    assert _report("4a", f"{detail} (limit [0, {query.tolerance:.0e}])", ok)
+
+
+def test_var_failure_count_matches_its_model(var_model_run):
+    # two-sided: a bound that is too loose fails too rarely, as one that is
+    # too tight fails too often.  The count is a sum of independent
+    # Bernoulli draws with the model's probabilities
+    sequence, _, query = var_model_run
+    checks = []
+    for d, name in enumerate(DIRECTIONS):
+        errors = sequence.error[:, d]
+        p = np.array([oracles.var_failure_probability(e, VAR_SIGMA, query.integrity_risk) for e in errors])
+        count = int(np.count_nonzero(sequence.pl[:, d] < np.abs(errors)))
+        expected, spread = float(p.sum()), math.sqrt(float(np.sum(p * (1.0 - p))))
+        checks.append((name, count, expected, spread, abs(count - expected) <= 3.0 * spread))
+    detail = ", ".join(f"{name} {count} in {mean:.1f} +- {3 * spread:.1f}" for name, count, mean, spread, _ in checks)
+    ok = all(c[-1] for c in checks)
+    assert _report("4b", f"{BIG_N} calibrated VAR timesteps, failures per axis against the model ({detail})", ok)
 
 
 def test_criterion_6_outlier_weighting():

@@ -20,7 +20,7 @@ from plbounds.cli import (
 )
 from plbounds.errors import ConfigError
 from plbounds.gmm import ProtectionLevelQuery
-from plbounds.io import read_quaternion_lines
+from plbounds.io import read_quaternion_lines, write_results_csv
 from plbounds.metrics import AlarmLimits
 from plbounds.sampling import SamplingConfig
 from plbounds.scenario import ScenarioConfig
@@ -105,6 +105,23 @@ def test_import_does_not_load_scipy_spatial():
     code = f"import sys; sys.path.insert(0, {src!r}); import plbounds, plbounds.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_metrics_and_diagram_do_not_load_scipy_special(tmp_path):
+    # SciPy's special functions are looked up once, on the first draw or
+    # solve, so the commands that only read a results table never load them
+    src = str(Path(plbounds.__file__).resolve().parents[1])
+    results = tmp_path / "results.csv"
+    write_results_csv(np.array([[0.0, 1.0, 1.0, 2.0, 0.1, -0.2, 0.3], [0.1, 3.0, 2.0, 2.0, 0.5, 2.5, -0.1]]), results)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import plbounds, plbounds.cli; "
+        f"out = {str(tmp_path / 'out')!r}; "
+        f"codes = [plbounds.cli.main([c, {str(results)!r}, '--out', out + c]) for c in ('metrics', 'diagram')]; "
+        "print(codes, 'scipy.special' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0] False"
+    assert (tmp_path / "outmetrics" / "report.json").exists() and (tmp_path / "outdiagram" / "diagram.json").exists()
 
 
 def test_load_config_rejections(tmp_path):

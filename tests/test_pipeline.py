@@ -669,6 +669,52 @@ def test_var_results_are_its_one_estimate_call_bit_for_bit(tmp_path):
             _same_result(block, want, t, t)
 
 
+@dataclass
+class Seen:
+    """Delegates to the synthetic estimator and keeps the candidate
+    orientations it is handed: per batch call the (T, N, 4) stack, per
+    single call the (context, orientation) pair."""
+
+    inner: SyntheticEstimator
+    batches: list = field(default_factory=list)
+    singles: list = field(default_factory=list)
+
+    def estimate(self, ctx, candidate, cloud=None):
+        self.singles.append((ctx, candidate.orientation))
+        return self.inner.estimate(ctx, candidate, cloud)
+
+    def estimate_batch(self, ctxs, positions, orientations, cloud=None):
+        self.batches.append(orientations)
+        return self.inner.estimate_batch(ctxs, positions, orientations, cloud)
+
+
+def test_zero_offset_candidate_gets_the_estimate_orientation_bit_for_bit():
+    # candidate 0 of the sampled variants is the estimate itself, as VAR's
+    # one candidate is: normalizing its orientation again would move some
+    # of them by an ulp.  The sampled candidates are normalized once
+    scenario_config = replace(SCENARIO_CONFIG, n_timesteps=600, estimate_offset_rotation=math.radians(10.0))
+    scenario = _scenario(seed=12, config=scenario_config)
+    orientations = np.array([ts.estimate_pose.orientation for ts in scenario.timesteps])
+    assert (quat_normalize(orientations) != orientations).any()  # a second normalization would show
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=12))
+    for variant in ("VAR", "VAR_EO"):
+        config = PipelineConfig(variant=variant, sampling=FAST_SAMPLING, seed=12)
+        batched = Seen(synthetic)
+        run_sequence(batched, scenario, config, RotationUncertainty.zero())
+        seen = np.concatenate(batched.batches)
+        assert seen[:, 0].tobytes() == orientations.tobytes()
+        if variant != "VAR":  # the sampled candidates, normalized once
+            _, rotations = sample_candidates(FAST_SAMPLING, [[12, 2, ts.index] for ts in scenario.timesteps])
+            positions = np.array([ts.estimate_pose.position for ts in scenario.timesteps])[:, None]
+            turned = apply_offset(positions, orientations[:, None], 0.0, rotations[:, 1:])[1]
+            assert seen[:, 1:].tobytes() == quat_normalize(turned).tobytes()
+        single = Seen(synthetic)
+        head = replace(scenario, timesteps=scenario.timesteps[:50])
+        run_sequence(OneAtATime(single), head, config, RotationUncertainty.zero())
+        zeroth = np.array([q for ctx, q in single.singles if ctx.candidate_index == 0])
+        assert zeroth.tobytes() == orientations[:50].tobytes()
+
+
 def test_var_raises_the_error_of_its_one_candidate(tmp_path):
     # an error that would exclude a sampled candidate is VAR's own error,
     # not a TimestepFailure; the first failing timestep in order raises it

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plbounds.geometry import Pose, quat_conjugate, quat_normalize, quat_to_matrix
-from plbounds.sampling import SamplingConfig, apply_offset, sample_candidates
+from plbounds.sampling import (
+    SamplingConfig,
+    apply_offset,
+    sample_candidates,
+    stream_keys,
+    stream_normals,
+    stream_uniforms,
+)
+
+import oracles
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -39,27 +48,21 @@ def test_first_candidate_is_the_estimate():
 
 
 def test_reference_stream_is_stable():
-    # pinned outputs of the PCG64 stream for seed 0; a change here breaks
-    # reproducibility of every archived run
+    # pinned outputs of the counter-based stream for seed 0; a change here
+    # breaks reproducibility of every archived run.  The values are the
+    # Python-int SplitMix64 oracle's, bit for bit
     translations, rotations = _one(SamplingConfig(), 0)
-    assert np.allclose(
-        translations[1],
-        [0.2739233746429086, -0.4604265724722594, -0.9180529521276106],
-        rtol=0.0,
-        atol=0.0,
-    )
+    want_t, want_q = oracles.candidate_offsets([0], 24, 1.0, math.radians(5.0))
+    assert translations[1:].tobytes() == np.array(want_t).tobytes()
+    assert np.allclose(rotations[1:], want_q, rtol=0.0, atol=1e-15)
+    assert translations[1].tolist() == [0.5573038666126122, -0.4697636671314269, -0.24952020255873952]
     assert np.allclose(
         rotations[1],
-        [0.9986353398329181, -0.03481376680763609, 0.009969396072234746, 0.03763071643499003],
+        [0.9993480788574713, 0.005691968310280213, -0.008797319538844424, -0.034548892161220375],
         rtol=0.0,
         atol=1e-15,
     )
-    assert np.allclose(
-        translations[2],
-        [-0.9669447289429418, 0.6265404784005448, 0.8255111545554434],
-        rtol=0.0,
-        atol=0.0,
-    )
+    assert translations[2].tolist() == [-0.8350534898228039, 0.10733653449232872, 0.1287005252533402]
 
 
 def test_determinism_and_seed_sensitivity():
@@ -158,3 +161,102 @@ def test_block_rows_are_the_single_timestep_draws():
         assert alone_t[0].tobytes() == one_t.tobytes() and alone_q[0].tobytes() == one_q.tobytes()
     empty = sample_candidates(cfg, [])
     assert empty[0].shape == (0, 24, 3) and empty[1].shape == (0, 24, 4)
+
+
+def test_rows_do_not_depend_on_the_candidates_that_follow():
+    # candidate i reads slots 6i..6i+5 alone, so a longer draw extends a
+    # shorter one, and the zero offset of include_estimate takes nothing
+    seeds = [[4, 2, k] for k in range(5)]
+    translations, rotations = sample_candidates(SamplingConfig(n_candidates=40), seeds)
+    for n in (2, 7, 24):
+        short_t, short_q = sample_candidates(SamplingConfig(n_candidates=n), seeds)
+        assert short_t.tobytes() == translations[:, :n].copy().tobytes()
+        assert short_q.tobytes() == rotations[:, :n].copy().tobytes()
+        without_t, without_q = sample_candidates(SamplingConfig(n_candidates=n, include_estimate=False), seeds)
+        assert without_t[:, 1:].tobytes() == short_t[:, 1:].tobytes()
+        assert without_q[:, 1:].tobytes() == short_q[:, 1:].tobytes()
+
+
+def _random_seeds(rng, count):
+    """Seeds of one to four words, some wider than 64 bits."""
+    seeds = []
+    for _ in range(count):
+        width = int(rng.integers(1, 5))
+        seeds.append([int(rng.integers(0, 2**63)) << int(rng.choice([0, 1, 40, 90])) for _ in range(width)])
+    return seeds
+
+
+def test_keys_and_words_match_the_python_splitmix64():
+    rng = np.random.default_rng(40)
+    seeds = _random_seeds(rng, 200) + [[0], [2**64 - 1], [2**64], [1, 2**128 + 5], 7]
+    keys = stream_keys(seeds)
+    assert keys.dtype == np.uint64 and keys.shape == (len(seeds),)
+    slots = np.arange(64)
+    uniforms, normals = stream_uniforms(keys, slots), stream_normals(keys, slots)
+    for seed, key, u, z in zip(seeds, keys, uniforms, normals):
+        want_key = oracles.stream_key(seed if isinstance(seed, list) else [seed])
+        assert int(key) == want_key
+        words = oracles.stream_words(want_key, len(slots))
+        assert u.tolist() == [(w >> 11) * 2.0**-53 for w in words]
+        cells = [((w >> 12) + 0.5) * 2.0**-52 for w in words]
+        assert np.allclose(z, [oracles.normal_quantile(c) for c in cells], rtol=1e-12, atol=1e-12)
+    # slots are read where they are asked for, in any order
+    picked = np.array([63, 0, 17])
+    assert stream_uniforms(keys, picked).tobytes() == uniforms[:, picked].tobytes()
+    assert stream_normals(keys[3:4], picked).tobytes() == normals[3:4, picked].tobytes()
+
+
+def test_keys_reject_negative_words_and_separate_seeds():
+    for seed in (-1, [3, -2], [0, 2**70, -(2**70)]):
+        with pytest.raises(ValueError, match="non-negative"):
+            stream_keys([seed])
+    assert stream_keys([]).shape == (0,)
+    assert stream_keys([5])[0] == stream_keys([[5]])[0] == stream_keys([np.int64(5)])[0]
+    distinct = [[1], [2], [1, 2], [2, 1], [1, 2, 0], [0, 1, 2], [2**64 + 1]]
+    assert len({int(k) for k in stream_keys(distinct)}) == len(distinct)
+
+
+def _moments(x):
+    mean = float(x.mean())
+    centred = x - mean
+    var = float(np.mean(centred**2))
+    return mean, var, float(np.mean(centred**3)) / var**1.5, float(np.mean(centred**4)) / var**2
+
+
+def test_a_million_uniforms_and_normals_have_their_distribution():
+    from scipy import stats
+
+    keys = stream_keys([[11, 2, k] for k in range(1000)])
+    n = 10**6
+    u = stream_uniforms(keys, np.arange(1000)).ravel()
+    z = stream_normals(keys, np.arange(1000)).ravel()
+    assert u.min() >= 0.0 and u.max() < 1.0 and np.isfinite(z).all()
+    # five standard errors of each moment, and the KS statistic's 0.1% level
+    mean, var, skew, kurt = _moments(u)
+    assert abs(mean - 0.5) < 5.0 * math.sqrt(1.0 / 12.0 / n)
+    assert abs(var - 1.0 / 12.0) < 5.0 * math.sqrt(1.0 / 180.0 / n)
+    assert abs(skew) < 5.0 * math.sqrt(6.0 / n)
+    assert stats.kstest(u, "uniform").statistic < 1.95 / math.sqrt(n)
+    mean, var, skew, kurt = _moments(z)
+    assert abs(mean) < 5.0 / math.sqrt(n)
+    assert abs(var - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    assert abs(skew) < 5.0 * math.sqrt(6.0 / n)
+    assert abs(kurt - 3.0) < 5.0 * math.sqrt(24.0 / n)
+    assert stats.kstest(z, "norm").statistic < 1.95 / math.sqrt(n)
+
+
+def test_streams_of_adjacent_keys_are_uncorrelated():
+    # the candidate streams of timesteps k and k + 1, the estimator's
+    # streams of adjacent timestamps, and adjacent slots of one stream
+    slots = np.arange(1000)
+    candidate = stream_uniforms(stream_keys([[11, 2, k] for k in range(1001)]), slots)
+    timestamps = [int(np.float64(0.1 * k).view(np.uint64)) for k in range(1001)]
+    estimator = stream_normals(stream_keys([[11, t] for t in timestamps]), slots)
+    pairs = (
+        (candidate[:-1], candidate[1:]),
+        (estimator[:-1], estimator[1:]),
+        (candidate[:, :-1], candidate[:, 1:]),
+    )
+    for a, b in pairs:
+        r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+        assert abs(r) < 5.0 / math.sqrt(a.size), r
