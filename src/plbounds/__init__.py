@@ -29,7 +29,6 @@ from .errors import (
 from .geometry import (
     PointCloud,
     Pose,
-    RigidTransform,
     matrix_to_quat,
     quat_conjugate,
     quat_from_axis_angle,
@@ -119,7 +118,6 @@ __all__ = [
     "ConfigError",
     # geometry
     "Pose",
-    "RigidTransform",
     "PointCloud",
     "quat_normalize",
     "quat_multiply",

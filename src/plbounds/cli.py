@@ -53,24 +53,16 @@ OUT_ENV_VAR = "PLBOUNDS_OUT"
 _DEGREES = ("r_max", "estimate_offset_rotation")
 
 
-@dataclass(frozen=True)
-class Settings:
-    """Fully resolved configuration for one invocation.
+@dataclass(frozen=True, kw_only=True)
+class Settings(PipelineConfig):
+    """Fully resolved configuration for one invocation: the pipeline's
+    configuration, plus the estimator, the rotation-uncertainty source and
+    the scenario.
 
-    The fields named like ``PipelineConfig``'s hold its values.
     ``estimator.seed`` is None unless the config sets it; the estimator then
     takes the run seed.
     """
 
-    seed: int
-    variant: str
-    threads: int
-    sampling: SamplingConfig
-    query: ProtectionLevelQuery
-    limits: AlarmLimits
-    min_candidates: int
-    q_samples: int
-    diagram_bins: int
     estimator_kind: str
     estimator: SyntheticEstimatorConfig
     estimator_path: str | None
@@ -189,16 +181,13 @@ def load_config(path: Path | str | None) -> Settings:
     pipeline.update(_fields(sec, "pipeline", PipelineConfig, ("min_candidates", "diagram_bins")))
     _reject_unknown(sec, "pipeline")
 
-    pipeline = _build(
-        PipelineConfig,
+    settings = _build(
+        Settings,
         "config",
         sampling=_config(_section(doc, "sampling"), "sampling", SamplingConfig),
         query=_config(_section(doc, "query"), "query", ProtectionLevelQuery),
         limits=_config(_section(doc, "limits"), "limits", AlarmLimits),
         **pipeline,
-    )
-    settings = Settings(
-        **{f.name: getattr(pipeline, f.name) for f in fields(PipelineConfig)},
         estimator_kind=kind,
         estimator=estimator,
         estimator_path=estimator_path,
@@ -211,16 +200,13 @@ def load_config(path: Path | str | None) -> Settings:
 
 
 def _apply_overrides(settings: Settings, args: argparse.Namespace) -> Settings:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        updates["threads"] = args.threads
-    if getattr(args, "variant", None) is not None:
-        updates["variant"] = args.variant
-    return replace(settings, **updates) if updates else settings
+    """``settings`` with the ``--seed``, ``--threads`` and ``--variant`` given,
+    checked again as the config's values are."""
+    given = {name: getattr(args, name, None) for name in ("seed", "threads", "variant")}
+    try:
+        return replace(settings, **{name: value for name, value in given.items() if value is not None})
+    except ValueError as exc:
+        raise ConfigError(f"command line: {exc}") from exc
 
 
 def _resolve_out(args: argparse.Namespace) -> Path:
@@ -294,8 +280,8 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
         {"seed": settings.seed, "config": str(args.config) if args.config else None},
     )
     scenario = generate_scenario(settings.scenario, settings.seed)
-    save_scenario(scenario, out, map_format=args.map_format)
-    manifest.finish(["scenario.json", "map.bin" if args.map_format == "bin" else "map.xyz"])
+    save_scenario(scenario, out)
+    manifest.finish(["scenario.json", "map.bin"])
     print(f"wrote scenario with {len(scenario.timesteps)} timesteps, map of {len(scenario.cloud)} points to {out}")
     return 0
 
@@ -319,8 +305,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "estimator": settings.estimator_kind,
         },
     )
-    config = PipelineConfig(**{f.name: getattr(settings, f.name) for f in fields(PipelineConfig)})
-    sequence = run_sequence(estimator, scenario, config, rotation)
+    sequence = run_sequence(estimator, scenario, settings, rotation)
     io.write_results_csv(sequence.result_rows(), out / "results.csv")
     io.write_json(sequence.report.to_dict(), out / "report.json")
     io.write_json(sequence.diagram.to_dict(), out / "diagram.json")
@@ -458,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-scenario", help="generate a synthetic scenario and its map")
     common(p)
-    p.add_argument("--map-format", choices=("bin", "xyz"), default="bin")
     p.set_defaults(func=cmd_gen_scenario)
 
     p = sub.add_parser("run", help="compute protection levels over a scenario")

@@ -252,6 +252,8 @@ class SyntheticEstimatorConfig:
     sigma_floor: float = 1e-6
 
     def __post_init__(self) -> None:
+        if self.seed is not None and self.seed < 0:  # None: the run seed, in the CLI's settings
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if min(self.sigma_noise) < 0.0 or self.sigma_rot < 0.0:
             raise ValueError("noise scales must be non-negative")
         if self.miscalibration <= 0.0 or self.sigma_floor <= 0.0:

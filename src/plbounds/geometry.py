@@ -1,4 +1,4 @@
-"""Rigid-body geometry: quaternions, poses, rigid transforms and point clouds.
+"""Rigid-body geometry: quaternions, poses and point clouds.
 
 Conventions used throughout the package:
 
@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_UNIT_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -151,7 +149,7 @@ def quat_angular_offset(q: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# poses, transforms, clouds
+# poses and clouds
 
 
 @dataclass(frozen=True)
@@ -185,46 +183,6 @@ class Pose:
     @classmethod
     def identity(cls) -> "Pose":
         return cls(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def transform(self) -> "RigidTransform":
-        return RigidTransform(quat_to_matrix(self.orientation), self.position)
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rotation plus translation: ``apply(p) = rotation @ p + translation``."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise ValueError("rotation must be (3, 3) and translation (3,)")
-        err = float(np.abs(r.T @ r - np.eye(3)).max())
-        if err > _UNIT_TOL or np.linalg.det(r) < 0.0:
-            raise ValueError(f"rotation is not orthonormal (deviation {err:.2e})")
-        object.__setattr__(self, "rotation", _readonly(r))
-        object.__setattr__(self, "translation", _readonly(t))
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return points @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equivalent to applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
 
 
 @dataclass(frozen=True)

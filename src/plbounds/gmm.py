@@ -147,11 +147,13 @@ def _start(means: np.ndarray, sigmas: np.ndarray, probabilities, tolerance: floa
     computed CDF, so that CDF is below p at ``lo * tolerance`` and reaches p
     at ``hi * tolerance`` without being evaluated.  This holds while the
     rounding of x is small against every sigma (|mu_i| / sigma_i below
-    about 1e5).  A p within eps of 0 or 1 gives non-finite ends.
+    about 1e5).  A p within eps of 0 or 1, or an end beyond the float range
+    in lattice units, gives non-finite ends, which ``_bisect`` rejects.
     """
     p = np.asarray(probabilities, dtype=float)[..., None]
-    lo = np.floor(np.min(means + sigmas * std_normal_quantile(p - _START_MARGIN), axis=-1) / tolerance)
-    hi = np.ceil(np.max(means + sigmas * std_normal_quantile(p + _START_MARGIN), axis=-1) / tolerance)
+    with np.errstate(over="ignore"):
+        lo = np.floor(np.min(means + sigmas * std_normal_quantile(p - _START_MARGIN), axis=-1) / tolerance)
+        hi = np.ceil(np.max(means + sigmas * std_normal_quantile(p + _START_MARGIN), axis=-1) / tolerance)
     return lo, hi
 
 
@@ -173,8 +175,15 @@ def _bisect(
     widest, because a one-cell bracket's midpoint is its ``lo``, which
     leaves it as it is.  Since the lattice does not depend on p or on the
     start, the final cell is the one where the computed CDF crosses p.
+    A bracket with a non-finite end or width raises ``BracketingFailure``.
     """
-    steps = (int(np.max(hi - lo, initial=1.0)) - 1).bit_length()
+    with np.errstate(invalid="ignore"):
+        width = hi - lo
+    finite = np.isfinite(width)
+    if not finite.all():
+        p = np.broadcast_to(probabilities, width.shape)[~finite][0]
+        raise BracketingFailure(f"could not bracket probability {p}: the start bracket is not finite")
+    steps = (int(np.max(width, initial=1.0)) - 1).bit_length()
     if steps > max_iterations:
         raise NonConvergence(f"no convergence within {max_iterations} bisection steps (needs {steps})")
     for _ in range(steps):
@@ -211,8 +220,9 @@ def _brackets(
     wide = ~(np.isfinite(lo) & np.isfinite(hi))
     if wide.any():
         rows = means[wide], sigmas[wide], weights[wide]
-        lo[wide] = np.floor(np.min(rows[0] - 10.0 * rows[1], axis=1) / tolerance)
-        hi[wide] = np.ceil(np.max(rows[0] + 10.0 * rows[1], axis=1) / tolerance)
+        with np.errstate(over="ignore"):
+            lo[wide] = np.floor(np.min(rows[0] - 10.0 * rows[1], axis=1) / tolerance)
+            hi[wide] = np.ceil(np.max(rows[0] + 10.0 * rows[1], axis=1) / tolerance)
         outside = p[wide] > _cdf(*rows, hi[wide] * tolerance)  # the CDF is exactly 0 < p at lo
         if outside.any():
             raise BracketingFailure(f"could not bracket probability {p[wide][outside][0]}")

@@ -19,28 +19,6 @@ from .geometry import PointCloud
 RESULT_COLUMNS = ("t", "pl_lat", "pl_lon", "pl_vert", "err_x", "err_y", "err_z")
 
 
-def write_cloud_xyz(cloud: PointCloud, path: Path | str) -> None:
-    """One ``x y z`` line per point, full double precision."""
-    with open(path, "w") as fh:
-        for x, y, z in cloud.points:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-
-
-def read_cloud_xyz(path: Path | str) -> PointCloud:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'x y z', got {line!r}")
-        rows.append([float(v) for v in parts])
-    if not rows:
-        return PointCloud(np.empty((0, 3)))
-    return PointCloud(np.asarray(rows, dtype=float))
-
-
 def write_cloud_bin(cloud: PointCloud, path: Path | str) -> None:
     """u64 point count followed by count*3 f64 coordinates."""
     with open(path, "wb") as fh:

@@ -58,6 +58,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.min_candidates < 2:

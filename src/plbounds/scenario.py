@@ -171,22 +171,16 @@ def _pose_from_dict(d: dict) -> Pose:
     return Pose(np.asarray(d["position"], dtype=float), np.asarray(d["orientation"], dtype=float))
 
 
-def save_scenario(scenario: Scenario, out_dir: Path | str, map_format: str = "bin") -> Path:
-    """Write the map cloud and the scenario document; returns the JSON path."""
+def save_scenario(scenario: Scenario, out_dir: Path | str) -> Path:
+    """Write the map cloud to ``map.bin`` and the scenario document to
+    ``scenario.json``; returns the JSON path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if map_format == "bin":
-        map_name = "map.bin"
-        io.write_cloud_bin(scenario.cloud, out / map_name)
-    elif map_format == "xyz":
-        map_name = "map.xyz"
-        io.write_cloud_xyz(scenario.cloud, out / map_name)
-    else:
-        raise ValueError("map_format must be 'bin' or 'xyz'")
+    io.write_cloud_bin(scenario.cloud, out / "map.bin")
     doc = {
         "schema": 1,
         "seed": scenario.seed,
-        "map": map_name,
+        "map": "map.bin",
         "timesteps": [
             {
                 "index": ts.index,
@@ -221,11 +215,10 @@ def load_scenario(path: Path | str) -> Scenario:
             raise TypeError("expected a string 'map' and a list of 'timesteps'")
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {_problem(exc)}") from None
+    if not map_name.endswith(".bin"):
+        raise ValueError(f"{path}: map {map_name!r} is not a .bin point-cloud file")
     map_path = path.parent / map_name
-    if map_name.endswith(".bin"):
-        cloud = io.read_cloud_bin(map_path)
-    else:
-        cloud = io.read_cloud_xyz(map_path)
+    cloud = io.read_cloud_bin(map_path)
     poses = _checked_poses(rows)  # None: build each Pose alone, so the first bad one raises its own error
     timesteps = []
     for k, ts in enumerate(rows):

@@ -1,16 +1,15 @@
 """Acceptance gate for the package.
 
-Nine criteria, one test each: mixture CDF accuracy, quantile solver
-accuracy, the rotation covariance correction, end-to-end failure-rate
-consistency, the overconfidence ablation, robust outlier weighting, the
-map-point geometry, byte-level determinism and the metrics arithmetic.
+Eight criteria, one test each, keep the numbers 1-9: mixture CDF accuracy,
+quantile solver accuracy, the rotation covariance correction, end-to-end
+failure-rate consistency, the overconfidence ablation, robust outlier
+weighting, byte-level determinism and the metrics arithmetic.  Number 7,
+the local-map geometry, was retired with the local-map code.
 Criterion 4 is one-sided, and the sampled variants pass it failing almost
 never, so two more tests check ``VAR`` from both sides: 4a that its bound
 on a calibrated oracle is the model's, 4b that its failure count falls in
-the model's binomial band.
-Criterion 7 keeps only its rigid-transform check: the local-map code it
-also checked is gone.  Each test prints one summary line with the measured
-quantity and its limit.
+the model's binomial band.  Each test prints one summary line with the
+measured quantity and its limit.
 """
 
 import json
@@ -21,7 +20,7 @@ import pytest
 
 from plbounds.cli import main as cli_main
 from plbounds.estimator import MeasurementContext, SyntheticEstimator, SyntheticEstimatorConfig
-from plbounds.geometry import RigidTransform, quat_from_euler_zyx, quat_to_matrix
+from plbounds.geometry import quat_to_matrix
 from plbounds.gmm import (
     GaussianMixture,
     ProtectionLevelQuery,
@@ -281,21 +280,6 @@ def test_criterion_6_outlier_weighting():
         f"hand weights match to {hand_gap:.1e} (limit 1e-12); outlier shifts the bound "
         f"{delta_robust:.4f} robust vs {delta_uniform:.4f} uniform (limit 20%)",
         ok,
-    )
-
-
-def test_criterion_7_local_map_geometry():
-    # moving map points into a pose frame must not distort them
-    tf = RigidTransform(
-        quat_to_matrix(quat_from_euler_zyx(1.1, 0.3, -0.7)), np.array([3.0, -1.0, 2.0])
-    )
-    sample = np.random.default_rng(37).normal(0.0, 10.0, (100, 3))
-    before = np.linalg.norm(sample[:, None, :] - sample[None, :, :], axis=-1)
-    moved = tf.apply(sample)
-    after = np.linalg.norm(moved[:, None, :] - moved[None, :, :], axis=-1)
-    rigidity = float(np.abs(after - before).max())
-    assert _report(
-        7, f"worst distance distortion {rigidity:.1e} (limit 1e-09)", rigidity <= 1e-9
     )
 
 

@@ -3,6 +3,8 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from plbounds import __version__
 from plbounds.cli import (
     CALIBRATION_COLUMNS,
     OUT_ENV_VAR,
+    Settings,
     _apply_overrides,
     _estimator_config,
     load_config,
@@ -22,6 +25,7 @@ from plbounds.errors import ConfigError
 from plbounds.gmm import ProtectionLevelQuery
 from plbounds.io import read_quaternion_lines, write_results_csv
 from plbounds.metrics import AlarmLimits
+from plbounds.pipeline import PipelineConfig
 from plbounds.sampling import SamplingConfig
 from plbounds.scenario import ScenarioConfig
 
@@ -76,6 +80,9 @@ def test_load_config_defaults():
     assert settings.estimator_kind == "synthetic" and settings.estimator.seed is None
     assert settings.rotation_source == "estimator" and settings.q_samples == 100000
     assert settings.scenario == ScenarioConfig()
+    # the pipeline's configuration itself, with only the invocation's fields added
+    assert isinstance(settings, PipelineConfig)
+    assert not set(Settings.__annotations__) & {f.name for f in fields(PipelineConfig)}
 
 
 def test_load_config_full_document(config_path):
@@ -152,6 +159,8 @@ def test_load_config_rejections(tmp_path):
         {"pipeline": {"seed": 1}},
         {"sampling": {"include_estimate": 1}},
         {"estimator": {"corr": [0.0, 0.0]}},
+        {"seed": -3},
+        {"estimator": {"seed": -3}},
     ]
     for idx, doc in enumerate(cases):
         path = tmp_path / f"bad{idx}.json"
@@ -212,12 +221,33 @@ def test_gen_scenario_rerun_is_byte_identical(config_path, tmp_path):
     assert (a / "map.bin").read_bytes() == (b / "map.bin").read_bytes()
 
 
-def test_gen_scenario_xyz_format(config_path, tmp_path):
+def test_run_rejects_a_map_that_is_not_bin(config_path, tmp_path, capsys):
     out = tmp_path / "scn"
-    assert _gen(config_path, out, "--map-format", "xyz") == 0
-    assert (out / "map.xyz").is_file()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert "map.xyz" in manifest["outputs"]
+    assert _gen(config_path, out) == 0
+    doc = json.loads((out / "scenario.json").read_text())
+    doc["map"] = "map.xyz"
+    scenario = out / "xyz_scenario.json"
+    scenario.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", str(scenario), "--config", str(config_path), "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == f"input error: {scenario}: map 'map.xyz' is not a .bin point-cloud file\n"
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, message",
+    [
+        ("gen-scenario", {"seed": -3}, [], "config: seed must be non-negative, got -3"),
+        ("run", {"estimator": {"seed": -3}}, [], "estimator: seed must be non-negative, got -3"),
+        ("run", {}, ["--seed", "-4"], "command line: seed must be non-negative, got -4"),
+    ],
+    ids=["config", "estimator", "flag"],
+)
+def test_negative_seeds_exit_2_before_any_input_is_read(tmp_path, capsys, command, doc, flags, message):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(doc))
+    inputs = [str(tmp_path / "missing.json")] if command == "run" else []
+    assert main([command, *inputs, "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +485,31 @@ def test_var_estimate_errors_exit_4(scenario_dir, tmp_path, capsys):
         argv = ["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(tmp_path / f"run{k}")]
         assert main(argv) == 4
         assert capsys.readouterr().err == f"pipeline failure: {message}\n"
+
+
+@pytest.mark.parametrize("variant, huge", [("VAR", [0, 1]), ("VAR_E", [1])])
+def test_an_error_beyond_the_lattice_range_exits_4(tmp_path, capsys, variant, huge):
+    # 1e305 m is finite, but not in lattice units of the 1e-4 m tolerance:
+    # under VAR the estimate's start bracket overflows, under VAR_E the
+    # width of the bracket spanning candidates 0 and 1
+    cfg = {**RUN_CONFIG, "variant": variant, "sampling": {"n_candidates": 2},
+           "scenario": {**RUN_CONFIG["scenario"], "n_timesteps": 1}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert _gen(path, tmp_path / "scn") == 0
+    record = {"payload_key": "t000000", "rotation_error": [1.0, 0.0, 0.0, 0.0], "sigma": [0.1] * 3, "corr": [0.0] * 3}
+    rows = [{**record, "candidate_index": i, "translation_error": [1e305 if i in huge else 0.5, 0.0, 0.0]} for i in range(2)]
+    table = tmp_path / "estimates.jsonl"
+    table.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    path.write_text(json.dumps({**cfg, "estimator": {"kind": "file", "path": str(table)}}))
+    capsys.readouterr()
+    argv = ["run", str(tmp_path / "scn" / "scenario.json"), "--config", str(path), "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would escape main
+        assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "pipeline failure: could not bracket probability 0.995: the start bracket is not finite\n"
+    )
 
 
 def test_version_and_bad_subcommand(capsys):

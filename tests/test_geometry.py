@@ -9,7 +9,6 @@ from plbounds.estimator import _rotvecs_to_quats
 from plbounds.geometry import (
     PointCloud,
     Pose,
-    RigidTransform,
     matrix_to_quat,
     quat_angular_offset,
     quat_conjugate,
@@ -181,7 +180,7 @@ def test_angular_distance_symmetry(q1, q2):
 
 
 # ---------------------------------------------------------------------------
-# poses and transforms
+# poses and clouds
 
 
 def test_pose_is_map_to_sensor():
@@ -189,45 +188,20 @@ def test_pose_is_map_to_sensor():
     q = quat_normalize(random_quat(rng))
     pos = rng.normal(size=3)
     pose = Pose(pos, q)
+    rotation = quat_to_matrix(pose.orientation)
     p_map = rng.normal(size=3)
-    expect = quat_to_matrix(q) @ p_map + pos
-    assert np.allclose(pose.transform().apply(p_map), expect, atol=1e-12)
+    # p_sensor = R p_map + t, with R the rotation p -> q p q*
+    expect = quat_multiply(quat_multiply(q, np.concatenate(([0.0], p_map))), quat_conjugate(q))[1:] + pos
+    assert np.allclose(rotation @ p_map + pose.position, expect, atol=1e-12)
     # the sensor center maps to the local origin
-    center = -quat_to_matrix(q).T @ pos
-    assert np.allclose(pose.transform().apply(center), np.zeros(3), atol=1e-9)
+    center = -rotation.T @ pose.position
+    assert np.allclose(rotation @ center + pose.position, np.zeros(3), atol=1e-9)
 
 
 def test_pose_arrays_read_only():
     pose = Pose.identity()
     with pytest.raises(ValueError):
         pose.position[0] = 1.0
-
-
-def test_rigid_transform_rejects_non_orthonormal():
-    with pytest.raises(ValueError):
-        RigidTransform(np.eye(3) * 1.001, np.zeros(3))
-    with pytest.raises(ValueError):
-        RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
-
-
-def test_rigid_transform_compose_inverse():
-    rng = np.random.default_rng(4)
-    a = RigidTransform(quat_to_matrix(quat_normalize(random_quat(rng))), rng.normal(size=3))
-    b = RigidTransform(quat_to_matrix(quat_normalize(random_quat(rng))), rng.normal(size=3))
-    pts = rng.normal(size=(12, 3))
-    assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
-    round_trip = a.inverse().apply(a.apply(pts))
-    assert np.allclose(round_trip, pts, atol=1e-12)
-
-
-def test_transform_cloud_preserves_distances():
-    rng = np.random.default_rng(5)
-    tf = RigidTransform(quat_to_matrix(quat_normalize(random_quat(rng))), rng.normal(size=3))
-    cloud = PointCloud(rng.normal(size=(40, 3)))
-    moved = tf.apply(cloud.points)
-    d0 = np.linalg.norm(cloud.points[:, None] - cloud.points[None, :], axis=-1)
-    d1 = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
-    assert np.abs(d0 - d1).max() <= 1e-9
 
 
 def test_point_cloud_validation():

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ def test_quantile_non_convergence():
     m = GaussianMixture([0.0], [1.0], [1.0])
     with pytest.raises(NonConvergence):
         gmm_quantile(m, 0.975, tolerance=1e-12, max_iterations=1)
+
+
+def test_a_bracket_beyond_the_float_range_fails_cleanly():
+    # 1e305 m is finite, but not in lattice units of 1e-4 m: the solver
+    # names the probability it could not bracket, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for means in ([1e305], [1e305, 0.0], [-1e305, 1e305]):
+            n = len(means)
+            mixture = GaussianMixture(means, [0.01] * n, [1.0 / n] * n)
+            with pytest.raises(BracketingFailure, match="could not bracket probability 0.995"):
+                protection_level(mixture)
+            with pytest.raises(BracketingFailure, match="could not bracket probability 0.5"):
+                gmm_quantile(mixture, 0.5)
 
 
 def _random_mixtures(rng, count, n):

@@ -18,31 +18,6 @@ def _cloud(rng, n=37):
     return PointCloud(rng.normal(scale=50.0, size=(n, 3)))
 
 
-def test_cloud_xyz_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    cloud = _cloud(rng)
-    path = tmp_path / "c.xyz"
-    io.write_cloud_xyz(cloud, path)
-    back = io.read_cloud_xyz(path)
-    assert np.array_equal(back.points, cloud.points)  # repr round-trips exactly
-
-
-def test_cloud_xyz_empty_and_malformed(tmp_path):
-    path = tmp_path / "empty.xyz"
-    io.write_cloud_xyz(PointCloud(np.empty((0, 3))), path)
-    assert len(io.read_cloud_xyz(path)) == 0
-    bad = tmp_path / "bad.xyz"
-    bad.write_text("1.0 2.0\n")
-    with pytest.raises(ValueError):
-        io.read_cloud_xyz(bad)
-
-
-def test_cloud_xyz_skips_blank_lines(tmp_path):
-    path = tmp_path / "c.xyz"
-    path.write_text("1.0 2.0 3.0\n\n4.0 5.0 6.0\n")
-    assert len(io.read_cloud_xyz(path)) == 2
-
-
 def test_cloud_bin_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     cloud = _cloud(rng, n=101)

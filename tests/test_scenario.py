@@ -171,17 +171,13 @@ def test_save_load_roundtrip_bin(tmp_path):
         assert np.array_equal(got.estimate_pose.orientation, want.estimate_pose.orientation)
 
 
-def test_save_load_roundtrip_xyz(tmp_path):
-    sc = generate_scenario(SMALL, seed=12)
-    path = save_scenario(sc, tmp_path, map_format="xyz")
-    loaded = load_scenario(path)
-    assert np.array_equal(loaded.cloud.points, sc.cloud.points)
-
-
-def test_save_rejects_unknown_map_format(tmp_path):
-    sc = generate_scenario(SMALL, seed=1)
-    with pytest.raises(ValueError):
-        save_scenario(sc, tmp_path, map_format="pcd")
+def test_load_rejects_a_map_that_is_not_bin(tmp_path):
+    path = save_scenario(generate_scenario(SMALL, seed=1), tmp_path)
+    doc = read_json(path)
+    doc["map"] = "map.xyz"
+    write_json(doc, path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: map 'map.xyz' is not a .bin point-cloud file")):
+        load_scenario(path)
 
 
 def test_load_rejects_wrong_schema(tmp_path):
