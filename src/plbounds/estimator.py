@@ -308,7 +308,10 @@ class SyntheticEstimator:
     def _noise(self, ctxs: list[MeasurementContext], slots: np.ndarray) -> np.ndarray:
         """The (T, S) standard normals at ``slots`` of each context's
         (seed, timestamp) stream."""
-        return stream_normals(stream_keys([(self.config.seed, _float_key(ctx.timestamp)) for ctx in ctxs]), slots)
+        words = [(self.config.seed, _float_key(ctx.timestamp)) for ctx in ctxs]
+        if self.config.seed < 1 << 64:  # one uint64 block: negative timestamps have bits of 2**63 or more
+            words = np.array(words, dtype=np.uint64)
+        return stream_normals(stream_keys(words), slots)
 
     def _errors(self, ctxs: list[MeasurementContext], positions, orientations, noise: np.ndarray) -> tuple:
         """Noisy raw estimates of the (T, N, 3) positions and (T, N, 4)
@@ -327,12 +330,12 @@ class SyntheticEstimator:
         rotation = quat_multiply(orientations, quat_conjugate(true_orientations))
         if self.config.sigma_rot > 0.0:
             rotation = quat_multiply(_rotvecs_to_quats(noise[..., 3:] * self.config.sigma_rot), rotation)
-        rows = noise.shape[:-1] + (1,)
+        rows = noise.shape[:-1] + (3,)
         return (
             translation + noise[..., :3] * self._sigma_noise,
             rotation,
-            np.tile(self._sigma_report, rows),
-            np.tile(self._corr, rows),
+            np.broadcast_to(self._sigma_report, rows),
+            np.broadcast_to(self._corr, rows),
         )
 
     def rotation_residual_samples(self, count: int, seed: int) -> np.ndarray:

@@ -42,6 +42,9 @@ def _assemble(parts: list, tail: tuple[int, ...]) -> np.ndarray:
     return out.reshape(out.shape[:-1] + tail)
 
 
+_LEAD_WEIGHTS = np.array([[8.0], [4.0], [2.0], [1.0]])
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Return the unit quaternion equivalent to ``q`` with w >= 0.
 
@@ -61,7 +64,10 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     n = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
     if not (np.abs(n - 1.0) <= 1e-3).all():
         raise ValueError(f"quaternion norm {n.flat[np.argmax(np.abs(n - 1.0))]} too far from 1")
-    lead = np.take_along_axis(q, np.argmax(q != 0.0, axis=-1)[..., None], axis=-1)
+    if (q[..., 0] > 0.0).all():  # the usual case: no sign to pick
+        return q / n
+    # signs weighted 8, 4, 2, 1: the first non-zero component outweighs the rest
+    lead = np.sign(q) @ _LEAD_WEIGHTS
     return q / np.where(lead < 0.0, -n, n)
 
 
@@ -86,16 +92,26 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion; an (..., 4) stack gives (..., 3, 3)."""
-    w, x, y, z = _components(q)
-    return _assemble(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ],
-        (3, 3),
-    )
+    """Rotation matrix of a unit quaternion; an (..., 4) stack gives (..., 3, 3),
+    C-contiguous.  Entry by entry the arithmetic of ``1 - 2 (y y + z z)``,
+    ``2 (x y - w z)`` and so on, each product computed once and each sum
+    written straight into the result."""
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1] != 4:
+        raise ValueError(f"quaternion must have shape (..., 4), got {q.shape}")
+    w, x, y, z = q.reshape(-1, 4).T
+    xx, yy, zz, xy, xz, yz, wx, wy, wz = x * x, y * y, z * z, x * y, x * z, y * z, w * x, w * y, w * z
+    m = np.empty((len(x), 9))
+    for k, (op, a, b) in enumerate((
+        (np.add, yy, zz), (np.subtract, xy, wz), (np.add, xz, wy),
+        (np.add, xy, wz), (np.add, xx, zz), (np.subtract, yz, wx),
+        (np.subtract, xz, wy), (np.add, yz, wx), (np.add, xx, yy),
+    )):
+        op(a, b, out=m[:, k])
+    m *= 2.0
+    for k in (0, 4, 8):  # the diagonal, a column at a time: an (M, 3) view would loop 3 entries at a time
+        np.subtract(1.0, m[:, k], out=m[:, k])
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 def matrix_to_quat(m: np.ndarray) -> np.ndarray:

@@ -255,7 +255,9 @@ def integrity_diagram(pl: np.ndarray, error: np.ndarray, limits: AlarmLimits, bi
         hazardous,
     )
     tallies = np.count_nonzero(regions, axis=1).tolist()
-    edges = np.linspace(0.0, 2.0 * limit, side, axis=1)
+    # np.linspace(0.0, 2.0 * limit, side, axis=1) bit for bit, without its wrappers
+    edges = np.arange(side) * width[:, None]
+    edges[:, -1] = 2.0 * limit
     out = {
         name: DiagramDirection(*direction)
         for name, *direction in zip(DIRECTIONS, edges, counts.reshape(3, side, side), *tallies)

@@ -163,7 +163,8 @@ def run_block(
         a.setflags(write=False)
     # a candidate whose estimator call fails keeps these neutral values,
     # which pass every check below, and is dropped at the end
-    raw_error, raw_rotation = np.zeros((steps, n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (steps, n, 1))
+    raw_error, raw_rotation = np.zeros((steps, n, 3)), np.zeros((steps, n, 4))
+    raw_rotation[..., 0] = 1.0
     sigma, corr = np.ones((steps, n, 3)), np.zeros((steps, n, 3))
     failed: dict[tuple[int, int], PlboundsError] = {}
     estimate_batch = getattr(estimator, "estimate_batch", None)
@@ -288,7 +289,10 @@ def run_sequence(
 
     Timesteps are bounded in blocks of up to ``BLOCK_TIMESTEPS`` by
     ``run_block``; a block that raises is bounded again one timestep at a
-    time.  Candidate offsets are redrawn per timestep from streams derived
+    time, and a package error of a timestep is raised again, the same
+    object with ``timestep <k> (payload_key <key>): `` put in front of its
+    message, k counted from 0.
+    Candidate offsets are redrawn per timestep from streams derived
     from the run seed and the timestep index, so results are reproducible
     and do not depend on where blocks start or end.  ``config.threads``
     does not change the computation.
@@ -311,14 +315,18 @@ def run_sequence(
             parts = [run_block(estimator, ctxs, poses, scenario.cloud, offsets, rotation_uncertainty, config)]
         except Exception:
             # whatever failed, one timestep at a time: the first error in
-            # timestep order is then raised as that timestep alone raises it
-            parts = [
-                run_timestep(
-                    estimator, ctx, pose, scenario.cloud, None if offsets is None else tuple(a[k] for a in offsets),
-                    rotation_uncertainty, config,
-                )
-                for k, (ctx, pose) in enumerate(zip(ctxs, poses))
-            ]
+            # timestep order is then raised as that timestep alone raises it,
+            # a package error with the timestep named in front
+            parts = []
+            for k, (ctx, pose) in enumerate(zip(ctxs, poses)):
+                alone = None if offsets is None else tuple(a[k] for a in offsets)
+                try:
+                    parts.append(
+                        run_timestep(estimator, ctx, pose, scenario.cloud, alone, rotation_uncertainty, config)
+                    )
+                except PlboundsError as exc:  # the same object, so its type and attributes stay
+                    exc.args = (f"timestep {first + k} (payload_key {ctx.payload_key}): {exc}",)
+                    raise
         for k, part in enumerate(parts):  # the whole block, or its k-th timestep
             rows = slice(first + k, first + k + len(part.kept))
             pl[rows], kept[rows], excluded[rows] = part.pl, part.kept, part.excluded

@@ -50,17 +50,30 @@ def draw_offsets(rng: np.random.Generator, n: int, t_max: float, r_max: float) -
 # counter-based draws: every value is a pure function of (key, slot)
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): its golden-ratio
-# increment, and below its finalizer
+# increment, and below its finalizer, on Python ints and on uint64 arrays
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# the array constants as uint64 scalars: numpy would convert a Python int
+# operand on every call, which costs more than a short array's arithmetic
+_U64_GAMMA, _S1, _M1, _S2, _M2, _S3 = map(np.uint64, (_GAMMA, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
+# the number of seeds from which the numpy chain beats the Python fold
+# (about 6 on a 2-vCPU x86 VM, for seeds of two or three words)
+_FOLD_BELOW = 6
 
 
-def _mix64(x):
-    """The SplitMix64 finalizer of a Python int below 2**64, or of each
-    entry of a uint64 array."""
+def _mix64(x: int) -> int:
+    """The SplitMix64 finalizer of a Python int below 2**64."""
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
     return x ^ (x >> 31)
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """``_mix64`` of each entry of a uint64 array, whose arithmetic wraps
+    modulo 2**64 by itself."""
+    x = (x ^ (x >> _S1)) * _M1
+    x = (x ^ (x >> _S2)) * _M2
+    return x ^ (x >> _S3)
 
 
 def stream_keys(seeds) -> np.ndarray:
@@ -68,7 +81,24 @@ def stream_keys(seeds) -> np.ndarray:
     them.  The key chains the finalizer over the seed's words: starting from
     0, ``key = mix64((key ^ word) + gamma)`` for each word, and a word wider
     than 64 bits is folded in 64 bits at a time, low bits first.  Raises
-    ValueError for a negative word, as numpy's SeedSequence does."""
+    ValueError for a negative word, as numpy's SeedSequence does.
+
+    Seeds that numpy reads as one (T,) or (T, W) integer array, the usual
+    case, are chained a word column at a time; any others (ragged seeds,
+    words numpy does not hold as integers) word by word in Python, as are
+    fewer than ``_FOLD_BELOW`` seeds, whose fold is faster than the numpy
+    chain's fixed cost."""
+    try:
+        words = np.array(seeds)
+    except ValueError:  # ragged
+        words = None
+    if words is not None and words.dtype.kind in "iu" and words.ndim in (1, 2) and len(words) >= _FOLD_BELOW:
+        if (words < 0).any():
+            raise ValueError(f"seed words must be non-negative, got {int(words[words < 0][0])}")
+        keys = np.zeros(len(words), dtype=np.uint64)
+        for column in (words if words.ndim == 2 else words[:, None]).T.astype(np.uint64):
+            keys = _mix64_array((keys ^ column) + _U64_GAMMA)
+        return keys
     keys = []
     for seed in seeds:
         key = 0
@@ -85,7 +115,7 @@ def stream_keys(seeds) -> np.ndarray:
 def _words(keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """(T, S) words: slot s of key k is ``mix64(k + (s + 1) gamma)``, output
     s of the SplitMix64 generator seeded at k."""
-    return _mix64(keys[:, None] + (np.asarray(slots, dtype=np.uint64) + 1) * _GAMMA)
+    return _mix64_array(keys[:, None] + (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA)
 
 
 def stream_uniforms(keys: np.ndarray, slots) -> np.ndarray:
@@ -133,7 +163,8 @@ def sample_candidates(config: SamplingConfig, seeds) -> tuple[np.ndarray, np.nda
     draws = 2.0 * stream_uniforms(keys, np.arange(6 * first, 6 * config.n_candidates)).reshape(shape) - 1.0
     draws *= (config.t_max,) * 3 + (0.5 * config.r_max,) * 3  # uniform in [-1, 1), scaled
     translations = np.zeros((len(keys), config.n_candidates, 3))
-    rotations = np.tile([1.0, 0.0, 0.0, 0.0], (len(keys), config.n_candidates, 1))
+    rotations = np.zeros((len(keys), config.n_candidates, 4))
+    rotations[:, :first, 0] = 1.0  # the zero offset's identity rotation
     translations[:, first:], rotations[:, first:] = draws[..., :3], _euler_zyx(draws[..., 3:])
     return translations, rotations
 

@@ -118,6 +118,18 @@ def transform_error(
 # robust weights
 
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1, keepdims=True)`` bit for bit, without its
+    wrappers: the same partition, the same mean of the middle one or two
+    entries, and a NaN in a row makes the row's median that NaN."""
+    n = a.shape[-1]
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(a, middle + [-1], axis=-1)
+    median = np.add.reduce(part[..., middle[0] : n // 2 + 1], axis=-1, keepdims=True) / len(middle)
+    last = part[..., -1:]  # the largest entry, or a NaN
+    return np.where(np.isnan(last), last, median)
+
+
 def outlier_weights(errors: np.ndarray, gamma: float = ROBUST_GAMMA) -> np.ndarray:
     """Per-dimension softmax weights that de-emphasize outlying samples.
 
@@ -134,8 +146,8 @@ def outlier_weights(errors: np.ndarray, gamma: float = ROBUST_GAMMA) -> np.ndarr
     # one contiguous row per column: every reduction then runs along a row,
     # as it did on a lone column, and gives its bits
     cols = np.ascontiguousarray(np.swapaxes(e, -1, -2))
-    dev = np.abs(cols - np.median(cols, axis=-1, keepdims=True))
-    mad = np.median(dev, axis=-1, keepdims=True)
+    dev = np.abs(cols - _median(cols))
+    mad = _median(dev)
     scale = np.where(mad == 0.0, dev.mean(axis=-1, keepdims=True), mad)
     with np.errstate(divide="ignore", invalid="ignore"):
         logits = -gamma * (dev / scale)

@@ -385,6 +385,30 @@ def rotation_matrix(q) -> np.ndarray:
     return np.column_stack([rotate(q, e) for e in np.eye(3)])
 
 
+def entrywise_quat_to_matrix(q) -> np.ndarray:
+    """Rotation matrices of one quaternion or an (..., 4) stack as the
+    package built them before it computed each product once: each textbook
+    entry evaluated on the component views, e.g. ``1 - 2 * (y * y + z * z)``,
+    then written into a C-contiguous (..., 3, 3) array."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    entries = [
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]
+    return np.stack([np.asarray(e).T for e in entries], axis=-1).reshape(np.shape(q)[:-1] + (3, 3))
+
+
+def lead_sign_quat_normalize(q) -> np.ndarray:
+    """A (..., 4) stack of quaternions divided by their norms, each signed
+    so that its first non-zero component is positive: the package's stack
+    normalization without its fast path for a positive scalar part."""
+    q = np.ascontiguousarray(q, dtype=float)
+    n = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    lead = np.take_along_axis(q, np.argmax(q != 0.0, axis=-1)[..., None], axis=-1)
+    return q / np.where(lead < 0.0, -n, n)
+
+
 def q_tensor(quats) -> np.ndarray:
     """Second moments of the rows of (R - I), by explicit outer products."""
     acc = np.zeros((3, 3, 3, 3))

@@ -466,12 +466,16 @@ def test_pipeline_failure_exits_4(scenario_dir, tmp_path):
 
 def test_var_estimate_errors_exit_4(scenario_dir, tmp_path, capsys):
     # VAR bounds the estimate alone: the first timestep whose record is
-    # missing or indefinite fails the run with that record's error
+    # missing or indefinite fails the run with that record's error, the
+    # timestep and its payload key named once in front
     record = {"candidate_index": 0, "translation_error": [0.1, 0.0, 0.0], "rotation_error": [1.0, 0.0, 0.0, 0.0],
               "sigma": [0.1, 0.1, 0.1], "corr": [0.0, 0.0, 0.0]}
     cases = (
-        (None, "no estimate recorded for ('t000002', 0)"),
-        ({"corr": [0.9, -0.9, 0.9]}, "correlations [0.9, -0.9, 0.9] give an indefinite covariance"),
+        (None, "timestep 2 (payload_key t000002): no estimate recorded for ('t000002', 0)"),
+        (
+            {"corr": [0.9, -0.9, 0.9]},
+            "timestep 2 (payload_key t000002): correlations [0.9, -0.9, 0.9] give an indefinite covariance",
+        ),
     )
     for k, (third, message) in enumerate(cases):
         rows = [{**record, "payload_key": f"t{t:06d}"} for t in range(5)]
@@ -508,7 +512,8 @@ def test_an_error_beyond_the_lattice_range_exits_4(tmp_path, capsys, variant, hu
         warnings.simplefilter("error")  # a numpy overflow warning would escape main
         assert main(argv) == 4
     assert capsys.readouterr().err == (
-        "pipeline failure: could not bracket probability 0.995: the start bracket is not finite\n"
+        "pipeline failure: timestep 0 (payload_key t000000): "
+        "could not bracket probability 0.995: the start bracket is not finite\n"
     )
 
 

@@ -21,7 +21,7 @@ from plbounds.estimator import (
     write_estimate_records,
 )
 from plbounds.geometry import Pose, quat_from_euler_zyx, quat_normalize, quat_to_matrix
-from plbounds.sampling import apply_offset
+from plbounds.sampling import apply_offset, stream_normals
 from plbounds.scenario import vehicle_frame_error
 
 import oracles
@@ -240,6 +240,18 @@ def test_synthetic_deterministic_per_context():
     # a different candidate index draws different noise
     c = est.estimate(ctx.for_candidate(6), candidate)
     assert not np.array_equal(a.translation_error, c.translation_error)
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1, 2**64 + 5])
+def test_noise_is_keyed_on_the_seed_and_the_timestamp_bits(seed):
+    # negative timestamps and -0.0 have bits of 2**63 or more, and a seed of
+    # 2**64 or more is folded in 64-bit pieces
+    stamps = [0.0, -0.0, 1.5, -2.25, -1e300, 3.0]
+    noise = SyntheticEstimator(SyntheticEstimatorConfig(seed=seed))._noise(
+        [MeasurementContext(timestamp=s, payload_key="k") for s in stamps], np.arange(6)
+    )
+    keys = [oracles.stream_key([seed, int(np.float64(s).view(np.uint64))]) for s in stamps]
+    assert noise.tobytes() == stream_normals(np.array(keys, dtype=np.uint64), np.arange(6)).tobytes()
 
 
 def test_synthetic_without_index_answers_as_candidate_0():

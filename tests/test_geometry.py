@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plbounds.estimator import _rotvecs_to_quats
 from plbounds.geometry import (
@@ -87,6 +88,51 @@ def test_quaternion_stacks_match_one_at_a_time():
     assert quat_to_matrix(np.empty((0, 4))).shape == (0, 3, 3)
     with pytest.raises(ValueError):
         quat_normalize(np.vstack((q, [[2.0, 0.0, 0.0, 0.0]])))
+
+
+# components that stress the arithmetic: signed zeros, exact halves and
+# ones, and anything else in [-1, 1]
+_COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0]), st.floats(-1.0, 1.0))
+
+
+def _layouts(q):
+    """``q`` as a C-ordered, an F-ordered and a strided array."""
+    strided = np.zeros(tuple(2 * n for n in q.shape))
+    strided[tuple(slice(None, None, 2) for _ in q.shape)] = q
+    return q, np.asfortranarray(q), strided[tuple(slice(None, None, 2) for _ in q.shape)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([(), (1,), (7,), (3, 5), (2, 1), (4, 1)]).flatmap(
+        lambda lead: hnp.arrays(np.float64, lead + (4,), elements=_COMPONENTS)
+    )
+)
+def test_quat_to_matrix_has_the_bits_of_the_entrywise_formula(q):
+    # shapes (4,), (M, 4), (T, N, 4) and (T, 1, 4), in every layout; numpy
+    # picks a matrix product's kernel, and so its rounding, from the
+    # operands' strides, so the result must be C-contiguous as it was
+    want = oracles.entrywise_quat_to_matrix(q)
+    for layout in _layouts(q):
+        got = quat_to_matrix(layout)
+        assert got.shape == q.shape[:-1] + (3, 3) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(4)), elements=_COMPONENTS),
+    positive=st.booleans(),
+)
+def test_quat_normalize_has_the_bits_of_the_lead_sign_rule(q, positive):
+    # near-unit rows, with every scalar part positive (the fast path) or not
+    norms = np.linalg.norm(q, axis=1, keepdims=True)
+    q = np.where(norms > 0.5, q / np.where(norms > 0.5, norms, 1.0), [[0.6, 0.0, -0.8, 0.0]])
+    if positive:
+        q[:, 0] = np.abs(q[:, 0]) + 1e-3
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+    for layout in _layouts(q):
+        assert quat_normalize(layout).tobytes() == oracles.lead_sign_quat_normalize(q).tobytes()
 
 
 def test_quat_matrix_round_trip():

@@ -247,6 +247,19 @@ def test_diagram_partitions_random_records():
         assert dd.misleading + dd.hazardous == round(fr.get(name) * len(rows))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    limits=st.tuples(*(st.floats(1e-300, 1e300) for _ in DIRECTIONS)),
+    bins=st.integers(1, 500),
+)
+@example(limits=(0.85, 1.5, 1.47), bins=40)
+def test_diagram_edges_have_the_bits_of_linspace(limits, bins):
+    diagram = integrity_diagram(*records((0.1, 0.2)), AlarmLimits(*limits), bins=bins)
+    edges = np.stack([diagram.directions[name].edges for name in DIRECTIONS])
+    want = np.linspace(0.0, 2.0 * np.array(limits), bins + 1, axis=1)
+    assert edges.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_diagram_empty_and_validation():
     diagram = integrity_diagram(*records(), UNIT_LIMITS, bins=3)
     assert diagram.n_records == 0

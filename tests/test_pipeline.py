@@ -584,12 +584,14 @@ def test_raising_timestep_in_a_block_raises_its_own_error():
     config = PipelineConfig(sampling=FAST_SAMPLING, seed=3)
     synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
     # a package error excludes every candidate of its timestep, which then
-    # fails; any other error is raised as it is
+    # fails, and the sequence names the timestep in front; any other error
+    # is raised as it is
     cases = (
         (InfeasibleContext("no answer"), TimestepFailure, "0 usable candidates at t=3.0 (minimum 2); candidate 0 excluded"),
         (ValueError("bad answer"), ValueError, "bad answer"),
     )
     for error, raised, message in cases:
+        prefix = "timestep 3 (payload_key t000003): " if raised is TimestepFailure else ""
         estimator = BatchesThatRaise(synthetic, ts.timestamp, error)
         with pytest.raises(raised) as alone:
             offsets = _offsets(FAST_SAMPLING, [3, 2, 3])
@@ -597,10 +599,30 @@ def test_raising_timestep_in_a_block_raises_its_own_error():
         estimator.calls.clear()
         with pytest.raises(raised) as in_block:
             run_sequence(estimator, scenario, config, RotationUncertainty.zero())
-        assert str(in_block.value) == str(alone.value)
-        assert str(in_block.value).startswith(message)
+        assert type(in_block.value) is raised
+        assert str(in_block.value) == prefix + str(alone.value)
+        assert str(alone.value).startswith(message)
         # the block, then its timesteps one at a time up to the failing one
         assert estimator.calls == [len(scenario.timesteps), 1, 1, 1, 1]
+
+
+def test_a_named_error_is_the_object_the_timestep_raised():
+    # VAR raises its one candidate's error as it is; the sequence puts the
+    # timestep in front of the message of that same object, whatever its
+    # constructor takes and whatever it carries
+    class Coded(InfeasibleContext):
+        def __init__(self, code):
+            super().__init__(f"code {code}")
+            self.code = code
+
+    scenario = _scenario(seed=3)
+    error = Coded(7)
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
+    estimator = BatchesThatRaise(synthetic, scenario.timesteps[3].timestamp, error)
+    with pytest.raises(Coded) as raised:
+        run_sequence(estimator, scenario, PipelineConfig(variant="VAR", seed=3), RotationUncertainty.zero())
+    assert raised.value is error and raised.value.code == 7
+    assert str(raised.value) == "timestep 3 (payload_key t000003): code 7"
 
 
 def test_first_failing_timestep_in_order_is_reported(tmp_path):
@@ -619,6 +641,7 @@ def test_first_failing_timestep_in_order_is_reported(tmp_path):
     with pytest.raises(TimestepFailure) as failure:
         run_sequence(table, _scenario(seed=2), config, RotationUncertainty.zero())
     assert str(failure.value).startswith(
+        "timestep 4 (payload_key t000004): "
         "1 usable candidates at t=4.0 (minimum 2); candidate 1 excluded: no estimate recorded for ('t000004', 1); "
     )
     assert str(failure.value).count("excluded") == 23
@@ -730,7 +753,8 @@ def test_var_raises_the_error_of_its_one_candidate(tmp_path):
         table = _var_table(tmp_path / f"est{k}.jsonl", scenario, synthetic, missing, indefinite)
         with pytest.raises(error) as raised:
             run_sequence(table, scenario, config, RotationUncertainty.zero())
-        assert type(raised.value) is error and str(raised.value) == message
+        named = f"timestep {first} (payload_key t{first:06d}): {message}"
+        assert type(raised.value) is error and str(raised.value) == named
         ts = scenario.timesteps[first]
         ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose)
         with pytest.raises(error) as alone:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,49 @@ def test_keys_reject_negative_words_and_separate_seeds():
     assert stream_keys([5])[0] == stream_keys([[5]])[0] == stream_keys([np.int64(5)])[0]
     distinct = [[1], [2], [1, 2], [2, 1], [1, 2, 0], [0, 1, 2], [2**64 + 1]]
     assert len({int(k) for k in stream_keys(distinct)}) == len(distinct)
+
+
+def test_keys_of_edge_words_are_the_python_splitmix64s():
+    # the numpy chain takes six or more seeds that numpy reads as one
+    # integer array; fewer seeds, wider words, ragged seeds and mixed lists
+    # take the word-by-word fold, and every seed's key is its own,
+    # whichever way its block went
+    cases = (
+        [[0, 0], [7, 3]],  # an int64 array
+        [[2**64 - 1, 2**63], [2**63, 2**64 - 1]],  # a uint64 array
+        [[0, 0], [2**64 - 1, 0], [0, 2**64 - 1]],  # numpy holds these as floats
+        [[0], [2**64 - 1], [2**63]],
+        [[2**64, 3], [1, 2**64 + 7]],  # wider than 64 bits: folded
+        [[1, 2], [3], [4, 5, 6]],  # ragged
+        [[1, 2], 3],
+        [5, 6, 2**64 - 1],  # scalar seeds
+        [np.int64(5), np.uint64(2**64 - 1)],
+        np.array([[7, 8], [9, 10]]),
+        np.array([7, 8], dtype=np.uint64),
+        [],  # no seeds
+        np.zeros((0, 2), dtype=np.uint64),
+    )
+    for case in cases:
+        for seeds in (case, np.concatenate([case] * 3) if isinstance(case, np.ndarray) else case * 3):
+            keys = stream_keys(seeds)
+            assert keys.dtype == np.uint64 and keys.shape == (len(seeds),)
+            want = [oracles.stream_key([int(w) for w in (seed if np.ndim(seed) else [seed])]) for seed in seeds]
+            assert keys.tolist() == want
+            assert keys.tolist() == [int(stream_keys([seed])[0]) for seed in seeds]
+
+
+def test_a_negative_word_is_rejected_by_an_explicit_check():
+    # numpy 2 refuses a negative int as uint64 with OverflowError, numpy
+    # 1.24 wraps it with a DeprecationWarning: neither may decide the error
+    cases = (
+        [[3, -2], [1, 1]], [[1, 1]] * 6 + [[3, -2]], [-1, 4], [4] * 6 + [-1], np.array([[5, -7]]),
+        np.array([[5, 1]] * 6 + [[5, -7]]), [[1, 2], [-(2**70)]], [[2**64, -3]],
+    )
+    for seeds, word in zip(cases, (-2, -2, -1, -1, -7, -7, -(2**70), -3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^seed words must be non-negative, got {word}$"):
+                stream_keys(seeds)
 
 
 def _moments(x):

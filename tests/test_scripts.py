@@ -33,3 +33,15 @@ def test_sweep_miscalibration_reports_every_factor_and_variant(tmp_path, capsys)
         (factor, variant) for factor in (0.5, 1.0) for variant in ("VAR", "VAR_EO")
     ]
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_call_cost_fits_every_variant(tmp_path, capsys):
+    out = tmp_path / "cost.json"
+    assert _main("call_cost")(["--sizes", "1", "3", "--repeats", "1", "--json", str(out)]) == 0
+    costs = json.loads(out.read_text())
+    assert sorted(costs) == sorted(VARIANTS)
+    for cost in costs.values():
+        assert sorted(cost["seconds"]) == ["1", "3"] and min(cost["seconds"].values()) > 0.0
+        # two sizes: the line passes through both times
+        assert abs(cost["fixed_us"] + 3 * cost["marginal_us"] - 1e6 * cost["seconds"]["3"]) < 1e-3
+    assert f"wrote {out}" in capsys.readouterr().out

@@ -293,6 +293,21 @@ def test_stacked_outlier_weights_reach_every_branch():
         assert weights.tobytes() == oracles.outlier_weights_per_column(sample_set).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    a=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 26)),  # N odd, even and 1
+        elements=st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan])),
+    )
+)
+def test_median_has_the_bits_of_numpy_median(a):
+    # ties of signed zeros and NaNs included: which entry a partition puts
+    # in the middle decides the bits
+    want = np.median(a, axis=-1, keepdims=True)
+    assert uncertainty._median(a).tobytes() == want.tobytes()
+
+
 def test_outlier_weights_validation():
     with pytest.raises(ValueError):
         outlier_weights(np.zeros(3))  # one-dimensional
