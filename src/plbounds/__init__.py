@@ -59,6 +59,7 @@ from .uncertainty import (
     outlier_weights,
     precompute_q,
     project_directional,
+    rotation_uncertainty_from_file,
     transform_error,
 )
 from .gmm import (
@@ -146,6 +147,7 @@ __all__ = [
     # uncertainty
     "RotationUncertainty",
     "precompute_q",
+    "rotation_uncertainty_from_file",
     "EXCLUDED_AXES",
     "transform_error",
     "outlier_weights",

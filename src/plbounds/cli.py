@@ -43,7 +43,8 @@ from .metrics import AlarmLimits, integrity_diagram, summarize
 from .pipeline import VARIANTS, PipelineConfig, run_sequence
 from .sampling import SamplingConfig
 from .scenario import ScenarioConfig, generate_scenario, load_scenario, save_scenario
-from .uncertainty import RotationUncertainty, precompute_q
+from .uncertainty import RotationUncertainty, rotation_uncertainty_from_file
+from .uncertainty import precompute_q  # noqa: F401  (plbounds.cli.precompute_q: the benchmark's set-up calls it)
 
 CONFIG_SCHEMA = 1
 OUT_ENV_VAR = "PLBOUNDS_OUT"
@@ -258,12 +259,14 @@ def _build_estimator(settings: Settings):
     return SyntheticEstimator(_estimator_config(settings))
 
 
-def _rotation_uncertainty(settings: Settings) -> RotationUncertainty | None:
+def _rotation_uncertainty(settings: Settings) -> tuple[RotationUncertainty | None, dict]:
+    """The tensor to bound with, and what the manifest records of its file."""
     if settings.rotation_source == "none":
-        return RotationUncertainty.zero()
+        return RotationUncertainty.zero(), {}
     if settings.rotation_source == "file":
-        return precompute_q(io.read_quaternion_lines(settings.rotation_path))
-    return None  # derive from the estimator inside run_sequence
+        rotation, record = rotation_uncertainty_from_file(settings.rotation_path)
+        return rotation, {"rotation_file": record}
+    return None, {}  # derive from the estimator inside run_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +293,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     settings = _apply_overrides(load_config(args.config), args)
     scenario = load_scenario(args.scenario)
     estimator = _build_estimator(settings)
-    rotation = _rotation_uncertainty(settings)
+    rotation, rotation_record = _rotation_uncertainty(settings)
     out = _resolve_out(args)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(
@@ -303,6 +306,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "config": str(args.config) if args.config else None,
             "scenario": str(args.scenario),
             "estimator": settings.estimator_kind,
+            **rotation_record,
         },
     )
     sequence = run_sequence(estimator, scenario, settings, rotation)

@@ -83,11 +83,17 @@ def check_estimates(
         raise ValueError(f"rotation_error must have shape {rows + (4,)}")
     if not np.isfinite(t).all():
         raise ValueError("translation_error must be finite")
-    if not (np.isfinite(s).all() and (s > 0.0).all()):
-        raise ValueError("sigma must be finite and strictly positive")
-    if not (np.abs(c) < 1.0).all():  # false for NaN too
-        raise ValueError("correlations must be finite and lie in (-1, 1)")
+    check_scales(s, c)
     return t, quat_normalize(q), s, c
+
+
+def check_scales(sigma, corr) -> None:
+    """Raises ``check_estimates``' ValueError unless every sigma is finite
+    and positive and every correlation lies in (-1, 1)."""
+    if not (np.isfinite(sigma).all() and (np.asarray(sigma) > 0.0).all()):
+        raise ValueError("sigma must be finite and strictly positive")
+    if not (np.abs(corr) < 1.0).all():  # false for NaN too
+        raise ValueError("correlations must be finite and lie in (-1, 1)")
 
 
 def indefinite_rows(cov: np.ndarray) -> list[int]:

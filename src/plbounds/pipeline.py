@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PlboundsError, TimestepFailure
-from .estimator import Estimator, MeasurementContext, SyntheticEstimator, to_vehicle_frame
+from .estimator import Estimator, MeasurementContext, SyntheticEstimator, check_scales, to_vehicle_frame
 from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
 from .gmm import GaussianMixture, ProtectionLevelQuery, protection_level, protection_levels_all
 from .metrics import AlarmLimits, IntegrityDiagram, IntegrityReport, integrity_diagram, summarize
@@ -137,7 +137,8 @@ def run_block(
     ``VAR``), and the estimator sees them unit.  ``VAR`` has no
     offsets: its one candidate is the estimate itself, at a zero offset.
     An estimator with ``estimate_batch`` is called once for all candidates,
-    any other once per candidate.  Candidates whose estimator call raises a
+    and its sigmas and correlations must pass ``check_scales``; any other is
+    called once per candidate.  Candidates whose estimator call raises a
     package error (every candidate, when the batch call raises), whose row
     the batch reports failed, or whose covariance is indefinite, are
     excluded, each with its reason in the result's ``exclusions``; fewer
@@ -175,6 +176,7 @@ def run_block(
             failed = {(t, i): exc for t in range(steps) for i in range(n)}
         else:
             raw_error, raw_rotation, sigma, corr = answer[:4]
+            check_scales(sigma, corr)  # a row the batch did not check would move the bound unseen
             failed = dict(answer[4]) if len(answer) > 4 else {}
     else:
         for t, ctx in enumerate(ctxs):

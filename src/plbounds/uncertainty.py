@@ -13,11 +13,19 @@ Three steps happen between the estimator and the mixture model:
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
+from . import geometry, io
 from .errors import CorrectionNotPSD, InsufficientSamples
 from .estimator import indefinite_rows
 from .geometry import quat_to_matrix
@@ -78,17 +86,80 @@ def precompute_q(
     if count < min_samples:
         raise InsufficientSamples(f"need at least {min_samples} rotation samples, got {count}")
     rows = np.empty((count, 9))
+    eye = np.eye(3).reshape(9)
     filled = 0
     for block in rotation_samples:
-        block_rows = (quat_to_matrix(block) - np.eye(3)).reshape(-1, 9)
-        rows[filled : filled + len(block_rows)] = block_rows
-        filled += len(block_rows)
+        matrices = quat_to_matrix(block).reshape(-1, 9)
+        # R - I written straight into its rows, no temporary copy
+        np.subtract(matrices, eye, out=rows[filled : filled + len(matrices)])
+        filled += len(matrices)
     if filled != count:
         raise ValueError(f"rotation sample blocks hold {filled} quaternions, not the stated {count}")
     # one (9, 9) contraction of all rows sums each entry in the order the 4-D
     # ``einsum("mia,mjb->ijab")`` does, and gives its bits; blockwise sums would not
     q = np.einsum("mk,ml->kl", rows, rows).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3) / count
     return RotationUncertainty(q)
+
+
+def rotation_uncertainty_from_file(path: Path | str) -> tuple[RotationUncertainty, dict]:
+    """``precompute_q(io.read_quaternion_lines(path))``, kept in a cache keyed
+    by the SHA-256 of the file's bytes and ``_code_tag``.
+
+    An entry is a JSON file in ``_cache_dir`` holding the tensor's 81 entries
+    as ``repr``s, which read back with the same bits, the sample count and
+    the file's hash.  An entry that cannot be read or fails the
+    ``RotationUncertainty`` checks is a miss, and is replaced through a
+    temporary file and ``os.replace``; only derivations that succeed are
+    stored.  Returns the tensor and the file's ``sha256``, its ``samples``
+    and the ``cache`` outcome: ``hit``, ``miss`` or ``unavailable`` (no cache
+    directory could be found or written).
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    sha = digest.hexdigest()
+    try:
+        entry = _cache_dir() / f"rotation-{hashlib.sha256(f'{sha} {_code_tag()}'.encode()).hexdigest()}.json"
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        entry = None
+    if entry is not None:
+        with contextlib.suppress(OSError, ValueError, LookupError, TypeError, ArithmeticError, RecursionError):
+            doc = json.loads(entry.read_text())
+            tensor = RotationUncertainty(np.array(doc["q"], dtype=float))
+            if doc["sha256"] == sha and type(doc["samples"]) is int:
+                return tensor, {"sha256": sha, "samples": doc["samples"], "cache": "hit"}
+    samples = io.read_quaternion_lines(path)
+    tensor = precompute_q(samples)
+    record = {"sha256": sha, "samples": len(samples), "cache": "unavailable"}
+    if entry is not None:
+        with contextlib.suppress(OSError):
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            fd, temporary = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump({"q": tensor.q.tolist(), "samples": len(samples), "sha256": sha}, fh)
+                os.replace(temporary, entry)
+                record["cache"] = "miss"
+            finally:
+                Path(temporary).unlink(missing_ok=True)
+    return tensor, record
+
+
+@cache
+def _code_tag() -> str:
+    """Hash of numpy's version and of the sources that parse a rotation file
+    and reduce its samples: a change to either makes every lookup miss."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for source in (io.__file__, geometry.__file__, __file__):
+        digest.update(Path(source).read_bytes())
+    return digest.hexdigest()
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/plbounds``, or ``~/.cache/plbounds`` when that is unset, empty or relative."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "plbounds"
 
 
 def transform_error(

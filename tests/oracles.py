@@ -420,6 +420,18 @@ def q_tensor(quats) -> np.ndarray:
     return acc / len(quats)
 
 
+def copying_q_tensor(quats, block: int) -> np.ndarray:
+    """The tensor as ``precompute_q`` built it before it wrote R - I straight
+    into its rows: per block of quaternions the matrices, then a copy with
+    the identity subtracted, copied into the rows."""
+    from plbounds.geometry import quat_to_matrix
+
+    rows = np.empty((len(quats), 9))
+    for i in range(0, len(quats), block):
+        rows[i : i + block] = (quat_to_matrix(quats[i : i + block]) - np.eye(3)).reshape(-1, 9)
+    return np.einsum("mk,ml->kl", rows, rows).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3) / len(quats)
+
+
 def einsum_q_tensor(mats) -> np.ndarray:
     """The tensor from an (M, 3, 3) stack of (R - I) matrices by the 4-D
     einsum ``precompute_q`` contracted with before its (9, 9) form; the two

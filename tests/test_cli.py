@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -525,6 +527,124 @@ def test_version_and_bad_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the rotation-tensor cache
+
+OUTPUTS = ("results.csv", "report.json", "diagram.json")
+
+
+@pytest.fixture
+def rotation_file(tmp_path):
+    path = tmp_path / "rotations.jsonl"
+    estimator = plbounds.SyntheticEstimator(plbounds.SyntheticEstimatorConfig(seed=4, sigma_rot=0.05))
+    plbounds.io.write_quaternion_lines(estimator.rotation_residual_samples(1200, 4), path)
+    return path
+
+
+def _file_run(scenario_dir, tmp_path, rotations, name):
+    """Exit code, output bytes and the manifest's ``rotation_file`` record of
+    a VAR_EO_DIRECTIONAL run with its rotation tensor from ``rotations``."""
+    cfg = dict(RUN_CONFIG, variant="VAR_EO_DIRECTIONAL")
+    cfg["rotation_uncertainty"] = {"source": "file", "path": str(rotations)}
+    config = tmp_path / f"{name}_config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    code = main(["run", str(scenario_dir / "scenario.json"), "--config", str(config), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text()) if (out / "manifest.json").is_file() else {}
+    return code, {f: (out / f).read_bytes() for f in OUTPUTS if (out / f).is_file()}, manifest.get("rotation_file")
+
+
+def _entries(cache_home: Path) -> list[Path]:
+    return sorted((cache_home / "plbounds").glob("*"))
+
+
+def test_a_warm_run_writes_the_bytes_of_a_cold_one(scenario_dir, tmp_path, rotation_file):
+    cold = _file_run(scenario_dir, tmp_path, rotation_file, "cold")
+    warm = _file_run(scenario_dir, tmp_path, rotation_file, "warm")
+    sha = hashlib.sha256(rotation_file.read_bytes()).hexdigest()
+    assert cold[:2] == (0, warm[1]) and warm[0] == 0 and len(cold[1]) == 3
+    assert cold[2] == {"sha256": sha, "samples": 1200, "cache": "miss"}
+    assert warm[2] == {"sha256": sha, "samples": 1200, "cache": "hit"}
+    entry, = _entries(Path(os.environ["XDG_CACHE_HOME"]))
+    assert entry.suffix == ".json" and json.loads(entry.read_text())["sha256"] == sha
+    # the bytes of a run that derives the tensor itself, with no cache to use
+    settings = load_config(tmp_path / "cold_config.json")
+    scenario = plbounds.load_scenario(scenario_dir / "scenario.json")
+    tensor = plbounds.precompute_q(read_quaternion_lines(rotation_file))
+    sequence = plbounds.run_sequence(plbounds.SyntheticEstimator(_estimator_config(settings)), scenario, settings, tensor)
+    write_results_csv(sequence.result_rows(), tmp_path / "direct.csv")
+    assert (tmp_path / "direct.csv").read_bytes() == warm[1]["results.csv"]
+
+
+def test_a_changed_rotation_file_misses(scenario_dir, tmp_path, rotation_file, monkeypatch):
+    _file_run(scenario_dir, tmp_path, rotation_file, "first")
+    text = rotation_file.read_text()
+    last = text.index(",") - 1  # the last digit of the first numeral
+    changed = tmp_path / "changed.jsonl"
+    changed.write_text(text[:last] + ("5" if text[last] != "5" else "6") + text[last + 1 :])
+    code, outputs, record = _file_run(scenario_dir, tmp_path, changed, "changed")
+    assert code == 0 and record["cache"] == "miss"
+    assert record["sha256"] == hashlib.sha256(changed.read_bytes()).hexdigest()
+    assert len(_entries(Path(os.environ["XDG_CACHE_HOME"]))) == 2
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh_cache"))
+    assert _file_run(scenario_dir, tmp_path, changed, "fresh")[:2] == (0, outputs)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text, doc: text[: len(text) // 2],
+        lambda text, doc: "not json",
+        lambda text, doc: json.dumps(dict(doc, q=np.reshape(doc["q"], (9, 9)).tolist())),
+        lambda text, doc: json.dumps(dict(doc, q=(np.array(doc["q"]) + np.eye(81)[1].reshape(3, 3, 3, 3)).tolist())),
+        lambda text, doc: json.dumps(dict(doc, q=np.full((3, 3, 3, 3), np.nan).tolist())),
+        lambda text, doc: json.dumps(dict(doc, sha256="0" * 64)),
+        lambda text, doc: json.dumps(dict(doc, samples="1200")),
+        lambda text, doc: json.dumps(doc["q"]),
+    ],
+    ids=["truncated", "not_json", "wrong_shape", "asymmetric", "not_finite", "other_file", "samples_text", "not_a_dict"],
+)
+def test_a_corrupt_cache_entry_is_replaced(scenario_dir, tmp_path, rotation_file, corrupt):
+    cold = _file_run(scenario_dir, tmp_path, rotation_file, "cold")
+    entry, = _entries(Path(os.environ["XDG_CACHE_HOME"]))
+    text = entry.read_text()
+    entry.write_text(corrupt(text, json.loads(text)))
+    code, outputs, record = _file_run(scenario_dir, tmp_path, rotation_file, "again")
+    assert (code, outputs, record["cache"]) == (0, cold[1], "miss")
+    assert _entries(Path(os.environ["XDG_CACHE_HOME"])) == [entry] and entry.read_text() == text
+    assert _file_run(scenario_dir, tmp_path, rotation_file, "warm")[2]["cache"] == "hit"
+
+
+def test_an_unusable_cache_directory_changes_no_byte(scenario_dir, tmp_path, rotation_file, monkeypatch):
+    cold = _file_run(scenario_dir, tmp_path, rotation_file, "cold")
+    # a cache home that is a file, then a cache directory that is a file:
+    # neither can hold an entry, whoever runs the test
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    (tmp_path / "file_home").mkdir()
+    (tmp_path / "file_home" / "plbounds").write_text("")
+    for home in (blocked, tmp_path / "file_home"):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        for name in ("unavailable1", "unavailable2"):
+            code, outputs, record = _file_run(scenario_dir, tmp_path, rotation_file, name)
+            assert (code, outputs, record) == (0, cold[1], dict(cold[2], cache="unavailable"))
+    assert blocked.read_text() == "" and (tmp_path / "file_home" / "plbounds").read_text() == ""
+
+
+def test_a_malformed_rotation_file_exits_3_and_leaves_no_entry(scenario_dir, tmp_path, rotation_file, capsys):
+    lines = rotation_file.read_text().splitlines()
+    lines[6] = lines[6][:-1]  # the closing bracket of line 7 cut off
+    rotation_file.write_text("\n".join(lines) + "\n")
+    code, outputs, record = _file_run(scenario_dir, tmp_path, rotation_file, "malformed")
+    assert (code, outputs, record) == (3, {}, None)
+    assert capsys.readouterr().err.startswith(f"input error: {rotation_file}:7: ")
+    assert _entries(Path(os.environ["XDG_CACHE_HOME"])) == []
+    # too few samples: a pipeline failure, not stored either
+    rotation_file.write_text("\n".join(lines[:6] + lines[7:999]) + "\n")  # 998 samples
+    assert _file_run(scenario_dir, tmp_path, rotation_file, "short")[0] == 4
+    assert _entries(Path(os.environ["XDG_CACHE_HOME"])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -570,6 +570,46 @@ class BatchesThatRaise:
         return self.inner.estimate_batch(ctxs, positions, orientations, cloud)
 
 
+@dataclass
+class OneBadRow:
+    """Synthetic batch answers with entry ``(0, -1, 0)`` of one field, 2
+    (sigma) or 3 (corr), set to ``value``, or the answers as they are when
+    ``value`` is None."""
+
+    inner: SyntheticEstimator
+    field_index: int
+    value: float | None
+
+    def estimate(self, ctx, candidate, cloud=None):
+        return self.inner.estimate(ctx, candidate, cloud)
+
+    def estimate_batch(self, ctxs, positions, orientations, cloud=None):
+        fields = [np.array(a) for a in self.inner.estimate_batch(ctxs, positions, orientations, cloud)]
+        if self.value is not None:
+            fields[self.field_index][0, -1, 0] = self.value
+        return tuple(fields)
+
+
+@pytest.mark.parametrize("variant", ["VAR", "VAR_EO"])
+def test_a_batch_sigma_or_correlation_out_of_range_aborts_the_run(variant):
+    # a negative sigma once passed unchecked and moved the bound; it now
+    # raises check_estimates' error, as a NaN row aborts the run
+    scenario = _scenario(seed=3)
+    config = PipelineConfig(variant=variant, sampling=FAST_SAMPLING, seed=3)
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
+    sigma, corr = "^sigma must be finite and strictly positive$", r"^correlations must be finite and lie in \(-1, 1\)$"
+    for field_index, value, message in (
+        (2, -1.0, sigma), (2, 0.0, sigma), (2, np.inf, sigma), (2, np.nan, sigma),
+        (3, 1.5, corr), (3, -1.0, corr), (3, np.nan, corr),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_sequence(OneBadRow(synthetic, field_index, value), scenario, config, RotationUncertainty.zero())
+    # fields that pass go on with their bits
+    want = run_sequence(synthetic, scenario, config, RotationUncertainty.zero())
+    got = run_sequence(OneBadRow(synthetic, 2, None), scenario, config, RotationUncertainty.zero())
+    assert got.pl.tobytes() == want.pl.tobytes()
+
+
 def test_a_block_without_errors_is_bounded_once():
     scenario = _scenario(seed=3)
     estimator = BatchesThatRaise(SyntheticEstimator(SyntheticEstimatorConfig(seed=3)))

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from plbounds.errors import CorrectionNotPSD, InsufficientSamples
 from plbounds.estimator import to_vehicle_frame
-from plbounds import uncertainty
+from plbounds import io, uncertainty
 from plbounds.geometry import quat_from_euler_zyx, quat_to_matrix
 from plbounds.uncertainty import (
     MIN_ROTATION_SAMPLES,
@@ -19,6 +23,7 @@ from plbounds.uncertainty import (
     outlier_weights,
     precompute_q,
     project_directional,
+    rotation_uncertainty_from_file,
     transform_error,
 )
 
@@ -99,6 +104,71 @@ def test_rotation_uncertainty_validation():
     with pytest.raises(ValueError):
         RotationUncertainty(bad)
     assert np.array_equal(RotationUncertainty.zero().q, np.zeros((3, 3, 3, 3)))
+
+
+def test_precompute_q_has_the_bits_of_the_copying_block_loop():
+    # R - I is written straight into its rows; the loop it replaced made each
+    # block's matrices, subtracted the identity into a copy and copied that
+    quats = oracles.rotvec_quats(np.random.default_rng(9), 3 * uncertainty.ROTATION_BLOCK + 123, 0.02)
+    got = precompute_q(quats).q
+    assert got.tobytes() == oracles.copying_q_tensor(quats, uncertainty.ROTATION_BLOCK).tobytes()
+    assert got.tobytes() == oracles.einsum_q_tensor(quat_to_matrix(quats) - np.eye(3)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the tensor of a rotation file, cached
+
+
+def _rotation_file(path, count=1500, seed=6):
+    io.write_quaternion_lines(oracles.rotvec_quats(np.random.default_rng(seed), count, 0.03), path)
+    return path
+
+
+def test_a_cached_tensor_has_the_bits_of_its_derivation(tmp_path):
+    path = _rotation_file(tmp_path / "rotations.jsonl")
+    want = precompute_q(io.read_quaternion_lines(path)).q
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    for outcome in ("miss", "hit", "hit"):
+        tensor, record = rotation_uncertainty_from_file(path)
+        assert record == {"sha256": sha, "samples": 1500, "cache": outcome}
+        assert tensor.q.flags.c_contiguous and tensor.q.tobytes() == want.tobytes()
+    entry, = (Path(os.environ["XDG_CACHE_HOME"]) / "plbounds").iterdir()
+    doc = json.loads(entry.read_text())
+    assert sorted(doc) == ["q", "samples", "sha256"] and (doc["samples"], doc["sha256"]) == (1500, sha)
+    assert all(repr(float(v)) in entry.read_text() for v in want.ravel())
+
+
+def test_another_code_tag_misses(tmp_path, monkeypatch):
+    path = _rotation_file(tmp_path / "rotations.jsonl")
+    assert rotation_uncertainty_from_file(path)[1]["cache"] == "miss"
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "__version__", "0.0.0")  # another numpy
+        assert uncertainty._code_tag.__wrapped__() != uncertainty._code_tag()
+    monkeypatch.setattr(uncertainty, "_code_tag", lambda: "other code")
+    assert rotation_uncertainty_from_file(path)[1]["cache"] == "miss"
+    assert rotation_uncertainty_from_file(path)[1]["cache"] == "hit"
+    assert len(list((Path(os.environ["XDG_CACHE_HOME"]) / "plbounds").iterdir())) == 2
+
+
+def test_the_cache_directory_follows_xdg_cache_home(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert uncertainty._cache_dir() == tmp_path / "xdg" / "plbounds"
+    for ignored in ("", "relative/cache"):  # as the XDG base directory specification says
+        monkeypatch.setenv("XDG_CACHE_HOME", ignored)
+        assert uncertainty._cache_dir() == tmp_path / "home" / ".cache" / "plbounds"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert uncertainty._cache_dir() == tmp_path / "home" / ".cache" / "plbounds"
+
+    def homeless(cls=None):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(Path, "home", classmethod(homeless))
+    path = _rotation_file(tmp_path / "rotations.jsonl")
+    tensor, record = rotation_uncertainty_from_file(path)
+    assert record["cache"] == "unavailable"
+    assert tensor.q.tobytes() == precompute_q(io.read_quaternion_lines(path)).q.tobytes()
+    assert not (tmp_path / "home").exists()
 
 
 # ---------------------------------------------------------------------------
