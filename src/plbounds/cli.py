@@ -306,6 +306,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "config": str(args.config) if args.config else None,
             "scenario": str(args.scenario),
             "estimator": settings.estimator_kind,
+            **({"estimator_file": estimator.file_record} if settings.estimator_kind == "file" else {}),
             **rotation_record,
         },
     )

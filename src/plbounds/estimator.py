@@ -11,12 +11,15 @@ model.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from . import io
 from .errors import InfeasibleContext, MissingRecord, NotPositiveDefinite
 from .geometry import (
     PointCloud,
@@ -64,7 +67,7 @@ class RawEstimate:
 
 
 def check_estimates(
-    translation_error, rotation_error, sigma, corr, rows: tuple[int, ...] = ()
+    translation_error, rotation_error, sigma, corr, rows: tuple[int, ...] = (), normalized: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The checks every estimator output passes, on one estimate's fields
     (``rows`` is ``()``) or on ``rows = (N,)`` stacks of them.
@@ -74,7 +77,9 @@ def check_estimates(
     every correlation lies in (-1, 1) and the rotation errors have shape
     ``rows + (4,)`` and are unit quaternions to within ``quat_normalize``'s
     tolerance.  Returns the four fields as float arrays, the rotation errors
-    normalized.
+    normalized; with ``normalized`` (fields an earlier check returned) they
+    must be within 1e-12 of unit norm and are kept, as normalizing again
+    can move a last bit.
     """
     t, q, s, c = (np.asarray(a, dtype=float) for a in (translation_error, rotation_error, sigma, corr))
     if not t.shape == s.shape == c.shape == rows + (3,):
@@ -84,7 +89,11 @@ def check_estimates(
     if not np.isfinite(t).all():
         raise ValueError("translation_error must be finite")
     check_scales(s, c)
-    return t, quat_normalize(q), s, c
+    if not normalized:
+        return t, quat_normalize(q), s, c
+    if not (np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= 1e-12).all():  # false for NaN too
+        raise ValueError("rotation_error must be a unit quaternion")
+    return t, q, s, c
 
 
 def check_scales(sigma, corr) -> None:
@@ -366,24 +375,18 @@ class FileEstimator:
     candidate_index, translation_error, rotation_error, sigma and corr.
     The table is loaded once into stacked fields, checked by one
     ``check_estimates`` call, and is read-only afterwards; a later record
-    for a key replaces an earlier one.
+    for a key replaces an earlier one.  It is kept in the derived-input cache
+    under the SHA-256 of the file's bytes and ``_code_tag``; ``file_record``
+    holds that ``sha256``, the number of ``records`` and the ``cache`` outcome.
     """
 
     def __init__(self, path: Path | str):
-        from .io import read_jsonl
-
-        rows = read_jsonl(path)
-        try:
-            keys = [(str(row["payload_key"]), int(row["candidate_index"])) for row in rows]
-            # the last row, -1, is what candidates without a record are given
-            stacks = [np.array([*(row[name] for row in rows), v], dtype=float) for name, v in _NEUTRAL.items()]
-            self._fields = check_estimates(*stacks, (len(rows) + 1,))
-        except (KeyError, OverflowError, TypeError, ValueError):
-            _raise_for_malformed_record(path, rows)
-            raise
-        self._rows: dict[str, dict[int, int]] = {}
-        for row, (payload_key, index) in enumerate(keys):
-            self._rows.setdefault(payload_key, {})[index] = row
+        sha = io.file_sha256(path)
+        (self._fields, self._rows), outcome = io.cached(
+            "table", f"{sha} {_code_tag()}", ".npz", lambda: _read_table(path),
+            lambda entry: _load_table(entry, sha), lambda table, fh: _dump_table(table, sha, fh),
+        )
+        self.file_record = {"sha256": sha, "records": len(self._fields[0]) - 1, "cache": outcome}
 
     def __len__(self) -> int:
         return sum(len(records) for records in self._rows.values())
@@ -423,17 +426,58 @@ class FileEstimator:
 _NEUTRAL = dict(zip(RECORD_FIELDS, ([0.0] * 3, [1.0, 0.0, 0.0, 0.0], [1.0] * 3, [0.0] * 3)))
 
 
+# ``io.code_tag`` of the sources that parse and check an estimate table
+_code_tag = cache(partial(io.code_tag, "io.py", "geometry.py", "estimator.py"))
+
+
+def _read_table(path: Path | str) -> tuple[tuple, dict[str, dict[int, int]]]:
+    """The checked field stacks of the records in ``path``, with a neutral last
+    row, and each record's row by payload key and candidate index."""
+    records = io.read_jsonl(path)
+    try:
+        keys = [(str(record["payload_key"]), int(record["candidate_index"])) for record in records]
+        # the last row, -1, is what candidates without a record are given
+        stacks = [np.array([*(record[name] for record in records), v], dtype=float) for name, v in _NEUTRAL.items()]
+        fields = check_estimates(*stacks, (len(records) + 1,))
+    except (KeyError, OverflowError, TypeError, ValueError):
+        _raise_for_malformed_record(path, records)
+        raise
+    rows: dict[str, dict[int, int]] = {}
+    for row, (payload_key, index) in enumerate(keys):
+        rows.setdefault(payload_key, {})[index] = row
+    return fields, rows
+
+
+def _dump_table(table: tuple, sha: str, fh) -> None:
+    """A ``_read_table`` result as an ``.npz`` of the field stacks and one JSON
+    text: the file's hash and, by payload key, the indexes and their rows."""
+    fields, rows = table
+    doc = [sha, {key: [list(records), list(records.values())] for key, records in rows.items()}]
+    np.savez(fh, rows=np.array(json.dumps(doc).encode()), **dict(zip(RECORD_FIELDS, fields)))
+
+
+def _load_table(entry: Path, sha: str) -> tuple[tuple, dict[str, dict[int, int]]]:
+    """The table ``_dump_table`` stored for the file of hash ``sha``, checked
+    again but not normalized again; raises ValueError for any other entry."""
+    with np.load(entry, allow_pickle=False) as npz:
+        fields = tuple(npz[name] for name in RECORD_FIELDS)
+        entry_sha, rows = json.loads(npz["rows"][()])
+    neutral = all(f[-1].tolist() == v for f, v in zip(fields, _NEUTRAL.values()))
+    if entry_sha != sha or {f.dtype for f in fields} != {np.dtype(float)} or not neutral:
+        raise ValueError(f"{entry} is not the checked table of {sha}")
+    rows = {key: dict(zip(*pair, strict=True)) for key, pair in rows.items()}
+    return check_estimates(*fields, (len(fields[0]),), normalized=True), rows
+
+
 def _raise_for_malformed_record(path: Path | str, rows: list) -> None:
     """Check the records ``read_jsonl`` read from ``path`` one at a time:
     the first malformed record raises a ValueError naming its line."""
-    from .io import jsonl_line_number
-
     for number, row in enumerate(rows):
         try:
             str(row["payload_key"]), int(row["candidate_index"])
             RawEstimate(*(np.asarray(row[f], dtype=float) for f in RECORD_FIELDS))
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            line = jsonl_line_number(path, number)
+            line = io.jsonl_line_number(path, number)
             reason = f"{type(exc).__name__}: {exc}"
             raise ValueError(f"{path}:{line}: malformed estimate record ({reason})") from None
 
@@ -441,12 +485,10 @@ def _raise_for_malformed_record(path: Path | str, rows: list) -> None:
 def write_estimate_records(rows, path: Path | str) -> None:
     """Serialize (payload_key, candidate_index, RawEstimate) triples to the
     JSON-lines format the file-backed estimator reads."""
-    from .io import write_jsonl
-
     out = []
     for payload_key, candidate_index, raw in rows:
         record = {"payload_key": str(payload_key), "candidate_index": int(candidate_index)}
         for name in RECORD_FIELDS:
             record[name] = [float(v) for v in getattr(raw, name)]
         out.append(record)
-    write_jsonl(out, path)
+    io.write_jsonl(out, path)

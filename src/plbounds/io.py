@@ -1,4 +1,4 @@
-"""File formats: point clouds, quaternion lines, result tables and JSON documents.
+"""File formats (point clouds, quaternion lines, result tables, JSON documents) and the derived-input cache.
 
 All binary formats are little-endian.  JSON documents are written with
 sorted keys and a fixed indentation so identical inputs produce identical
@@ -7,8 +7,13 @@ bytes.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import os
 import struct
+import tempfile
+import zipfile
 from io import BytesIO
 from pathlib import Path
 
@@ -229,3 +234,60 @@ def read_results_csv(path: Path | str) -> np.ndarray:
     if table.shape[1] != len(RESULT_COLUMNS):
         raise ValueError(f"{path}: expected {len(RESULT_COLUMNS)} fields per row")
     return table
+
+
+# ---------------------------------------------------------------------------
+# the derived-input cache
+
+
+def file_sha256(path: Path | str) -> str:
+    """SHA-256 of the file's bytes, read in 1 MB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def code_tag(*sources: str) -> str:
+    """Hash of numpy's version and of the package's ``sources`` (``"io.py"``, ...):
+    the code that derives a cached value, so that a change to either misses."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for source in sources:
+        digest.update(Path(__file__).with_name(source).read_bytes())
+    return digest.hexdigest()
+
+
+def cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/plbounds``, or ``~/.cache/plbounds`` when that is unset, empty or relative."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "plbounds"
+
+
+def cached(kind: str, key: str, suffix: str, derive, load, dump):
+    """``derive()``, kept in ``cache_dir()`` as ``<kind>-<SHA-256 of key><suffix>``
+    (``key`` names the inputs and a ``code_tag``), and ``hit``, ``miss`` or
+    ``unavailable`` (no cache directory could be found or written).
+
+    An entry that ``load(entry)`` cannot read or rejects by raising is a
+    miss.  Only derivations that succeed are stored, by ``dump(value, fh)``
+    into a temporary file that ``os.replace`` puts in place."""
+    try:
+        entry = cache_dir() / f"{kind}-{hashlib.sha256(key.encode()).hexdigest()}{suffix}"
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return derive(), "unavailable"
+    unreadable = (OSError, EOFError, zipfile.BadZipFile, ValueError, LookupError, TypeError, ArithmeticError)
+    with contextlib.suppress(*unreadable, RecursionError):
+        return load(entry), "hit"
+    value = derive()
+    with contextlib.suppress(OSError):
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, temporary = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                dump(value, fh)
+            os.replace(temporary, entry)
+            return value, "miss"
+        finally:
+            Path(temporary).unlink(missing_ok=True)
+    return value, "unavailable"

@@ -14,10 +14,13 @@ Four pipeline variants are supported:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
+from . import io
 from .errors import PlboundsError, TimestepFailure
 from .estimator import Estimator, MeasurementContext, SyntheticEstimator, check_scales, to_vehicle_frame
 from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
@@ -29,6 +32,7 @@ from .uncertainty import (
     MIN_ROTATION_SAMPLES,
     ROTATION_BLOCK,
     RotationUncertainty,
+    cached_tensor,
     outlier_weights,
     precompute_q,
     project_directional,
@@ -271,13 +275,23 @@ class SequenceResult:
 def default_rotation_uncertainty(estimator: Estimator, config: PipelineConfig) -> RotationUncertainty:
     """Rotation-uncertainty tensor to use when none is supplied.
 
-    A synthetic estimator exposes its own rotation-residual distribution;
-    anything else falls back to the zero tensor (no inflation).
+    A synthetic estimator exposes its own rotation-residual distribution,
+    which ``config.q_samples`` draws at ``config.seed`` reduce to the tensor;
+    it is kept in the derived-input cache under those and ``sigma_rot``.
+    Anything else falls back to the zero tensor (no inflation).
     """
     if isinstance(estimator, SyntheticEstimator) and estimator.config.sigma_rot > 0.0:
-        blocks = estimator.rotation_residual_blocks(config.q_samples, config.seed, ROTATION_BLOCK)
-        return precompute_q(blocks, count=config.q_samples)
+        def derive() -> tuple[RotationUncertainty, int]:
+            blocks = estimator.rotation_residual_blocks(config.q_samples, config.seed, ROTATION_BLOCK)
+            return precompute_q(blocks, count=config.q_samples), config.q_samples
+
+        drawn = f"{estimator.config.sigma_rot!r} {config.q_samples} {config.seed}".encode()
+        return cached_tensor("default-rotation", hashlib.sha256(drawn).hexdigest(), _code_tag(), derive)[0][0]
     return RotationUncertainty.zero()
+
+
+# ``io.code_tag`` of the sources that draw and reduce the default tensor's samples
+_code_tag = cache(partial(io.code_tag, "estimator.py", "geometry.py", "uncertainty.py", "pipeline.py"))
 
 
 def run_sequence(

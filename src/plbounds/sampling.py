@@ -86,13 +86,13 @@ def stream_keys(seeds) -> np.ndarray:
     Seeds that numpy reads as one (T,) or (T, W) integer array, the usual
     case, are chained a word column at a time; any others (ragged seeds,
     words numpy does not hold as integers) word by word in Python, as are
-    fewer than ``_FOLD_BELOW`` seeds, whose fold is faster than the numpy
-    chain's fixed cost."""
+    fewer than ``_FOLD_BELOW`` seeds, unconverted: their fold is faster
+    than the numpy chain's fixed cost."""
     try:
-        words = np.array(seeds)
+        words = np.array(seeds) if len(seeds) >= _FOLD_BELOW else None
     except ValueError:  # ragged
         words = None
-    if words is not None and words.dtype.kind in "iu" and words.ndim in (1, 2) and len(words) >= _FOLD_BELOW:
+    if words is not None and words.dtype.kind in "iu" and words.ndim in (1, 2):
         if (words < 0).any():
             raise ValueError(f"seed words must be non-negative, got {int(words[words < 0][0])}")
         keys = np.zeros(len(words), dtype=np.uint64)

@@ -13,19 +13,15 @@ Three steps happen between the estimator and the mixture model:
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from . import geometry, io
+from . import io
 from .errors import CorrectionNotPSD, InsufficientSamples
 from .estimator import indefinite_rows
 from .geometry import quat_to_matrix
@@ -102,64 +98,41 @@ def precompute_q(
 
 
 def rotation_uncertainty_from_file(path: Path | str) -> tuple[RotationUncertainty, dict]:
-    """``precompute_q(io.read_quaternion_lines(path))``, kept in a cache keyed
-    by the SHA-256 of the file's bytes and ``_code_tag``.
+    """``precompute_q(io.read_quaternion_lines(path))``, kept in the derived-input
+    cache under the SHA-256 of the file's bytes and ``_code_tag``.  Returns
+    the tensor and the file's ``sha256``, its ``samples`` and the ``cache``
+    outcome."""
+    sha = io.file_sha256(path)
 
-    An entry is a JSON file in ``_cache_dir`` holding the tensor's 81 entries
-    as ``repr``s, which read back with the same bits, the sample count and
-    the file's hash.  An entry that cannot be read or fails the
-    ``RotationUncertainty`` checks is a miss, and is replaced through a
-    temporary file and ``os.replace``; only derivations that succeed are
-    stored.  Returns the tensor and the file's ``sha256``, its ``samples``
-    and the ``cache`` outcome: ``hit``, ``miss`` or ``unavailable`` (no cache
-    directory could be found or written).
-    """
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    sha = digest.hexdigest()
-    try:
-        entry = _cache_dir() / f"rotation-{hashlib.sha256(f'{sha} {_code_tag()}'.encode()).hexdigest()}.json"
-    except (OSError, RuntimeError):  # RuntimeError: no home directory
-        entry = None
-    if entry is not None:
-        with contextlib.suppress(OSError, ValueError, LookupError, TypeError, ArithmeticError, RecursionError):
-            doc = json.loads(entry.read_text())
-            tensor = RotationUncertainty(np.array(doc["q"], dtype=float))
-            if doc["sha256"] == sha and type(doc["samples"]) is int:
-                return tensor, {"sha256": sha, "samples": doc["samples"], "cache": "hit"}
-    samples = io.read_quaternion_lines(path)
-    tensor = precompute_q(samples)
-    record = {"sha256": sha, "samples": len(samples), "cache": "unavailable"}
-    if entry is not None:
-        with contextlib.suppress(OSError):
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            fd, temporary = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump({"q": tensor.q.tolist(), "samples": len(samples), "sha256": sha}, fh)
-                os.replace(temporary, entry)
-                record["cache"] = "miss"
-            finally:
-                Path(temporary).unlink(missing_ok=True)
-    return tensor, record
+    def derive() -> tuple[RotationUncertainty, int]:
+        samples = io.read_quaternion_lines(path)
+        return precompute_q(samples), len(samples)
+
+    (tensor, samples), outcome = cached_tensor("rotation", sha, _code_tag(), derive)
+    return tensor, {"sha256": sha, "samples": samples, "cache": outcome}
 
 
-@cache
-def _code_tag() -> str:
-    """Hash of numpy's version and of the sources that parse a rotation file
-    and reduce its samples: a change to either makes every lookup miss."""
-    digest = hashlib.sha256(np.__version__.encode())
-    for source in (io.__file__, geometry.__file__, __file__):
-        digest.update(Path(source).read_bytes())
-    return digest.hexdigest()
+def cached_tensor(kind: str, sha: str, tag: str, derive) -> tuple[tuple[RotationUncertainty, int], str]:
+    """``io.cached`` of ``derive()``, a tensor and its sample count, as a JSON
+    entry of the tensor's 81 entries as ``repr``s (which read back with the
+    same bits), the count and ``sha``, the hash of the inputs.  A hit passes
+    the ``RotationUncertainty`` checks and names ``sha``."""
+
+    def load(entry: Path) -> tuple[RotationUncertainty, int]:
+        doc = json.loads(entry.read_text())
+        tensor = RotationUncertainty(np.array(doc["q"], dtype=float))
+        if doc["sha256"] != sha or type(doc["samples"]) is not int:
+            raise ValueError(f"{entry} is not the entry of {sha}")
+        return tensor, doc["samples"]
+
+    def dump(value: tuple[RotationUncertainty, int], fh) -> None:
+        fh.write(json.dumps({"q": value[0].q.tolist(), "samples": value[1], "sha256": sha}).encode())
+
+    return io.cached(kind, f"{sha} {tag}", ".json", derive, load, dump)
 
 
-def _cache_dir() -> Path:
-    """``$XDG_CACHE_HOME/plbounds``, or ``~/.cache/plbounds`` when that is unset, empty or relative."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "plbounds"
+# ``io.code_tag`` of the sources that parse a rotation file and reduce its samples
+_code_tag = cache(partial(io.code_tag, "io.py", "geometry.py", "uncertainty.py"))
 
 
 def transform_error(

@@ -648,6 +648,80 @@ def test_a_malformed_rotation_file_exits_3_and_leaves_no_entry(scenario_dir, tmp
 
 
 # ---------------------------------------------------------------------------
+# the estimate-table cache
+
+
+class _Recorder:
+    """Synthetic answers through ``estimate`` alone, kept under the key a file
+    table looks them up by."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows = {}
+
+    def estimate(self, ctx, candidate, cloud=None):
+        self.rows[ctx.payload_key, ctx.candidate_index] = raw = self.inner.estimate(ctx, candidate, cloud)
+        return raw
+
+
+@pytest.fixture
+def estimate_table(scenario_dir, tmp_path, config_path):
+    """What the synthetic estimator answers on the scenario, less candidate 1
+    of ``t000002``, as a table."""
+    settings = load_config(config_path)
+    recorder = _Recorder(plbounds.SyntheticEstimator(_estimator_config(settings)))
+    plbounds.run_sequence(recorder, plbounds.load_scenario(scenario_dir / "scenario.json"), settings)
+    path = tmp_path / "estimates.jsonl"
+    rows = [(key, i, raw) for (key, i), raw in sorted(recorder.rows.items()) if (key, i) != ("t000002", 1)]
+    plbounds.write_estimate_records(rows, path)
+    return path
+
+
+def _table_run(scenario_dir, tmp_path, table, name):
+    """Exit code, output bytes and the manifest's ``estimator_file`` record
+    of a run that reads its estimates from ``table``."""
+    cfg = dict(RUN_CONFIG, estimator={"kind": "file", "path": str(table)})
+    config = tmp_path / f"{name}_config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    code = main(["run", str(scenario_dir / "scenario.json"), "--config", str(config), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text()) if (out / "manifest.json").is_file() else {}
+    return code, {f: (out / f).read_bytes() for f in OUTPUTS if (out / f).is_file()}, manifest.get("estimator_file")
+
+
+def test_the_manifest_records_the_table_cold_warm_and_unavailable(
+    scenario_dir, tmp_path, estimate_table, rotation_file, monkeypatch
+):
+    cold = _table_run(scenario_dir, tmp_path, estimate_table, "cold")
+    warm = _table_run(scenario_dir, tmp_path, estimate_table, "warm")
+    sha = hashlib.sha256(estimate_table.read_bytes()).hexdigest()
+    assert cold[:2] == (0, warm[1]) and warm[0] == 0 and len(cold[1]) == 3
+    assert cold[2] == {"sha256": sha, "records": 29, "cache": "miss"}
+    assert warm[2] == {"sha256": sha, "records": 29, "cache": "hit"}
+    entry, = _entries(Path(os.environ["XDG_CACHE_HOME"]))
+    assert entry.name.startswith("table-") and entry.suffix == ".npz"
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    unavailable = _table_run(scenario_dir, tmp_path, estimate_table, "unavailable")
+    assert unavailable == (0, cold[1], dict(cold[2], cache="unavailable"))
+    # a run on the synthetic estimator records no table
+    code, outputs, record = _file_run(scenario_dir, tmp_path, rotation_file, "synthetic")
+    assert code == 0 and record["cache"] == "unavailable"
+    manifest = json.loads((tmp_path / "synthetic" / "manifest.json").read_text())
+    assert "estimator_file" not in manifest and manifest["estimator"] == "synthetic"
+
+
+def test_a_malformed_table_exits_3_and_leaves_no_entry(scenario_dir, tmp_path, estimate_table, capsys):
+    lines = estimate_table.read_text().splitlines()
+    lines[6] = lines[6].replace('"corr": [', '"corr": [7')  # a correlation of 7 or more
+    estimate_table.write_text("\n".join(lines) + "\n")
+    assert _table_run(scenario_dir, tmp_path, estimate_table, "malformed") == (3, {}, None)
+    assert capsys.readouterr().err.startswith(f"input error: {estimate_table}:7: malformed estimate record")
+    assert _entries(Path(os.environ["XDG_CACHE_HOME"])) == []
+
+
+# ---------------------------------------------------------------------------
 # calibrate
 
 

@@ -1,8 +1,15 @@
+import hashlib
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plbounds import io
 from plbounds.errors import InfeasibleContext, MissingRecord, NotPositiveDefinite
@@ -430,3 +437,167 @@ def test_file_estimator_names_line_of_malformed_record(tmp_path):
         path.write_text(good + "\n" * blank_lines + bad + "\n")
         with pytest.raises(ValueError, match=f"est.jsonl:{2 + blank_lines}: malformed estimate record"):
             FileEstimator(path)
+
+
+# ---------------------------------------------------------------------------
+# the estimate table, cached
+
+
+def _entries() -> list[Path]:
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "plbounds").glob("*"))
+
+
+def _quaternion(rng, moving=False) -> np.ndarray:
+    """A quaternion within 1e-6 of unit norm; with ``moving``, one whose
+    normalized form a second ``quat_normalize`` moves by a last bit."""
+    while True:
+        q = rng.normal(size=4)
+        q *= (1.0 + 1e-6) / np.linalg.norm(q)
+        if not moving or quat_normalize(quat_normalize(q)).tobytes() != quat_normalize(q).tobytes():
+            return q
+
+
+def _table(path, rng=None):
+    """A table with a duplicate record, two missing candidates and a rotation
+    whose normalizing twice would move a bit; returns its path."""
+    rng = np.random.default_rng(31) if rng is None else rng
+    records = []
+    for key in ("t000000", "t000001", "t000002"):
+        for i in range(6):
+            if (key, i) in (("t000001", 2), ("t000002", 5)):
+                continue  # no record: MissingRecord
+            q = _quaternion(rng, moving=(key, i) == ("t000000", 3))
+            records.append({
+                "payload_key": key, "candidate_index": i, "translation_error": rng.normal(size=3).tolist(),
+                "rotation_error": q.tolist(), "sigma": rng.uniform(0.1, 1.0, 3).tolist(),
+                "corr": rng.uniform(-0.3, 0.3, 3).tolist(),
+            })
+    records.append(dict(records[4], translation_error=[9.0, 9.0, 9.0]))  # a later record replaces an earlier one
+    io.write_jsonl(records, path)
+    return path
+
+
+def _answers(est, keys=("t000000", "t000001", "t000002", "t000009"), n=7):
+    ctxs = [MeasurementContext(timestamp=0.0, payload_key=key) for key in keys]
+    *fields, failed = est.estimate_batch(ctxs, np.zeros((len(ctxs), n, 3)), np.tile(IDENTITY_Q, (len(ctxs), n, 1)))
+    return [f.tobytes() for f in fields], {k: str(e) for k, e in failed.items()}
+
+
+def _same_table(a, b) -> None:
+    assert [f.tobytes() for f in a._fields] == [f.tobytes() for f in b._fields]
+    assert a._rows == b._rows and len(a) == len(b)
+    assert _answers(a) == _answers(b)
+
+
+def test_a_cached_table_has_the_bits_of_its_derivation(tmp_path):
+    path = _table(tmp_path / "est.jsonl")
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    cold = FileEstimator(path)
+    assert cold.file_record == {"sha256": sha, "records": 17, "cache": "miss"}
+    assert len(cold) == 16 and cold._rows["t000000"][4] == 16
+    with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(tmp_path / "other_cache")}):
+        _same_table(FileEstimator(path), cold)  # derived again
+    for _ in range(2):
+        warm = FileEstimator(path)
+        assert warm.file_record == dict(cold.file_record, cache="hit")
+        _same_table(warm, cold)
+        once = cold._fields[1][3]
+        assert warm._fields[1][3].tobytes() == once.tobytes() != quat_normalize(once).tobytes()
+    entry, = _entries()
+    assert entry.name.startswith("table-") and entry.suffix == ".npz"
+    with np.load(entry, allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(RECORD_FIELDS + ("rows",))
+        assert json.loads(npz["rows"][()])[0] == sha
+
+
+def _rewrite(entry: Path, **changes) -> None:
+    with np.load(entry, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for name, change in changes.items():
+        arrays[name] = change(arrays[name])
+    with open(entry, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _set(index, value):
+    def change(a):
+        a = a.copy()
+        a[index] = value
+        return a
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda entry: entry.write_bytes(entry.read_bytes()[: len(entry.read_bytes()) // 2]),
+        lambda entry: entry.write_bytes(b"not an npz"),
+        lambda entry: _rewrite(entry, translation_error=lambda a: a[:, :2]),
+        lambda entry: _rewrite(entry, sigma=lambda a: a[1:]),
+        lambda entry: _rewrite(entry, translation_error=_set((0, 1), np.nan)),
+        lambda entry: _rewrite(entry, corr=_set((2, 0), np.inf)),
+        lambda entry: _rewrite(entry, sigma=_set((0, 2), 0.0)),
+        lambda entry: _rewrite(entry, sigma=_set((5, 0), -0.5)),
+        lambda entry: _rewrite(entry, rotation_error=lambda a: np.concatenate([a[:1] * (1.0 + 1e-9), a[1:]])),
+        lambda entry: _rewrite(entry, translation_error=_set((-1, 0), 1.0)),
+        lambda entry: _rewrite(entry, corr=lambda a: a.astype(np.float32)),
+        lambda entry: _rewrite(entry, rows=lambda a: np.array(a[()].replace(a[()][2:10], b"0" * 8))),
+        lambda entry: _rewrite(entry, rows=lambda a: np.array(b"[]")),
+    ],
+    ids=[
+        "truncated", "not_npz", "wrong_shape", "short_stack", "not_finite", "corr_not_finite", "sigma_zero",
+        "sigma_negative", "not_unit", "neutral_row", "float32", "other_file", "no_rows",
+    ],
+)
+def test_a_corrupt_table_entry_is_a_miss_and_is_replaced(tmp_path, corrupt):
+    path = _table(tmp_path / "est.jsonl")
+    cold = FileEstimator(path)
+    entry, = _entries()
+    corrupt(entry)
+    again = FileEstimator(path)
+    assert again.file_record["cache"] == "miss"
+    _same_table(again, cold)
+    assert _entries() == [entry]
+    warm = FileEstimator(path)
+    assert warm.file_record["cache"] == "hit"
+    _same_table(warm, cold)
+
+
+def test_a_malformed_table_leaves_no_entry(tmp_path):
+    path = _table(tmp_path / "est.jsonl")
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].replace('"sigma": [', '"sigma": [-')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"est\.jsonl:5: malformed estimate record"):
+        FileEstimator(path)
+    assert _entries() == []
+
+
+_unit_quats = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda v: np.linalg.norm(v) > 0.1)
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_record = st.fixed_dictionaries({
+    "payload_key": st.text(max_size=3),
+    "candidate_index": st.integers(-2, 5) | st.integers(),
+    "translation_error": st.lists(_finite, min_size=3, max_size=3),
+    "rotation_error": _unit_quats,
+    "sigma": st.lists(st.floats(1e-6, 1e3), min_size=3, max_size=3),
+    "corr": st.lists(st.floats(-0.99, 0.99), min_size=3, max_size=3),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_record, max_size=12))
+def test_a_table_from_the_cache_is_the_table_derived(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "est.jsonl"
+        for record in records:
+            record["rotation_error"] = (record["rotation_error"] / np.linalg.norm(record["rotation_error"])).tolist()
+        io.write_jsonl(records, path)
+        with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(Path(tmp) / "cache")}):
+            miss, hit = FileEstimator(path), FileEstimator(path)
+        assert (miss.file_record["cache"], hit.file_record["cache"]) == ("miss", "hit")
+        assert miss.file_record["records"] == len(records)
+        _same_table(hit, miss)
+        keys = sorted({r["payload_key"] for r in records}) + ["absent"]
+        assert _answers(hit, keys, n=6) == _answers(miss, keys, n=6)

@@ -1,7 +1,9 @@
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +430,7 @@ def test_default_rotation_uncertainty_branches(tmp_path, monkeypatch):
     want = precompute_q(noisy.rotation_residual_samples(2000, 23))
     for block in (pipeline.ROTATION_BLOCK, 1, 7, 500, 2000, 5000):  # drawn in blocks, with the bits of one draw
         monkeypatch.setattr(pipeline, "ROTATION_BLOCK", block)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache_{block}"))  # derived, not read from the cache
         assert default_rotation_uncertainty(noisy, config).q.tobytes() == want.q.tobytes()
 
     raw = RawEstimate(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.ones(3), np.zeros(3))
@@ -436,6 +439,33 @@ def test_default_rotation_uncertainty_branches(tmp_path, monkeypatch):
     assert np.array_equal(
         default_rotation_uncertainty(FileEstimator(path), config).q, np.zeros((3, 3, 3, 3))
     )
+
+
+def test_the_default_tensor_is_derived_once_per_draw(tmp_path, monkeypatch):
+    derived = []
+    monkeypatch.setattr(pipeline, "precompute_q", lambda *a, **k: derived.append(a) or precompute_q(*a, **k))
+    cache = Path(os.environ["XDG_CACHE_HOME"]) / "plbounds"
+    config = PipelineConfig(q_samples=2000, seed=23)
+    # a new sigma_rot, sample count or run seed misses; the estimator's own
+    # seed and the thread count are not in the key
+    draws = [(0.03, config), (0.03, config), (0.031, config), (0.03, replace(config, q_samples=2001)),
+             (0.03, replace(config, seed=24)), (0.03, replace(config, threads=2))]
+    for sigma_rot, cfg in draws:
+        estimator = SyntheticEstimator(SyntheticEstimatorConfig(sigma_rot=sigma_rot, seed=5))
+        want = precompute_q(estimator.rotation_residual_samples(cfg.q_samples, cfg.seed)).q
+        assert default_rotation_uncertainty(estimator, cfg).q.tobytes() == want.tobytes()
+    entries = sorted(cache.glob("default-rotation-*.json"), key=lambda e: e.stat().st_mtime_ns)
+    assert len(derived) == len(entries) == 4
+    # a corrupt entry is a miss and is replaced; without a cache every call derives
+    noisy = SyntheticEstimator(SyntheticEstimatorConfig(sigma_rot=0.03))
+    want = precompute_q(noisy.rotation_residual_samples(2000, 23)).q
+    entries[0].write_text(entries[0].read_text().replace('"samples": 2000', '"samples": 2000.0'))
+    assert default_rotation_uncertainty(noisy, config).q.tobytes() == want.tobytes()
+    assert len(derived) == 5 and '"samples": 2000,' in entries[0].read_text()
+    (tmp_path / "blocked").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocked"))
+    assert default_rotation_uncertainty(noisy, config).q.tobytes() == want.tobytes()
+    assert len(derived) == 6
 
 
 def _traced_peak_mb(fn, *args) -> float:
@@ -447,7 +477,7 @@ def _traced_peak_mb(fn, *args) -> float:
         tracemalloc.stop()
 
 
-def test_rotation_tensor_memory_stays_near_its_rows(tmp_path):
+def test_rotation_tensor_memory_stays_near_its_rows(tmp_path, monkeypatch):
     # 100k samples: the (M, 9) rows of R - I take 7.2 MB.  Building the whole
     # (M, 3, 3) stack at once peaks at about 17.6 MB from the synthetic draw
     # and 21.5 MB with a rotation file read first.
@@ -455,6 +485,7 @@ def test_rotation_tensor_memory_stays_near_its_rows(tmp_path):
     config = PipelineConfig(seed=3)
     default = default_rotation_uncertainty(estimator, config)
     assert default.q.tobytes() == precompute_q(estimator.rotation_residual_samples(100_000, 3)).q.tobytes()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty_cache"))  # derived again, not read from the cache
     assert _traced_peak_mb(default_rotation_uncertainty, estimator, config) < 10.0
     path = tmp_path / "rotations.jsonl"
     io.write_quaternion_lines(estimator.rotation_residual_samples(100_000, 3), path)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plbounds import sampling
 from plbounds.geometry import Pose, quat_conjugate, quat_normalize, quat_to_matrix
 from plbounds.sampling import (
     SamplingConfig,
@@ -244,6 +245,23 @@ def test_keys_of_edge_words_are_the_python_splitmix64s():
             want = [oracles.stream_key([int(w) for w in (seed if np.ndim(seed) else [seed])]) for seed in seeds]
             assert keys.tolist() == want
             assert keys.tolist() == [int(stream_keys([seed])[0]) for seed in seeds]
+
+
+class _Unconvertible(list):
+    """Seeds numpy refuses to turn into an array."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("converted to an array")
+
+
+def test_fewer_seeds_than_the_fold_threshold_are_not_converted():
+    # the fold takes them as they are; from _FOLD_BELOW on numpy is tried
+    seeds = [[7, 2**63 + k] for k in range(sampling._FOLD_BELOW)]
+    for count in range(sampling._FOLD_BELOW):
+        keys = stream_keys(_Unconvertible(seeds[:count]))
+        assert keys.tolist() == [oracles.stream_key(seed) for seed in seeds[:count]]
+    with pytest.raises(AssertionError, match="converted"):
+        stream_keys(_Unconvertible(seeds))
 
 
 def test_a_negative_word_is_rejected_by_an_explicit_check():

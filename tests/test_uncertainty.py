@@ -153,12 +153,12 @@ def test_another_code_tag_misses(tmp_path, monkeypatch):
 def test_the_cache_directory_follows_xdg_cache_home(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    assert uncertainty._cache_dir() == tmp_path / "xdg" / "plbounds"
+    assert io.cache_dir() == tmp_path / "xdg" / "plbounds"
     for ignored in ("", "relative/cache"):  # as the XDG base directory specification says
         monkeypatch.setenv("XDG_CACHE_HOME", ignored)
-        assert uncertainty._cache_dir() == tmp_path / "home" / ".cache" / "plbounds"
+        assert io.cache_dir() == tmp_path / "home" / ".cache" / "plbounds"
     monkeypatch.delenv("XDG_CACHE_HOME")
-    assert uncertainty._cache_dir() == tmp_path / "home" / ".cache" / "plbounds"
+    assert io.cache_dir() == tmp_path / "home" / ".cache" / "plbounds"
 
     def homeless(cls=None):
         raise RuntimeError("Could not determine home directory.")
