@@ -82,7 +82,7 @@ def _pop(section: dict, key: str, default, context: str):
         if isinstance(value, (list, tuple)) and len(value) == 3:
             try:
                 return tuple(float(v) for v in value)
-            except (TypeError, ValueError):
+            except (OverflowError, TypeError, ValueError):
                 pass
         raise ConfigError(f"{context}.{key}: expected a list of 3 numbers, got {value!r}")
     kind = type(default)
@@ -90,7 +90,7 @@ def _pop(section: dict, key: str, default, context: str):
         if kind is bool and not isinstance(value, bool):
             raise TypeError
         return kind(value)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise ConfigError(f"{context}.{key}: expected {kind.__name__}, got {value!r}") from None
 
 

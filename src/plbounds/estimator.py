@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from . import io
-from .errors import InfeasibleContext, MissingRecord, NotPositiveDefinite
+from .errors import InfeasibleContext, MissingRecord, NotPositiveDefinite, PlboundsError
 from .geometry import (
     PointCloud,
     Pose,
@@ -70,16 +70,16 @@ def check_estimates(
     translation_error, rotation_error, sigma, corr, rows: tuple[int, ...] = (), normalized: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The checks every estimator output passes, on one estimate's fields
-    (``rows`` is ``()``) or on ``rows = (N,)`` stacks of them.
+    (``rows`` is ``()``) or on ``rows = (N,)``, ``(T, N)``, ... stacks of them.
 
     Raises ValueError unless the translation errors, sigmas and correlations
     have shape ``rows + (3,)`` and are finite, every sigma is positive,
     every correlation lies in (-1, 1) and the rotation errors have shape
     ``rows + (4,)`` and are unit quaternions to within ``quat_normalize``'s
     tolerance.  Returns the four fields as float arrays, the rotation errors
-    normalized; with ``normalized`` (fields an earlier check returned) they
-    must be within 1e-12 of unit norm and are kept, as normalizing again
-    can move a last bit.
+    normalized; with ``normalized`` (fields an earlier check returned) their
+    squared norms must be within 2e-12 of 1 and they are kept, as
+    normalizing again can move a last bit.
     """
     t, q, s, c = (np.asarray(a, dtype=float) for a in (translation_error, rotation_error, sigma, corr))
     if not t.shape == s.shape == c.shape == rows + (3,):
@@ -88,21 +88,15 @@ def check_estimates(
         raise ValueError(f"rotation_error must have shape {rows + (4,)}")
     if not np.isfinite(t).all():
         raise ValueError("translation_error must be finite")
-    check_scales(s, c)
+    if not (np.isfinite(s).all() and (s > 0.0).all()):
+        raise ValueError("sigma must be finite and strictly positive")
+    if not (np.abs(c) < 1.0).all():  # false for NaN too
+        raise ValueError("correlations must be finite and lie in (-1, 1)")
     if not normalized:
         return t, quat_normalize(q), s, c
-    if not (np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= 1e-12).all():  # false for NaN too
+    if not (np.abs(np.einsum("...i,...i", q, q) - 1.0) <= 2e-12).all():  # false for NaN too
         raise ValueError("rotation_error must be a unit quaternion")
     return t, q, s, c
-
-
-def check_scales(sigma, corr) -> None:
-    """Raises ``check_estimates``' ValueError unless every sigma is finite
-    and positive and every correlation lies in (-1, 1)."""
-    if not (np.isfinite(sigma).all() and (np.asarray(sigma) > 0.0).all()):
-        raise ValueError("sigma must be finite and strictly positive")
-    if not (np.abs(corr) < 1.0).all():  # false for NaN too
-        raise ValueError("correlations must be finite and lie in (-1, 1)")
 
 
 def indefinite_rows(cov: np.ndarray) -> list[int]:
@@ -218,23 +212,20 @@ class MeasurementContext:
 
 @runtime_checkable
 class Estimator(Protocol):
-    """What the pipeline queries for every candidate pose.
+    """What the pipeline asks, through ``answers``, about every candidate.
 
-    An estimator may also define ``estimate_batch(ctxs, positions,
-    orientations, cloud)``: the answers for the candidates 0..N-1 of T
-    timesteps in one call, given the T contexts, the (T, N, 3) positions
-    and the (T, N, 4) unit orientations (normalized, as ``Pose`` holds
-    them), as the stacked (T, N, ...) ``(translation_error,
-    rotation_error, sigma, corr)`` fields, each row passed through
-    ``check_estimates``; row (t, i) equals what
-    ``estimate(ctxs[t].for_candidate(i), Pose.checked(positions[t, i],
-    orientations[t, i]))`` returns.  A fifth element, if returned, maps the
-    (t, i) of each candidate the batch could not answer to the package
-    error ``estimate`` would raise for it; such a row holds values that
-    pass the checks.  A failed row excludes its candidate.  When the call
-    itself raises, the pipeline asks again one timestep at a time, and a
-    package error the one-timestep call raises excludes every candidate of
-    that timestep, with that reason.
+    ``estimate`` returns one candidate's ``RawEstimate``, or raises a package
+    error that excludes the candidate.  An estimator may also define
+    ``estimate_batch(ctxs, positions, orientations, cloud)``: given T
+    contexts, (T, N, 3) positions and (T, N, 4) unit orientations (as
+    ``Pose`` holds them), the stacked (T, N, ...) ``(translation_error,
+    rotation_error, sigma, corr)``, whose row (t, i) is ``estimate``'s
+    answer for candidate i of ``ctxs[t]``.  A fifth element, if returned,
+    maps the (t, i) of each candidate it could not answer to the package
+    error ``estimate`` would raise; that row holds any values that pass the
+    checks.  Whichever method answers, every row must pass
+    ``check_estimates(..., normalized=True)``, or the run aborts with its
+    ValueError instead of bounding with it.
     """
 
     def estimate(self, ctx: MeasurementContext, candidate: Pose, cloud: PointCloud | None) -> RawEstimate:
@@ -269,10 +260,13 @@ class SyntheticEstimatorConfig:
     def __post_init__(self) -> None:
         if self.seed is not None and self.seed < 0:  # None: the run seed, in the CLI's settings
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if min(self.sigma_noise) < 0.0 or self.sigma_rot < 0.0:
-            raise ValueError("noise scales must be non-negative")
-        if self.miscalibration <= 0.0 or self.sigma_floor <= 0.0:
-            raise ValueError("miscalibration and sigma_floor must be positive")
+        # each comparison is false for NaN too
+        if not all(0.0 <= v < np.inf for v in (*self.sigma_noise, self.sigma_rot)):
+            raise ValueError("noise scales must be finite and non-negative")
+        if not all(0.0 < v < np.inf for v in (self.miscalibration, self.sigma_floor)):
+            raise ValueError("miscalibration and sigma_floor must be finite and positive")
+        if not all(-1.0 < c < 1.0 for c in self.corr):
+            raise ValueError("correlations must lie in (-1, 1)")
 
 
 class SyntheticEstimator:
@@ -376,14 +370,14 @@ class FileEstimator:
     The table is loaded once into stacked fields, checked by one
     ``check_estimates`` call, and is read-only afterwards; a later record
     for a key replaces an earlier one.  It is kept in the derived-input cache
-    under the SHA-256 of the file's bytes and ``_code_tag``; ``file_record``
-    holds that ``sha256``, the number of ``records`` and the ``cache`` outcome.
+    under the SHA-256 of the file's bytes; ``file_record`` holds that
+    ``sha256``, the number of ``records`` and the ``cache`` outcome.
     """
 
     def __init__(self, path: Path | str):
         sha = io.file_sha256(path)
         (self._fields, self._rows), outcome = io.cached(
-            "table", f"{sha} {_code_tag()}", ".npz", lambda: _read_table(path),
+            "table", sha, ".npz", lambda: _read_table(path),
             lambda entry: _load_table(entry, sha), lambda table, fh: _dump_table(table, sha, fh),
         )
         self.file_record = {"sha256": sha, "records": len(self._fields[0]) - 1, "cache": outcome}
@@ -426,8 +420,43 @@ class FileEstimator:
 _NEUTRAL = dict(zip(RECORD_FIELDS, ([0.0] * 3, [1.0, 0.0, 0.0, 0.0], [1.0] * 3, [0.0] * 3)))
 
 
-# ``io.code_tag`` of the sources that parse and check an estimate table
-_code_tag = cache(partial(io.code_tag, "io.py", "geometry.py", "estimator.py"))
+def answers(estimator: Estimator, ctxs: list[MeasurementContext], positions, orientations, cloud) -> tuple:
+    """The estimator's (T, N, ...) fields for the candidates at the (T, N, 3)
+    ``positions`` and (T, N, 4) unit ``orientations``, and the package error
+    of each (t, i) it could not answer: the one way the pipeline asks.
+
+    ``estimate_batch`` is called once or, without one, ``estimate`` once per
+    candidate.  A package error raised by the batch call fails every
+    candidate, and a failed candidate's row is neutral, or what the batch
+    put there.  Every row then passes ``check_estimates(..., normalized=True)``
+    or raises its ValueError.
+    """
+    rows = positions.shape[:2]
+    batch = getattr(estimator, "estimate_batch", partial(_one_at_a_time, estimator))
+    try:
+        answer = batch(ctxs, positions, orientations, cloud)
+    except PlboundsError as exc:
+        answer = (*_neutral(rows), dict.fromkeys(np.ndindex(rows), exc))
+    return check_estimates(*answer[:4], rows, normalized=True), dict(answer[4]) if len(answer) > 4 else {}
+
+
+def _neutral(rows: tuple[int, ...]) -> list[np.ndarray]:
+    return [np.full(rows + (len(value),), value, dtype=float) for value in _NEUTRAL.values()]
+
+
+def _one_at_a_time(estimator: Estimator, ctxs, positions, orientations, cloud) -> tuple:
+    """``estimate_batch`` of an estimator with only ``estimate``: a candidate
+    whose call raises a package error keeps a neutral row and that error."""
+    fields, failed = _neutral(positions.shape[:2]), {}
+    for t, i in np.ndindex(positions.shape[:2]):
+        try:
+            raw = estimator.estimate(ctxs[t].for_candidate(i), Pose.checked(positions[t, i], orientations[t, i]), cloud)
+        except PlboundsError as exc:
+            failed[t, i] = exc
+            continue
+        for field, name in zip(fields, RECORD_FIELDS):
+            field[t, i] = getattr(raw, name)
+    return (*fields, failed)
 
 
 def _read_table(path: Path | str) -> tuple[tuple, dict[str, dict[int, int]]]:

@@ -14,6 +14,7 @@ import os
 import struct
 import tempfile
 import zipfile
+from functools import cache
 from io import BytesIO
 from pathlib import Path
 
@@ -249,12 +250,13 @@ def file_sha256(path: Path | str) -> str:
     return digest.hexdigest()
 
 
-def code_tag(*sources: str) -> str:
-    """Hash of numpy's version and of the package's ``sources`` (``"io.py"``, ...):
-    the code that derives a cached value, so that a change to either misses."""
+@cache
+def code_tag() -> str:
+    """Hash of numpy's version and of every package source, in name order:
+    the code that derives any cached value, so that a change to either misses."""
     digest = hashlib.sha256(np.__version__.encode())
-    for source in sources:
-        digest.update(Path(__file__).with_name(source).read_bytes())
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(source.read_bytes())
     return digest.hexdigest()
 
 
@@ -265,15 +267,16 @@ def cache_dir() -> Path:
 
 
 def cached(kind: str, key: str, suffix: str, derive, load, dump):
-    """``derive()``, kept in ``cache_dir()`` as ``<kind>-<SHA-256 of key><suffix>``
-    (``key`` names the inputs and a ``code_tag``), and ``hit``, ``miss`` or
-    ``unavailable`` (no cache directory could be found or written).
+    """``derive()``, kept in ``cache_dir()`` as ``<kind>-<SHA-256 of "<key>
+    <code_tag()>"><suffix>`` (``key`` names the inputs), and ``hit``, ``miss``
+    or ``unavailable`` (no cache directory could be found or written).
 
     An entry that ``load(entry)`` cannot read or rejects by raising is a
     miss.  Only derivations that succeed are stored, by ``dump(value, fh)``
     into a temporary file that ``os.replace`` puts in place."""
     try:
-        entry = cache_dir() / f"{kind}-{hashlib.sha256(key.encode()).hexdigest()}{suffix}"
+        name = hashlib.sha256(f"{key} {code_tag()}".encode()).hexdigest()
+        entry = cache_dir() / f"{kind}-{name}{suffix}"
     except (OSError, RuntimeError):  # RuntimeError: no home directory
         return derive(), "unavailable"
     unreadable = (OSError, EOFError, zipfile.BadZipFile, ValueError, LookupError, TypeError, ArithmeticError)

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cache, partial
 
 import numpy as np
 
-from . import io
 from .errors import PlboundsError, TimestepFailure
-from .estimator import Estimator, MeasurementContext, SyntheticEstimator, check_scales, to_vehicle_frame
+from .estimator import Estimator, MeasurementContext, SyntheticEstimator, answers, to_vehicle_frame
 from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
 from .gmm import GaussianMixture, ProtectionLevelQuery, protection_level, protection_levels_all
 from .metrics import AlarmLimits, IntegrityDiagram, IntegrityReport, integrity_diagram, summarize
@@ -140,15 +138,13 @@ def run_block(
     (there the estimate's orientation is kept bit for bit, as under
     ``VAR``), and the estimator sees them unit.  ``VAR`` has no
     offsets: its one candidate is the estimate itself, at a zero offset.
-    An estimator with ``estimate_batch`` is called once for all candidates,
-    and its sigmas and correlations must pass ``check_scales``; any other is
-    called once per candidate.  Candidates whose estimator call raises a
-    package error (every candidate, when the batch call raises), whose row
-    the batch reports failed, or whose covariance is indefinite, are
-    excluded, each with its reason in the result's ``exclusions``; fewer
-    than ``min_candidates`` survivors abort the timestep (under ``VAR`` the
-    error that excludes the estimate is raised as it is), and any error
-    aborts the block.  Every stage works
+    The estimator is asked once, through ``estimator.answers``, and every
+    row it answers must pass ``check_estimates``: a row that does not
+    raises its ValueError.  Candidates the estimator could not answer, or
+    whose covariance is indefinite, are excluded, each with its reason in
+    the result's ``exclusions``; fewer than ``min_candidates`` survivors
+    abort the timestep (under ``VAR`` the error that excludes the estimate
+    is raised as it is), and any error aborts the block.  Every stage works
     row by row, so a timestep's result does not depend on the other
     timesteps of the block, nor on candidate evaluation order.
     """
@@ -166,33 +162,7 @@ def run_block(
     steps, n = translations.shape[:2]
     for a in (positions, orientations):  # as ``Pose.checked`` takes them
         a.setflags(write=False)
-    # a candidate whose estimator call fails keeps these neutral values,
-    # which pass every check below, and is dropped at the end
-    raw_error, raw_rotation = np.zeros((steps, n, 3)), np.zeros((steps, n, 4))
-    raw_rotation[..., 0] = 1.0
-    sigma, corr = np.ones((steps, n, 3)), np.zeros((steps, n, 3))
-    failed: dict[tuple[int, int], PlboundsError] = {}
-    estimate_batch = getattr(estimator, "estimate_batch", None)
-    if estimate_batch is not None:
-        try:
-            answer = estimate_batch(ctxs, positions, orientations, cloud)
-        except PlboundsError as exc:
-            failed = {(t, i): exc for t in range(steps) for i in range(n)}
-        else:
-            raw_error, raw_rotation, sigma, corr = answer[:4]
-            check_scales(sigma, corr)  # a row the batch did not check would move the bound unseen
-            failed = dict(answer[4]) if len(answer) > 4 else {}
-    else:
-        for t, ctx in enumerate(ctxs):
-            for i in range(n):
-                try:
-                    candidate = Pose.checked(positions[t, i], orientations[t, i])
-                    raw = estimator.estimate(ctx.for_candidate(i), candidate, cloud)
-                except PlboundsError as exc:
-                    failed[t, i] = exc
-                    continue
-                raw_error[t, i], raw_rotation[t, i] = raw.translation_error, raw.rotation_error
-                sigma[t, i], corr[t, i] = raw.sigma, raw.corr
+    (raw_error, raw_rotation, sigma, corr), failed = answers(estimator, ctxs, positions, orientations, cloud)
     # every candidate of the block is one row from here on
     rotation = quat_to_matrix(np.reshape(raw_rotation, (-1, 4)))
     rows = [np.reshape(a, (-1, 3)) for a in (raw_error, sigma, corr)]
@@ -286,12 +256,8 @@ def default_rotation_uncertainty(estimator: Estimator, config: PipelineConfig) -
             return precompute_q(blocks, count=config.q_samples), config.q_samples
 
         drawn = f"{estimator.config.sigma_rot!r} {config.q_samples} {config.seed}".encode()
-        return cached_tensor("default-rotation", hashlib.sha256(drawn).hexdigest(), _code_tag(), derive)[0][0]
+        return cached_tensor("default-rotation", hashlib.sha256(drawn).hexdigest(), derive)[0][0]
     return RotationUncertainty.zero()
-
-
-# ``io.code_tag`` of the sources that draw and reduce the default tensor's samples
-_code_tag = cache(partial(io.code_tag, "estimator.py", "geometry.py", "uncertainty.py", "pipeline.py"))
 
 
 def run_sequence(

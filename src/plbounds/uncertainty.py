@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +98,7 @@ def precompute_q(
 
 def rotation_uncertainty_from_file(path: Path | str) -> tuple[RotationUncertainty, dict]:
     """``precompute_q(io.read_quaternion_lines(path))``, kept in the derived-input
-    cache under the SHA-256 of the file's bytes and ``_code_tag``.  Returns
+    cache under the SHA-256 of the file's bytes.  Returns
     the tensor and the file's ``sha256``, its ``samples`` and the ``cache``
     outcome."""
     sha = io.file_sha256(path)
@@ -108,11 +107,11 @@ def rotation_uncertainty_from_file(path: Path | str) -> tuple[RotationUncertaint
         samples = io.read_quaternion_lines(path)
         return precompute_q(samples), len(samples)
 
-    (tensor, samples), outcome = cached_tensor("rotation", sha, _code_tag(), derive)
+    (tensor, samples), outcome = cached_tensor("rotation", sha, derive)
     return tensor, {"sha256": sha, "samples": samples, "cache": outcome}
 
 
-def cached_tensor(kind: str, sha: str, tag: str, derive) -> tuple[tuple[RotationUncertainty, int], str]:
+def cached_tensor(kind: str, sha: str, derive) -> tuple[tuple[RotationUncertainty, int], str]:
     """``io.cached`` of ``derive()``, a tensor and its sample count, as a JSON
     entry of the tensor's 81 entries as ``repr``s (which read back with the
     same bits), the count and ``sha``, the hash of the inputs.  A hit passes
@@ -128,11 +127,7 @@ def cached_tensor(kind: str, sha: str, tag: str, derive) -> tuple[tuple[Rotation
     def dump(value: tuple[RotationUncertainty, int], fh) -> None:
         fh.write(json.dumps({"q": value[0].q.tolist(), "samples": value[1], "sha256": sha}).encode())
 
-    return io.cached(kind, f"{sha} {tag}", ".json", derive, load, dump)
-
-
-# ``io.code_tag`` of the sources that parse a rotation file and reduce its samples
-_code_tag = cache(partial(io.code_tag, "io.py", "geometry.py", "uncertainty.py"))
+    return io.cached(kind, sha, ".json", derive, load, dump)
 
 
 def transform_error(
@@ -193,7 +188,8 @@ def outlier_weights(errors: np.ndarray, gamma: float = ROBUST_GAMMA) -> np.ndarr
     dev = np.abs(cols - _median(cols))
     mad = _median(dev)
     scale = np.where(mad == 0.0, dev.mean(axis=-1, keepdims=True), mad)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a deviation over a tiny scale may overflow: its score is infinite and its weight 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logits = -gamma * (dev / scale)
     logits -= logits.max(axis=-1, keepdims=True)
     ex = np.exp(logits)

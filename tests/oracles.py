@@ -177,8 +177,8 @@ def outlier_weights_per_column(errors, gamma: float = 0.6745) -> np.ndarray:
             if fallback == 0.0:
                 weights[:, d] = 1.0 / col.size
                 continue
-            score = dev / fallback
-        else:
+            mad = fallback
+        with np.errstate(over="ignore"):  # a deviation over a tiny scale: an infinite score, weight 0
             score = dev / mad
         logits = -gamma * score
         logits -= logits.max()

@@ -169,6 +169,11 @@ def test_load_config_rejections(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_config(path)
+    for idx, text in enumerate(('{"estimator": {"miscalibration": 1%s}}', '{"estimator": {"corr": [1%s, 0, 0]}}')):
+        path = tmp_path / f"huge{idx}.json"
+        path.write_text(text % ("0" * 400))  # a JSON integer no float holds
+        with pytest.raises(ConfigError):
+            load_config(path)
     fewest = tmp_path / "fewest.json"
     fewest.write_text(json.dumps({"rotation_uncertainty": {"n_samples": 1000}}))
     assert load_config(fewest).q_samples == 1000
@@ -261,6 +266,19 @@ def scenario_dir(config_path, tmp_path):
     out = tmp_path / "scn"
     assert _gen(config_path, out) == 0
     return out
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    ['{"corr": [1.5, 0, 0]}', '{"corr": [NaN, 0, 0]}', '{"miscalibration": 1e309}', '{"sigma_noise": [0.1, 1e309, 0.1]}'],
+)
+def test_an_estimator_config_it_rejects_exits_2_and_writes_nothing(scenario_dir, tmp_path, capsys, estimator):
+    path = tmp_path / "estimator.json"
+    path.write_text(f'{{"estimator": {estimator}}}')
+    out = tmp_path / "run"
+    assert main(["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: estimator: ")
+    assert not out.exists()
 
 
 def test_run_outputs(config_path, scenario_dir, tmp_path, capsys):

@@ -332,12 +332,17 @@ def test_estimate_batch_rows_do_not_depend_on_batch_size():
 def test_estimate_batch_checks_its_rows():
     ctx = MeasurementContext(timestamp=0.0, payload_key="k", true_pose=Pose.identity())
     positions, orientations = np.zeros((2, 3)), np.tile(IDENTITY_Q, (2, 1))
-    bad_configs = (SyntheticEstimatorConfig(corr=(np.nan, 0.0, 0.0)), SyntheticEstimatorConfig(miscalibration=np.inf))
-    for config in bad_configs:
+    # a config that would report such rows is rejected when it is built
+    for bad in ({"corr": (np.nan, 0.0, 0.0)}, {"miscalibration": np.inf}):
         with pytest.raises(ValueError):
-            SyntheticEstimator(config).estimate_batch([ctx], positions[None], orientations[None])
+            SyntheticEstimatorConfig(**bad)
+    for name, value in (("_corr", np.array([np.nan, 0.0, 0.0])), ("_sigma_report", np.full(3, np.inf))):
+        est = SyntheticEstimator()
+        setattr(est, name, value)
         with pytest.raises(ValueError):
-            SyntheticEstimator(config).estimate(ctx.for_candidate(0), Pose.identity())
+            est.estimate_batch([ctx], positions[None], orientations[None])
+        with pytest.raises(ValueError):
+            est.estimate(ctx.for_candidate(0), Pose.identity())
 
 
 def test_synthetic_reported_sigma_miscalibration():

@@ -16,6 +16,7 @@ from plbounds.estimator import (
     RawEstimate,
     SyntheticEstimator,
     SyntheticEstimatorConfig,
+    answers,
     write_estimate_records,
 )
 from plbounds.geometry import Pose, quat_normalize
@@ -315,6 +316,22 @@ def test_file_estimator_batch_over_many_contexts(tmp_path):
         assert {i: str(e) for (_, i), e in one_failed.items()} == mine
 
 
+def test_asked_one_candidate_at_a_time_an_estimator_gives_its_batch_answers(tmp_path):
+    table, _ = _recorded_table(tmp_path / "est.jsonl")
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=8, sigma_rot=0.02, corr=(0.3, 0.1, -0.2)))
+    timesteps = list(_timesteps(8))
+    ctxs = [ctx for ctx, _, _ in timesteps]
+    positions, orientations = (np.array(a) for a in zip(*(_unit_candidates(p, *o) for _, p, o in timesteps)))
+    for est in (synthetic, table):
+        *want, want_failed = (*est.estimate_batch(ctxs, positions, orientations), {})[:5]
+        got, got_failed = answers(OneAtATime(est), ctxs, positions, orientations, None)
+        assert [a.tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
+        assert {k: (type(e), str(e)) for k, e in got_failed.items()} == {
+            k: (type(e), str(e)) for k, e in want_failed.items()
+        }
+    assert sorted(got_failed) == [(3, 5), (3, 17)]  # the table's missing records
+
+
 def test_file_estimator_batch_gives_the_loop_result(tmp_path):
     est, rotation = _recorded_table(tmp_path / "est.jsonl")
     excluded = []
@@ -603,13 +620,14 @@ class BatchesThatRaise:
 
 @dataclass
 class OneBadRow:
-    """Synthetic batch answers with entry ``(0, -1, 0)`` of one field, 2
-    (sigma) or 3 (corr), set to ``value``, or the answers as they are when
-    ``value`` is None."""
+    """Synthetic batch answers with entry ``(0, -1, component)`` of one
+    field, by its index in ``RECORD_FIELDS``, set to ``value``, or the
+    answers as they are when ``value`` is None."""
 
     inner: SyntheticEstimator
     field_index: int
     value: float | None
+    component: int = 0
 
     def estimate(self, ctx, candidate, cloud=None):
         return self.inner.estimate(ctx, candidate, cloud)
@@ -617,24 +635,28 @@ class OneBadRow:
     def estimate_batch(self, ctxs, positions, orientations, cloud=None):
         fields = [np.array(a) for a in self.inner.estimate_batch(ctxs, positions, orientations, cloud)]
         if self.value is not None:
-            fields[self.field_index][0, -1, 0] = self.value
+            fields[self.field_index][0, -1, self.component] = self.value
         return tuple(fields)
 
 
 @pytest.mark.parametrize("variant", ["VAR", "VAR_EO"])
 def test_a_batch_sigma_or_correlation_out_of_range_aborts_the_run(variant):
-    # a negative sigma once passed unchecked and moved the bound; it now
-    # raises check_estimates' error, as a NaN row aborts the run
+    # a negative sigma or a rotation of w = 1.5 once passed unchecked and
+    # moved the bound; every batch row now passes check_estimates or raises
+    # its error
     scenario = _scenario(seed=3)
     config = PipelineConfig(variant=variant, sampling=FAST_SAMPLING, seed=3)
     synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
     sigma, corr = "^sigma must be finite and strictly positive$", r"^correlations must be finite and lie in \(-1, 1\)$"
-    for field_index, value, message in (
-        (2, -1.0, sigma), (2, 0.0, sigma), (2, np.inf, sigma), (2, np.nan, sigma),
-        (3, 1.5, corr), (3, -1.0, corr), (3, np.nan, corr),
+    unit, finite = "^rotation_error must be a unit quaternion$", "^translation_error must be finite$"
+    for field_index, value, component, message in (
+        (2, -1.0, 0, sigma), (2, 0.0, 0, sigma), (2, np.inf, 0, sigma), (2, np.nan, 0, sigma),
+        (3, 1.5, 0, corr), (3, -1.0, 0, corr), (3, np.nan, 0, corr),
+        (1, 1.5, 0, unit), (1, 0.3, 3, unit), (0, np.nan, 0, finite), (0, np.inf, 0, finite),
     ):
+        bad = OneBadRow(synthetic, field_index, value, component)
         with pytest.raises(ValueError, match=message):
-            run_sequence(OneBadRow(synthetic, field_index, value), scenario, config, RotationUncertainty.zero())
+            run_sequence(bad, scenario, config, RotationUncertainty.zero())
     # fields that pass go on with their bits
     want = run_sequence(synthetic, scenario, config, RotationUncertainty.zero())
     got = run_sequence(OneBadRow(synthetic, 2, None), scenario, config, RotationUncertainty.zero())

@@ -143,8 +143,8 @@ def test_another_code_tag_misses(tmp_path, monkeypatch):
     assert rotation_uncertainty_from_file(path)[1]["cache"] == "miss"
     with monkeypatch.context() as patched:
         patched.setattr(np, "__version__", "0.0.0")  # another numpy
-        assert uncertainty._code_tag.__wrapped__() != uncertainty._code_tag()
-    monkeypatch.setattr(uncertainty, "_code_tag", lambda: "other code")
+        assert io.code_tag.__wrapped__() != io.code_tag()
+    monkeypatch.setattr(io, "code_tag", lambda: "other code")
     assert rotation_uncertainty_from_file(path)[1]["cache"] == "miss"
     assert rotation_uncertainty_from_file(path)[1]["cache"] == "hit"
     assert len(list((Path(os.environ["XDG_CACHE_HOME"]) / "plbounds").iterdir())) == 2
@@ -374,8 +374,9 @@ def test_stacked_outlier_weights_reach_every_branch():
 def test_median_has_the_bits_of_numpy_median(a):
     # ties of signed zeros and NaNs included: which entry a partition puts
     # in the middle decides the bits
-    want = np.median(a, axis=-1, keepdims=True)
-    assert uncertainty._median(a).tobytes() == want.tobytes()
+    with np.errstate(over="ignore"):  # two huge middle entries sum to inf in both
+        want = np.median(a, axis=-1, keepdims=True)
+        assert uncertainty._median(a).tobytes() == want.tobytes()
 
 
 def test_outlier_weights_validation():
