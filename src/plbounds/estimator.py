@@ -267,6 +267,11 @@ class SyntheticEstimatorConfig:
             raise ValueError("miscalibration and sigma_floor must be finite and positive")
         if not all(-1.0 < c < 1.0 for c in self.corr):
             raise ValueError("correlations must lie in (-1, 1)")
+        # with unit scales: every reported scale is positive, so this is
+        # the definiteness of every covariance the estimator reports
+        failed = _covariances(np.ones((1, 3)), np.reshape(self.corr, (1, 3)))[1]
+        if failed:
+            raise ValueError(str(failed[0]))
 
 
 class SyntheticEstimator:
@@ -371,16 +376,17 @@ class FileEstimator:
     ``check_estimates`` call, and is read-only afterwards; a later record
     for a key replaces an earlier one.  It is kept in the derived-input cache
     under the SHA-256 of the file's bytes; ``file_record`` holds that
-    ``sha256``, the number of ``records`` and the ``cache`` outcome.
+    ``sha256``, how it was ``hashed`` (see ``io.file_sha256``), the number of
+    ``records`` and the ``cache`` outcome.
     """
 
     def __init__(self, path: Path | str):
-        sha = io.file_sha256(path)
+        sha, hashed = io.file_sha256(path)
         (self._fields, self._rows), outcome = io.cached(
             "table", sha, ".npz", lambda: _read_table(path),
             lambda entry: _load_table(entry, sha), lambda table, fh: _dump_table(table, sha, fh),
         )
-        self.file_record = {"sha256": sha, "records": len(self._fields[0]) - 1, "cache": outcome}
+        self.file_record = {"sha256": sha, "hashed": hashed, "records": len(self._fields[0]) - 1, "cache": outcome}
 
     def __len__(self) -> int:
         return sum(len(records) for records in self._rows.values())

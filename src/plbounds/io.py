@@ -11,8 +11,10 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import struct
 import tempfile
+import time
 import zipfile
 from functools import cache
 from io import BytesIO
@@ -241,13 +243,48 @@ def read_results_csv(path: Path | str) -> np.ndarray:
 # the derived-input cache
 
 
-def file_sha256(path: Path | str) -> str:
-    """SHA-256 of the file's bytes, read in 1 MB chunks."""
+# A file whose mtime and ctime are both this much older than the moment its
+# hashing began is settled: any later write to it sets a newer ctime, which
+# no user can set back, even where the file system's clock is coarse.  Only
+# a settled file's digest is remembered (git's "racily clean" rule).
+_SETTLED_NS = 2_000_000_000
+
+
+def file_sha256(path: Path | str) -> tuple[str, str]:
+    """SHA-256 of the file's bytes, and how it was found: ``memo``, the
+    digest remembered for the file's unchanged stat data, or ``read``, the
+    bytes read in 1 MB chunks.
+
+    The memo is ``stat-<SHA-256 of the file's real path>.json`` in
+    ``cache_dir()``: the file's ``[st_dev, st_ino, st_size, st_mtime_ns,
+    st_ctime_ns]`` and its ``sha256``.  A read writes it only when the
+    file's stat data did not change while it was read and the file was
+    settled (``_SETTLED_NS``) when the read began.  A memo that cannot be
+    read, or none, means the bytes are read."""
+    stat = _stat_fields(os.stat(path))
+    try:
+        memo = cache_dir() / f"stat-{hashlib.sha256(os.fsencode(os.path.realpath(path))).hexdigest()}.json"
+    except RuntimeError:  # no home directory
+        memo = None
+    if memo is not None:
+        with contextlib.suppress(OSError, ValueError, LookupError, TypeError, RecursionError):
+            doc = json.loads(memo.read_bytes())
+            if doc["stat"] == stat and re.fullmatch("[0-9a-f]{64}", doc["sha256"]):
+                return doc["sha256"], "memo"
+    began = time.time_ns()
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             digest.update(chunk)
-    return digest.hexdigest()
+        unchanged = _stat_fields(os.fstat(fh.fileno())) == stat
+    sha = digest.hexdigest()
+    if memo is not None and unchanged and max(stat[3:]) <= began - _SETTLED_NS:
+        _replace_entry(memo, lambda fh: fh.write(json.dumps({"sha256": sha, "stat": stat}).encode()))
+    return sha, "read"
+
+
+def _stat_fields(stat: os.stat_result) -> list[int]:
+    return [stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns]
 
 
 @cache
@@ -283,14 +320,20 @@ def cached(kind: str, key: str, suffix: str, derive, load, dump):
     with contextlib.suppress(*unreadable, RecursionError):
         return load(entry), "hit"
     value = derive()
+    return value, "miss" if _replace_entry(entry, lambda fh: dump(value, fh)) else "unavailable"
+
+
+def _replace_entry(entry: Path, write) -> bool:
+    """Whether ``write(fh)`` could fill ``entry``: it writes a temporary file
+    beside it, which ``os.replace`` then puts in place."""
     with contextlib.suppress(OSError):
         entry.parent.mkdir(parents=True, exist_ok=True)
         fd, temporary = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                dump(value, fh)
+                write(fh)
             os.replace(temporary, entry)
-            return value, "miss"
+            return True
         finally:
             Path(temporary).unlink(missing_ok=True)
-    return value, "unavailable"
+    return False

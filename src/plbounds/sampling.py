@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -86,13 +87,13 @@ def stream_keys(seeds) -> np.ndarray:
     Seeds that numpy reads as one (T,) or (T, W) integer array, the usual
     case, are chained a word column at a time; any others (ragged seeds,
     words numpy does not hold as integers) word by word in Python, as are
-    fewer than ``_FOLD_BELOW`` seeds, unconverted: their fold is faster
-    than the numpy chain's fixed cost."""
+    fewer than ``_FOLD_BELOW`` seeds: their fold is faster than the numpy
+    chain's fixed cost."""
     try:
-        words = np.array(seeds) if len(seeds) >= _FOLD_BELOW else None
-    except ValueError:  # ragged
+        words = _integer_words(seeds) if len(seeds) >= _FOLD_BELOW else None
+    except (TypeError, ValueError):  # words that do not compare with ints, or compare as arrays
         words = None
-    if words is not None and words.dtype.kind in "iu" and words.ndim in (1, 2):
+    if words is not None:
         if (words < 0).any():
             raise ValueError(f"seed words must be non-negative, got {int(words[words < 0][0])}")
         keys = np.zeros(len(words), dtype=np.uint64)
@@ -110,6 +111,29 @@ def stream_keys(seeds) -> np.ndarray:
                 key = _mix64(((key ^ ((word >> shift) & _M64)) + _GAMMA) & _M64)
         keys.append(key)
     return np.array(keys, dtype=np.uint64)
+
+
+def _integer_words(seeds) -> np.ndarray | None:
+    """The (T,) or (T, W) integer array of ``seeds``, or None where numpy
+    would not hold them as one: ragged seeds, a word of 2**64 or more, or
+    words of 2**63 or more (uint64) mixed with smaller ones (int64), which
+    numpy holds as objects or floats.  Seeds that are not an array are
+    judged by their shape and word range first, then converted as one flat
+    list, which costs numpy less than nested ones."""
+    if isinstance(seeds, np.ndarray):
+        words = seeds
+    else:
+        if isinstance(next(iter(seeds)), (int, np.integer)):
+            flat, shape = seeds, (len(seeds),)
+        elif len(widths := set(map(len, seeds))) == 1:
+            flat, shape = [*chain.from_iterable(seeds)], (len(seeds), *widths)
+        else:
+            return None
+        high = max(flat, default=0)
+        if high >= 1 << 64 or (high >= 1 << 63 and min(flat) < 1 << 63):
+            return None
+        words = np.array(flat).reshape(shape)
+    return words if words.dtype.kind in "iu" and words.ndim in (1, 2) else None
 
 
 def _words(keys: np.ndarray, slots: np.ndarray) -> np.ndarray:

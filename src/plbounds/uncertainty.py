@@ -98,17 +98,17 @@ def precompute_q(
 
 def rotation_uncertainty_from_file(path: Path | str) -> tuple[RotationUncertainty, dict]:
     """``precompute_q(io.read_quaternion_lines(path))``, kept in the derived-input
-    cache under the SHA-256 of the file's bytes.  Returns
-    the tensor and the file's ``sha256``, its ``samples`` and the ``cache``
-    outcome."""
-    sha = io.file_sha256(path)
+    cache under the SHA-256 of the file's bytes.  Returns the tensor and
+    the file's ``sha256``, how it was ``hashed`` (see ``io.file_sha256``),
+    its ``samples`` and the ``cache`` outcome."""
+    sha, hashed = io.file_sha256(path)
 
     def derive() -> tuple[RotationUncertainty, int]:
         samples = io.read_quaternion_lines(path)
         return precompute_q(samples), len(samples)
 
     (tensor, samples), outcome = cached_tensor("rotation", sha, derive)
-    return tensor, {"sha256": sha, "samples": samples, "cache": outcome}
+    return tensor, {"sha256": sha, "hashed": hashed, "samples": samples, "cache": outcome}
 
 
 def cached_tensor(kind: str, sha: str, derive) -> tuple[tuple[RotationUncertainty, int], str]:

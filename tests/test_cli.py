@@ -270,7 +270,10 @@ def scenario_dir(config_path, tmp_path):
 
 @pytest.mark.parametrize(
     "estimator",
-    ['{"corr": [1.5, 0, 0]}', '{"corr": [NaN, 0, 0]}', '{"miscalibration": 1e309}', '{"sigma_noise": [0.1, 1e309, 0.1]}'],
+    [
+        '{"corr": [1.5, 0, 0]}', '{"corr": [NaN, 0, 0]}', '{"miscalibration": 1e309}', '{"sigma_noise": [0.1, 1e309, 0.1]}',
+        '{"corr": [0.9, -0.9, 0.9]}',
+    ],
 )
 def test_an_estimator_config_it_rejects_exits_2_and_writes_nothing(scenario_dir, tmp_path, capsys, estimator):
     path = tmp_path / "estimator.json"
@@ -583,8 +586,8 @@ def test_a_warm_run_writes_the_bytes_of_a_cold_one(scenario_dir, tmp_path, rotat
     warm = _file_run(scenario_dir, tmp_path, rotation_file, "warm")
     sha = hashlib.sha256(rotation_file.read_bytes()).hexdigest()
     assert cold[:2] == (0, warm[1]) and warm[0] == 0 and len(cold[1]) == 3
-    assert cold[2] == {"sha256": sha, "samples": 1200, "cache": "miss"}
-    assert warm[2] == {"sha256": sha, "samples": 1200, "cache": "hit"}
+    assert cold[2] == {"sha256": sha, "hashed": "read", "samples": 1200, "cache": "miss"}
+    assert warm[2] == {"sha256": sha, "hashed": "read", "samples": 1200, "cache": "hit"}
     entry, = _entries(Path(os.environ["XDG_CACHE_HOME"]))
     assert entry.suffix == ".json" and json.loads(entry.read_text())["sha256"] == sha
     # the bytes of a run that derives the tensor itself, with no cache to use
@@ -714,8 +717,8 @@ def test_the_manifest_records_the_table_cold_warm_and_unavailable(
     warm = _table_run(scenario_dir, tmp_path, estimate_table, "warm")
     sha = hashlib.sha256(estimate_table.read_bytes()).hexdigest()
     assert cold[:2] == (0, warm[1]) and warm[0] == 0 and len(cold[1]) == 3
-    assert cold[2] == {"sha256": sha, "records": 29, "cache": "miss"}
-    assert warm[2] == {"sha256": sha, "records": 29, "cache": "hit"}
+    assert cold[2] == {"sha256": sha, "hashed": "read", "records": 29, "cache": "miss"}
+    assert warm[2] == {"sha256": sha, "hashed": "read", "records": 29, "cache": "hit"}
     entry, = _entries(Path(os.environ["XDG_CACHE_HOME"]))
     assert entry.name.startswith("table-") and entry.suffix == ".npz"
     blocked = tmp_path / "blocked"
@@ -728,6 +731,25 @@ def test_the_manifest_records_the_table_cold_warm_and_unavailable(
     assert code == 0 and record["cache"] == "unavailable"
     manifest = json.loads((tmp_path / "synthetic" / "manifest.json").read_text())
     assert "estimator_file" not in manifest and manifest["estimator"] == "synthetic"
+
+
+def test_settled_inputs_are_hashed_from_their_memos(scenario_dir, tmp_path, estimate_table, rotation_file, monkeypatch):
+    # the manifest says where each input's hash came from; a memo changes no byte
+    monkeypatch.setattr(plbounds.io, "_SETTLED_NS", 0)  # every file is settled
+    cfg = dict(RUN_CONFIG, variant="VAR_EO_DIRECTIONAL", estimator={"kind": "file", "path": str(estimate_table)})
+    cfg["rotation_uncertainty"] = {"source": "file", "path": str(rotation_file)}
+    config = tmp_path / "settled_config.json"
+    config.write_text(json.dumps(cfg))
+    runs = []
+    for name in ("cold", "warm"):
+        out = tmp_path / name
+        assert main(["run", str(scenario_dir / "scenario.json"), "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        records = [manifest[key] for key in ("estimator_file", "rotation_file")]
+        runs.append(({f: (out / f).read_bytes() for f in OUTPUTS}, [(r["hashed"], r["cache"]) for r in records]))
+    assert runs[0][0] == runs[1][0] and len(runs[0][0]) == 3
+    assert runs[0][1] == [("read", "miss")] * 2 and runs[1][1] == [("memo", "hit")] * 2
+    assert len([e for e in _entries(Path(os.environ["XDG_CACHE_HOME"])) if e.name.startswith("stat-")]) == 2
 
 
 def test_a_malformed_table_exits_3_and_leaves_no_entry(scenario_dir, tmp_path, estimate_table, capsys):

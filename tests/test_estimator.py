@@ -498,7 +498,7 @@ def test_a_cached_table_has_the_bits_of_its_derivation(tmp_path):
     path = _table(tmp_path / "est.jsonl")
     sha = hashlib.sha256(path.read_bytes()).hexdigest()
     cold = FileEstimator(path)
-    assert cold.file_record == {"sha256": sha, "records": 17, "cache": "miss"}
+    assert cold.file_record == {"sha256": sha, "hashed": "read", "records": 17, "cache": "miss"}
     assert len(cold) == 16 and cold._rows["t000000"][4] == 16
     with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(tmp_path / "other_cache")}):
         _same_table(FileEstimator(path), cold)  # derived again

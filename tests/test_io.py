@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import re
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -278,3 +282,134 @@ def test_results_csv_empty_table(tmp_path):
     path = tmp_path / "r.csv"
     io.write_results_csv([], path)
     assert io.read_results_csv(path).shape == (0, 7)
+
+
+# ---------------------------------------------------------------------------
+# the digest memo
+
+
+def _memos() -> list[Path]:
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "plbounds").glob("stat-*.json"))
+
+
+def _refuse_open(*args, **kwargs):
+    raise AssertionError("opened the file")
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Any file is settled: its times are never later than the clock."""
+    monkeypatch.setattr(io, "_SETTLED_NS", 0)
+
+
+def test_a_settled_files_second_hash_opens_no_file(tmp_path, monkeypatch, settled):
+    path = tmp_path / "input.bin"
+    path.write_bytes(np.random.default_rng(3).bytes(3_000_000))  # three read chunks
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert io.file_sha256(path) == (sha, "read")
+    memo, = _memos()
+    assert memo.name == f"stat-{hashlib.sha256(os.path.realpath(path).encode()).hexdigest()}.json"
+    stat = path.stat()
+    want = [stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns]
+    assert json.loads(memo.read_text()) == {"sha256": sha, "stat": want}
+    monkeypatch.setattr(io, "open", _refuse_open, raising=False)
+    link = tmp_path / "link.bin"
+    link.symlink_to(path)
+    for name in (path, str(path), link):  # one memo for the file's real path
+        assert io.file_sha256(name) == (sha, "memo")
+    assert _memos() == [memo]
+
+
+def test_a_same_size_rewrite_with_its_mtime_restored_gives_the_new_digest(tmp_path, monkeypatch):
+    # a file written more than the settle time before its hash is read;
+    # a rewrite after that always carries a later ctime
+    monkeypatch.setattr(io, "_SETTLED_NS", 20_000_000)
+    path = tmp_path / "input.jsonl"
+    path.write_text("[1.0, 0.0, 0.0, 0.0]\n[0.0, 1.0, 0.0, 0.0]\n")
+    time.sleep(0.05)
+    assert io.file_sha256(path)[1] == "read" and len(_memos()) == 1
+    before = path.stat()
+    path.write_text("[0.0, 1.0, 0.0, 0.0]\n[1.0, 0.0, 0.0, 0.0]\n")  # the two lines swapped
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+    assert after.st_ctime_ns != before.st_ctime_ns  # the only field that shows the rewrite
+    assert io.file_sha256(path) == (hashlib.sha256(path.read_bytes()).hexdigest(), "read")
+
+
+def test_a_file_changed_within_the_settle_window_is_never_memoised(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_SETTLED_NS", 3_600_000_000_000)  # an hour
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"fresh")
+    sha = hashlib.sha256(b"fresh").hexdigest()
+    assert [io.file_sha256(path) for _ in range(2)] == [(sha, "read")] * 2 and _memos() == []
+    # an mtime set back two hours leaves the ctime of the write, which is not settled
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 7_200_000_000_000))
+    assert [io.file_sha256(path) for _ in range(2)] == [(sha, "read")] * 2 and _memos() == []
+
+
+def test_a_stat_that_changes_during_hashing_is_never_memoised(tmp_path, monkeypatch, settled):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"before")
+
+    def open_then_append(name, mode):
+        fh = open(name, mode)
+        with open(name, "ab") as writer:  # a writer that lands as the read begins
+            writer.write(b", after")
+        return fh
+
+    monkeypatch.setattr(io, "open", open_then_append, raising=False)
+    assert io.file_sha256(path) == (hashlib.sha256(b"before, after").hexdigest(), "read")
+    assert _memos() == []
+    monkeypatch.delattr(io, "open")
+    assert io.file_sha256(path) == (hashlib.sha256(b"before, after").hexdigest(), "read")
+    assert len(_memos()) == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: "",
+        lambda doc: json.dumps(doc)[:-9],
+        lambda doc: json.dumps(doc["stat"]),
+        lambda doc: json.dumps(dict(doc, sha256=doc["sha256"].upper())),
+        lambda doc: json.dumps(dict(doc, sha256=doc["sha256"][:-1])),
+        lambda doc: json.dumps(dict(doc, sha256=int(doc["sha256"], 16))),
+        lambda doc: json.dumps(dict(doc, stat=doc["stat"][:-1])),
+        lambda doc: json.dumps({"sha256": doc["sha256"]}),
+        lambda doc: "[" * 100_000,
+    ],
+    ids=["empty", "truncated", "a_list", "upper_case", "short_digest", "digest_number", "short_stat", "no_stat", "deep"],
+)
+def test_a_corrupt_memo_gives_the_true_digest(tmp_path, settled, corrupt):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"input")
+    sha = hashlib.sha256(b"input").hexdigest()
+    assert io.file_sha256(path) == (sha, "read")
+    memo, = _memos()
+    text = memo.read_text()
+    memo.write_text(corrupt(json.loads(text)))
+    assert io.file_sha256(path) == (sha, "read")
+    assert memo.read_text() == text  # written again
+    assert io.file_sha256(path) == (sha, "memo")
+
+
+def test_an_unusable_cache_directory_gives_the_true_digest(tmp_path, monkeypatch, settled):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"input")
+    sha = hashlib.sha256(b"input").hexdigest()
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")  # a cache home that is a file
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    assert [io.file_sha256(path) for _ in range(2)] == [(sha, "read")] * 2
+    assert blocked.read_text() == ""
+
+    def homeless(cls=None):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(Path, "home", classmethod(homeless))
+    assert [io.file_sha256(path) for _ in range(2)] == [(sha, "read")] * 2
+    with pytest.raises(FileNotFoundError):
+        io.file_sha256(tmp_path / "missing.bin")

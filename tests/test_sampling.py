@@ -247,21 +247,54 @@ def test_keys_of_edge_words_are_the_python_splitmix64s():
             assert keys.tolist() == [int(stream_keys([seed])[0]) for seed in seeds]
 
 
-class _Unconvertible(list):
-    """Seeds numpy refuses to turn into an array."""
+@pytest.fixture
+def conversions(monkeypatch):
+    """What ``sampling`` hands ``np.array`` to convert with no dtype given:
+    seeds or their words (the fold's keys are given one)."""
+    converted = []
 
-    def __array__(self, *args, **kwargs):
-        raise AssertionError("converted to an array")
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, obj, *args, **kwargs):
+            if not args and not kwargs:
+                converted.append(obj)
+            return np.array(obj, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "np", Numpy())
+    return converted
 
 
-def test_fewer_seeds_than_the_fold_threshold_are_not_converted():
-    # the fold takes them as they are; from _FOLD_BELOW on numpy is tried
-    seeds = [[7, 2**63 + k] for k in range(sampling._FOLD_BELOW)]
+def test_fewer_seeds_than_the_fold_threshold_are_not_converted(conversions):
+    # the fold takes them as they are; from _FOLD_BELOW on numpy converts
+    # seeds it holds as integers
+    seeds = [[7, 2**62 + k] for k in range(sampling._FOLD_BELOW)]
     for count in range(sampling._FOLD_BELOW):
-        keys = stream_keys(_Unconvertible(seeds[:count]))
+        keys = stream_keys(seeds[:count])
         assert keys.tolist() == [oracles.stream_key(seed) for seed in seeds[:count]]
-    with pytest.raises(AssertionError, match="converted"):
-        stream_keys(_Unconvertible(seeds))
+    assert conversions == []
+    assert stream_keys(seeds).tolist() == [oracles.stream_key(seed) for seed in seeds]
+    assert len(conversions) == 1
+
+
+def test_seeds_numpy_would_not_hold_as_integers_are_not_converted(conversions):
+    # ragged seeds, words of 2**64 or more, and lists mixing words of 2**63
+    # or more with smaller ones take the fold as they are, however many
+    count = 2 * sampling._FOLD_BELOW
+    cases = (
+        [[1, 2], [3]] * count,
+        [[2**64 + k, 3] for k in range(count)],
+        [[7, 2**63 + k] for k in range(count)],
+        [2**63 + k for k in range(count)] + [5],
+        [np.uint64(2**63 + k) for k in range(count)] + [5],
+        [[1, 2], 3] * count,
+        [3, [1, 2]] * count,
+    )
+    for seeds in cases:
+        want = [oracles.stream_key([int(w) for w in (seed if isinstance(seed, list) else [seed])]) for seed in seeds]
+        assert stream_keys(seeds).tolist() == want
+    assert conversions == []
 
 
 def test_a_negative_word_is_rejected_by_an_explicit_check():

@@ -130,7 +130,7 @@ def test_a_cached_tensor_has_the_bits_of_its_derivation(tmp_path):
     sha = hashlib.sha256(path.read_bytes()).hexdigest()
     for outcome in ("miss", "hit", "hit"):
         tensor, record = rotation_uncertainty_from_file(path)
-        assert record == {"sha256": sha, "samples": 1500, "cache": outcome}
+        assert record == {"sha256": sha, "hashed": "read", "samples": 1500, "cache": outcome}
         assert tensor.q.flags.c_contiguous and tensor.q.tobytes() == want.tobytes()
     entry, = (Path(os.environ["XDG_CACHE_HOME"]) / "plbounds").iterdir()
     doc = json.loads(entry.read_text())
