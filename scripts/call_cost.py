@@ -5,7 +5,10 @@ timesteps of a synthetic drive, for every T in --sizes, keeps the fastest
 of --repeats calls per T (the sizes are interleaved, so drifting machine
 load hits every size alike), and fits ``time = fixed + T * marginal`` by
 least squares.  A short call pays mostly the fixed cost; a long one mostly
-the marginal cost.  Run it from a checkout, e.g.
+the marginal cost.  It also counts the Python-level calls (``sys.setprofile``
+"call" events) of one untimed one-timestep call: a proxy for the fixed cost
+that machine load does not move, though numpy's version does.  Run it from a
+checkout, e.g.
 
     PYTHONPATH=src python3 scripts/call_cost.py
     PYTHONPATH=src python3 scripts/call_cost.py --variants VAR_EO --sizes 1 10 100 --repeats 5
@@ -51,7 +54,30 @@ def call_costs(variant: str, sizes, repeats: int, seed: int) -> dict:
             run_sequence(estimator, head, config, rotation)
             best[t] = min(best[t], perf_counter() - start)
     marginal, fixed = np.polyfit(list(best), list(best.values()), 1) if len(best) > 1 else (0.0, best[sizes[0]])
-    return {"seconds": {str(t): s for t, s in best.items()}, "fixed_us": 1e6 * fixed, "marginal_us": 1e6 * marginal}
+    calls = python_calls(run_sequence, estimator, replace(scenario, timesteps=scenario.timesteps[:1]), config, rotation)
+    return {
+        "seconds": {str(t): s for t, s in best.items()},
+        "fixed_us": 1e6 * fixed,
+        "marginal_us": 1e6 * marginal,
+        "python_calls_one_timestep": calls,
+    }
+
+
+def python_calls(function, *args) -> int:
+    """The Python-level calls ``function(*args)`` makes, itself included;
+    calls into C are not counted."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def main(argv=None) -> int:
@@ -69,12 +95,13 @@ def main(argv=None) -> int:
     print(f"timesteps per call {' '.join(map(str, sizes))}; best of {args.repeats}; "
           f"{CANDIDATES} candidates, seed {args.seed}")
     print(f"{'variant':<20} {'fixed us/call':>14} {'us/timestep':>12} {'ms at T=' + str(sizes[0]):>12} "
-          f"{'ms at T=' + str(sizes[-1]):>12}")
+          f"{'ms at T=' + str(sizes[-1]):>12} {'calls at T=1':>13}")
     costs = {}
     for variant in args.variants:
         cost = costs[variant] = call_costs(variant, sizes, args.repeats, args.seed)
         first, last = (1e3 * cost["seconds"][str(t)] for t in (sizes[0], sizes[-1]))
-        print(f"{variant:<20} {cost['fixed_us']:>14.0f} {cost['marginal_us']:>12.1f} {first:>12.2f} {last:>12.2f}")
+        print(f"{variant:<20} {cost['fixed_us']:>14.0f} {cost['marginal_us']:>12.1f} {first:>12.2f} {last:>12.2f} "
+              f"{cost['python_calls_one_timestep']:>13}")
 
     if args.json is not None:
         args.json.write_text(json.dumps(costs, indent=2, sort_keys=True) + "\n")

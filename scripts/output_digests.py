@@ -16,6 +16,10 @@ results.csv.  Two source trees that print the same lines write the same
 bytes.  Run it on each tree, e.g.
 
     PYTHONPATH=src python scripts/output_digests.py --work /tmp/digests
+
+A second run with the same ``--work`` leaves every input whose bytes it
+would not change untouched, so once they have settled `plbounds run` hashes
+them from its memos.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -54,11 +59,28 @@ class _Recorder:
 
 
 def make_inputs(work: Path) -> dict[str, Path]:
-    """Write the scenario and both estimators' configs under ``work``."""
+    """Write the scenario and both estimators' configs under ``work``.
+
+    Each file is written under a temporary name first and replaces the one
+    in ``work`` only if their bytes differ, so an input a previous run left
+    keeps its stat data, and a settled one is hashed from its memo."""
+    with tempfile.TemporaryDirectory(dir=work) as staging:
+        configs = _write_inputs(work, Path(staging))
+        for staged in sorted(Path(staging).rglob("*")):
+            target = work / staged.relative_to(staging)
+            if staged.is_file() and not (target.is_file() and target.read_bytes() == staged.read_bytes()):
+                target.parent.mkdir(parents=True, exist_ok=True)
+                os.replace(staged, target)
+    return configs
+
+
+def _write_inputs(work: Path, staging: Path) -> dict[str, Path]:
+    """Write the inputs under ``staging`` as they are to lie under ``work``:
+    the configs name the paths under ``work``."""
     scenario = plbounds.generate_scenario(
         plbounds.ScenarioConfig(n_timesteps=TIMESTEPS, blocks_x=1, blocks_y=1, wall_density=0.2), SEED
     )
-    plbounds.save_scenario(scenario, work / "scenario")
+    plbounds.save_scenario(scenario, staging / "scenario")
     synthetic = plbounds.SyntheticEstimator(plbounds.SyntheticEstimatorConfig(seed=SEED, **ESTIMATOR))
     recorder = _Recorder(synthetic)
     plbounds.run_sequence(recorder, scenario, plbounds.PipelineConfig(seed=SEED), plbounds.RotationUncertainty.zero())
@@ -69,8 +91,8 @@ def make_inputs(work: Path) -> dict[str, Path]:
         if key == "t000005" and index == 2:
             raw = replace(raw, corr=np.array([0.9, -0.9, 0.9]))
         records.append((key, index, raw))
-    plbounds.write_estimate_records(records, work / "estimates.jsonl")
-    plbounds.io.write_quaternion_lines(synthetic.rotation_residual_samples(5000, SEED), work / "rotation.jsonl")
+    plbounds.write_estimate_records(records, staging / "estimates.jsonl")
+    plbounds.io.write_quaternion_lines(synthetic.rotation_residual_samples(5000, SEED), staging / "rotation.jsonl")
     configs = {
         "synthetic": {"estimator": ESTIMATOR, "rotation_uncertainty": {"n_samples": 5000}},
         "table": {
@@ -78,11 +100,9 @@ def make_inputs(work: Path) -> dict[str, Path]:
             "rotation_uncertainty": {"source": "file", "path": str(work / "rotation.jsonl")},
         },
     }
-    paths = {}
     for name, config in configs.items():
-        paths[name] = work / f"{name}.json"
-        plbounds.io.write_json({"seed": SEED, **config}, paths[name])
-    return paths
+        plbounds.io.write_json({"seed": SEED, **config}, staging / f"{name}.json")
+    return {name: work / f"{name}.json" for name in configs}
 
 
 def _digest(data: bytes | None) -> str:

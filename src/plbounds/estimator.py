@@ -29,7 +29,7 @@ from .geometry import (
     quat_normalize,
     quat_to_matrix,
 )
-from .sampling import stream_keys, stream_normals
+from .sampling import seed_words, stream_keys, stream_normals
 
 RECORD_FIELDS = ("translation_error", "rotation_error", "sigma", "corr")
 
@@ -285,11 +285,12 @@ class SyntheticEstimator:
     scale times ``miscalibration``, so values below 1 simulate an
     overconfident model.
 
-    The noise comes from the counter-based stream keyed on (seed, timestamp
-    bits) (see ``sampling.stream_keys``): candidate i takes the standard
-    normals at slots 6i..6i+5, the first three scaled by ``sigma_noise`` and
-    the last three by ``sigma_rot``.  A candidate's noise therefore depends
-    on neither the other timesteps nor the candidates that follow it, and
+    The noise comes from the counter-based stream keyed on the seed's 64-bit
+    words (``sampling.seed_words``) and the timestamp bits (see
+    ``sampling.stream_keys``): candidate i takes the standard normals at
+    slots 6i..6i+5, the first three scaled by ``sigma_noise`` and the last
+    three by ``sigma_rot``.  A candidate's noise therefore depends on
+    neither the other timesteps nor the candidates that follow it, and
     ``estimate`` and ``estimate_batch`` agree bit for bit.  A context
     without a candidate index takes candidate 0's slots.
     """
@@ -322,10 +323,8 @@ class SyntheticEstimator:
     def _noise(self, ctxs: list[MeasurementContext], slots: np.ndarray) -> np.ndarray:
         """The (T, S) standard normals at ``slots`` of each context's
         (seed, timestamp) stream."""
-        words = [(self.config.seed, _float_key(ctx.timestamp)) for ctx in ctxs]
-        if self.config.seed < 1 << 64:  # one uint64 block: negative timestamps have bits of 2**63 or more
-            words = np.array(words, dtype=np.uint64)
-        return stream_normals(stream_keys(words), slots)
+        seed = seed_words(self.config.seed)
+        return stream_normals(stream_keys([(*seed, _float_key(ctx.timestamp)) for ctx in ctxs]), slots)
 
     def _errors(self, ctxs: list[MeasurementContext], positions, orientations, noise: np.ndarray) -> tuple:
         """Noisy raw estimates of the (T, N, 3) positions and (T, N, 4)

@@ -24,7 +24,7 @@ from .estimator import Estimator, MeasurementContext, SyntheticEstimator, answer
 from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
 from .gmm import GaussianMixture, ProtectionLevelQuery, protection_level, protection_levels_all
 from .metrics import AlarmLimits, IntegrityDiagram, IntegrityReport, integrity_diagram, summarize
-from .sampling import SamplingConfig, apply_offset, sample_candidates
+from .sampling import SamplingConfig, apply_offset, sample_candidates, seed_words
 from .scenario import Scenario, vehicle_frame_error
 from .uncertainty import (
     MIN_ROTATION_SAMPLES,
@@ -282,7 +282,7 @@ def run_sequence(
     if rotation_uncertainty is None:
         rotation_uncertainty = default_rotation_uncertainty(estimator, config)
 
-    steps = len(scenario.timesteps)
+    seed, steps = seed_words(config.seed), len(scenario.timesteps)
     pl, error, theta = np.empty((steps, 3)), np.empty((steps, 3)), np.empty(steps)
     kept, excluded, codes = np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64), np.empty(steps, np.int8)
     exclusions = []
@@ -292,7 +292,7 @@ def run_sequence(
         poses = [ts.estimate_pose for ts in block]
         offsets = None
         if config.variant != "VAR":
-            offsets = sample_candidates(config.sampling, [[config.seed, 2, ts.index] for ts in block])
+            offsets = sample_candidates(config.sampling, [[*seed, 2, ts.index] for ts in block])
         try:
             parts = [run_block(estimator, ctxs, poses, scenario.cloud, offsets, rotation_uncertainty, config)]
         except Exception:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -50,96 +49,53 @@ def draw_offsets(rng: np.random.Generator, n: int, t_max: float, r_max: float) -
 # ---------------------------------------------------------------------------
 # counter-based draws: every value is a pure function of (key, slot)
 
-# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): its golden-ratio
-# increment, and below its finalizer, on Python ints and on uint64 arrays
-_M64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-# the array constants as uint64 scalars: numpy would convert a Python int
-# operand on every call, which costs more than a short array's arithmetic
-_U64_GAMMA, _S1, _M1, _S2, _M2, _S3 = map(np.uint64, (_GAMMA, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
-# the number of seeds from which the numpy chain beats the Python fold
-# (about 6 on a 2-vCPU x86 VM, for seeds of two or three words)
-_FOLD_BELOW = 6
-
-
-def _mix64(x: int) -> int:
-    """The SplitMix64 finalizer of a Python int below 2**64."""
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): its golden-ratio increment
+# and finalizer constants as uint64 scalars, since numpy would convert a Python
+# int operand on every call, which costs more than a short array's arithmetic
+_GAMMA, _S1, _M1, _S2, _M2, _S3 = map(
+    np.uint64, (0x9E3779B97F4A7C15, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)
+)
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """``_mix64`` of each entry of a uint64 array, whose arithmetic wraps
-    modulo 2**64 by itself."""
+    """The SplitMix64 finalizer of each entry of a uint64 array (wrapping modulo 2**64)."""
     x = (x ^ (x >> _S1)) * _M1
     x = (x ^ (x >> _S2)) * _M2
     return x ^ (x >> _S3)
 
 
+def seed_words(seed: int) -> list[int]:
+    """The 64-bit words of a non-negative int, low first: a seed of any
+    width enters ``stream_keys`` as these words."""
+    if (seed := operator.index(seed)) < 0:
+        raise ValueError(f"seeds must be non-negative, got {seed}")
+    return [(seed >> shift) & 0xFFFFFFFFFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 64)]
+
+
 def stream_keys(seeds) -> np.ndarray:
-    """(T,) uint64 keys of T seeds, each a non-negative int or a sequence of
-    them.  The key chains the finalizer over the seed's words: starting from
-    0, ``key = mix64((key ^ word) + gamma)`` for each word, and a word wider
-    than 64 bits is folded in 64 bits at a time, low bits first.  Raises
-    ValueError for a negative word, as numpy's SeedSequence does.
-
-    Seeds that numpy reads as one (T,) or (T, W) integer array, the usual
-    case, are chained a word column at a time; any others (ragged seeds,
-    words numpy does not hold as integers) word by word in Python, as are
-    fewer than ``_FOLD_BELOW`` seeds: their fold is faster than the numpy
-    chain's fixed cost."""
+    """(T,) uint64 keys of T seeds, given as T words or T equal-length rows
+    of words, each in [0, 2**64) (a wider seed enters as its ``seed_words``).
+    The key chains the finalizer over a seed's words: from 0, ``key =
+    mix64((key ^ word) + gamma)`` for each word.  Raises ValueError for a
+    Python int outside [0, 2**64), ragged rows or a negative signed array."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "i" and (seeds < 0).any():  # numpy would wrap it
+        raise ValueError(f"seed words must be non-negative, got {int(seeds[seeds < 0][0])}")
     try:
-        words = _integer_words(seeds) if len(seeds) >= _FOLD_BELOW else None
-    except (TypeError, ValueError):  # words that do not compare with ints, or compare as arrays
-        words = None
-    if words is not None:
-        if (words < 0).any():
-            raise ValueError(f"seed words must be non-negative, got {int(words[words < 0][0])}")
-        keys = np.zeros(len(words), dtype=np.uint64)
-        for column in (words if words.ndim == 2 else words[:, None]).T.astype(np.uint64):
-            keys = _mix64_array((keys ^ column) + _U64_GAMMA)
-        return keys
-    keys = []
-    for seed in seeds:
-        key = 0
-        for word in (seed,) if isinstance(seed, (int, np.integer)) else seed:
-            word = operator.index(word)
-            if word < 0:
-                raise ValueError(f"seed words must be non-negative, got {word}")
-            for shift in range(0, max(word.bit_length(), 1), 64):
-                key = _mix64(((key ^ ((word >> shift) & _M64)) + _GAMMA) & _M64)
-        keys.append(key)
-    return np.array(keys, dtype=np.uint64)
-
-
-def _integer_words(seeds) -> np.ndarray | None:
-    """The (T,) or (T, W) integer array of ``seeds``, or None where numpy
-    would not hold them as one: ragged seeds, a word of 2**64 or more, or
-    words of 2**63 or more (uint64) mixed with smaller ones (int64), which
-    numpy holds as objects or floats.  Seeds that are not an array are
-    judged by their shape and word range first, then converted as one flat
-    list, which costs numpy less than nested ones."""
-    if isinstance(seeds, np.ndarray):
-        words = seeds
-    else:
-        if isinstance(next(iter(seeds)), (int, np.integer)):
-            flat, shape = seeds, (len(seeds),)
-        elif len(widths := set(map(len, seeds))) == 1:
-            flat, shape = [*chain.from_iterable(seeds)], (len(seeds), *widths)
-        else:
-            return None
-        high = max(flat, default=0)
-        if high >= 1 << 64 or (high >= 1 << 63 and min(flat) < 1 << 63):
-            return None
-        words = np.array(flat).reshape(shape)
-    return words if words.dtype.kind in "iu" and words.ndim in (1, 2) else None
+        words = np.array(seeds, dtype=np.uint64)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"seeds must be words in [0, 2**64) or equal-length rows of them: {exc}") from None
+    if words.ndim not in (1, 2):
+        raise ValueError(f"seeds must be words or rows of words, got shape {words.shape}")
+    keys = np.zeros(len(words), dtype=np.uint64)
+    for column in (words if words.ndim == 2 else words[:, None]).T:
+        keys = _mix64_array((keys ^ column) + _GAMMA)
+    return keys
 
 
 def _words(keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """(T, S) words: slot s of key k is ``mix64(k + (s + 1) gamma)``, output
     s of the SplitMix64 generator seeded at k."""
-    return _mix64_array(keys[:, None] + (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA)
+    return _mix64_array(keys[:, None] + (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * _GAMMA)
 
 
 def stream_uniforms(keys: np.ndarray, slots) -> np.ndarray:
@@ -170,7 +126,8 @@ def _euler_zyx(half_angles: np.ndarray) -> np.ndarray:
 def sample_candidates(config: SamplingConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Draw exactly ``n_candidates`` offsets for each of T timesteps,
     deterministically in (seed, config); ``seeds`` holds one seed per
-    timestep (see ``stream_keys``).
+    timestep, a word or an equal-length row of words in [0, 2**64) (see
+    ``stream_keys``).
 
     Returns (T, N, 3) translations and (T, N, 4) scalar-first rotations,
     each offset expressed in the frame of the pose it perturbs.  Candidate

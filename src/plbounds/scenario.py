@@ -224,6 +224,8 @@ def load_scenario(path: Path | str) -> Scenario:
     for k, ts in enumerate(rows):
         try:
             fields = int(ts["index"]), float(ts["timestamp"]), str(ts["payload_key"])
+            if not 0 <= fields[0] < 1 << 63:  # results hold it as int64, and stream keys take it as a word
+                raise ValueError(f"index {fields[0]} is outside [0, 2**63)")
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: timestep {k}: {_problem(exc)}") from None
         try:  # a bad pose raises the lone Pose's ValueError as it is

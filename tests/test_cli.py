@@ -27,7 +27,7 @@ from plbounds.errors import ConfigError
 from plbounds.gmm import ProtectionLevelQuery
 from plbounds.io import read_quaternion_lines, write_results_csv
 from plbounds.metrics import AlarmLimits
-from plbounds.pipeline import PipelineConfig
+from plbounds.pipeline import VARIANTS, PipelineConfig
 from plbounds.sampling import SamplingConfig
 from plbounds.scenario import ScenarioConfig
 
@@ -470,6 +470,20 @@ def test_malformed_scenario_documents_exit_3(config_path, scenario_dir, tmp_path
     argv = ["run", str(scenario), "--config", str(config_path), "--out", str(tmp_path / "run")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(f"input error: {scenario}: {where}")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("index", [-1, 2**63, 2**64 + 3])
+def test_a_timestep_index_outside_int64_exits_3(config_path, scenario_dir, tmp_path, capsys, variant, index):
+    # results hold the index as int64 and stream keys take it as a word, so
+    # the scenario loader rejects it before any variant bounds a timestep
+    doc = json.loads((scenario_dir / "scenario.json").read_text())
+    doc["timesteps"][1]["index"] = index
+    scenario = scenario_dir / "index_scenario.json"
+    scenario.write_text(json.dumps(doc))
+    argv = ["run", str(scenario), "--config", str(config_path), "--out", str(tmp_path / "run"), "--variant", variant]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"input error: {scenario}: timestep 1: index {index} is outside [0, 2**63)\n"
 
 
 def test_pipeline_failure_exits_4(scenario_dir, tmp_path):

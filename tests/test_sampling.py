@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plbounds import sampling
 from plbounds.geometry import Pose, quat_conjugate, quat_normalize, quat_to_matrix
 from plbounds.sampling import (
     SamplingConfig,
     apply_offset,
     sample_candidates,
+    seed_words,
     stream_keys,
     stream_normals,
     stream_uniforms,
@@ -153,7 +153,7 @@ def test_candidate_count_and_uniqueness(seed, n):
 
 def test_block_rows_are_the_single_timestep_draws():
     cfg = SamplingConfig(n_candidates=24)
-    seeds = [[4, 2, k] for k in range(12)] + [0, 99]
+    seeds = [[4, 2, k] for k in range(12)] + [[0, 0, 0], [2**64 - 1, 2, 99]]
     translations, rotations = sample_candidates(cfg, seeds)
     assert translations.shape == (14, 24, 3) and rotations.shape == (14, 24, 4)
     for k, seed in enumerate(seeds):
@@ -179,24 +179,15 @@ def test_rows_do_not_depend_on_the_candidates_that_follow():
         assert without_q[:, 1:].tobytes() == short_q[:, 1:].tobytes()
 
 
-def _random_seeds(rng, count):
-    """Seeds of one to four words, some wider than 64 bits."""
-    seeds = []
-    for _ in range(count):
-        width = int(rng.integers(1, 5))
-        seeds.append([int(rng.integers(0, 2**63)) << int(rng.choice([0, 1, 40, 90])) for _ in range(width)])
-    return seeds
-
-
 def test_keys_and_words_match_the_python_splitmix64():
     rng = np.random.default_rng(40)
-    seeds = _random_seeds(rng, 200) + [[0], [2**64 - 1], [2**64], [1, 2**128 + 5], 7]
+    seeds = rng.integers(0, 2**64, (200, 3), dtype=np.uint64).tolist() + [[0, 0, 0], [2**64 - 1, 2**63, 1]]
     keys = stream_keys(seeds)
     assert keys.dtype == np.uint64 and keys.shape == (len(seeds),)
     slots = np.arange(64)
     uniforms, normals = stream_uniforms(keys, slots), stream_normals(keys, slots)
     for seed, key, u, z in zip(seeds, keys, uniforms, normals):
-        want_key = oracles.stream_key(seed if isinstance(seed, list) else [seed])
+        want_key = oracles.stream_key(seed)
         assert int(key) == want_key
         words = oracles.stream_words(want_key, len(slots))
         assert u.tolist() == [(w >> 11) * 2.0**-53 for w in words]
@@ -209,105 +200,61 @@ def test_keys_and_words_match_the_python_splitmix64():
 
 
 def test_keys_reject_negative_words_and_separate_seeds():
-    for seed in (-1, [3, -2], [0, 2**70, -(2**70)]):
-        with pytest.raises(ValueError, match="non-negative"):
-            stream_keys([seed])
+    for seeds in ([-1], [[3, -2]], [[0, -(2**70)]]):
+        with pytest.raises(ValueError):
+            stream_keys(seeds)
     assert stream_keys([]).shape == (0,)
     assert stream_keys([5])[0] == stream_keys([[5]])[0] == stream_keys([np.int64(5)])[0]
-    distinct = [[1], [2], [1, 2], [2, 1], [1, 2, 0], [0, 1, 2], [2**64 + 1]]
-    assert len({int(k) for k in stream_keys(distinct)}) == len(distinct)
+    distinct = [[1], [2], [1, 2], [2, 1], [1, 2, 0], [0, 1, 2], seed_words(2**64 + 1)]
+    assert len({int(stream_keys([seed])[0]) for seed in distinct}) == len(distinct)
 
 
-def test_keys_of_edge_words_are_the_python_splitmix64s():
-    # the numpy chain takes six or more seeds that numpy reads as one
-    # integer array; fewer seeds, wider words, ragged seeds and mixed lists
-    # take the word-by-word fold, and every seed's key is its own,
-    # whichever way its block went
-    cases = (
-        [[0, 0], [7, 3]],  # an int64 array
-        [[2**64 - 1, 2**63], [2**63, 2**64 - 1]],  # a uint64 array
-        [[0, 0], [2**64 - 1, 0], [0, 2**64 - 1]],  # numpy holds these as floats
-        [[0], [2**64 - 1], [2**63]],
-        [[2**64, 3], [1, 2**64 + 7]],  # wider than 64 bits: folded
-        [[1, 2], [3], [4, 5, 6]],  # ragged
-        [[1, 2], 3],
-        [5, 6, 2**64 - 1],  # scalar seeds
-        [np.int64(5), np.uint64(2**64 - 1)],
-        np.array([[7, 8], [9, 10]]),
-        np.array([7, 8], dtype=np.uint64),
-        [],  # no seeds
-        np.zeros((0, 2), dtype=np.uint64),
+def test_keys_take_words_below_2_64_and_reject_every_other_seed():
+    # the contract of stream_keys, against the Python-int oracle: T words,
+    # or T equal-length rows of words, each in [0, 2**64), as Python ints or
+    # numpy integers.  A wider seed enters as its seed_words, and chaining
+    # those is the oracle's fold of the seed 64 bits at a time
+    rows = [[0, 0], [7, 3], [2**63, 5], [2**64 - 1, 2**63]]
+    accepted = [
+        (rows, rows),  # Python ints, words of 2**63 and above among smaller ones
+        (np.array(rows, dtype=np.uint64), rows),
+        (np.array([[7, 8], [9, 10]]), [[7, 8], [9, 10]]),  # an int64 array without negative entries
+        ([5, 6, 2**64 - 1], [[5], [6], [2**64 - 1]]),  # scalar seeds
+        ([np.int64(5), np.uint64(2**64 - 1)], [[5], [2**64 - 1]]),
+        (np.array([7, 8], dtype=np.uint64), [[7], [8]]),
+        ([], []),
+        (np.zeros((0, 2), dtype=np.uint64), []),
+    ]
+    accepted += [([[*seed_words(seed), 2, 9]], [[seed, 2, 9]]) for seed in (0, 2**64 - 1, 2**64 + 5, 2**128 + 5)]
+    for seeds, want in accepted:
+        keys = stream_keys(seeds)
+        assert keys.dtype == np.uint64 and keys.tolist() == [oracles.stream_key(words) for words in want]
+    assert seed_words(2**128 + 5) == [5, 0, 1] and seed_words(0) == [0]
+    assert seed_words(np.uint64(2**64 - 1)) == [2**64 - 1]
+    rejected = (
+        [2**64], [[1, 2**64]], [-1], [[3, -2]], np.array([[5, -7]]),  # a word outside [0, 2**64)
+        [[1, 2], [3]], [[1, 2], 3], [3, [1, 2]],  # ragged rows, scalars among rows
+        [[[1, 2]]], 5,  # neither words nor rows of them
     )
-    for case in cases:
-        for seeds in (case, np.concatenate([case] * 3) if isinstance(case, np.ndarray) else case * 3):
-            keys = stream_keys(seeds)
-            assert keys.dtype == np.uint64 and keys.shape == (len(seeds),)
-            want = [oracles.stream_key([int(w) for w in (seed if np.ndim(seed) else [seed])]) for seed in seeds]
-            assert keys.tolist() == want
-            assert keys.tolist() == [int(stream_keys([seed])[0]) for seed in seeds]
-
-
-@pytest.fixture
-def conversions(monkeypatch):
-    """What ``sampling`` hands ``np.array`` to convert with no dtype given:
-    seeds or their words (the fold's keys are given one)."""
-    converted = []
-
-    class Numpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def array(self, obj, *args, **kwargs):
-            if not args and not kwargs:
-                converted.append(obj)
-            return np.array(obj, *args, **kwargs)
-
-    monkeypatch.setattr(sampling, "np", Numpy())
-    return converted
-
-
-def test_fewer_seeds_than_the_fold_threshold_are_not_converted(conversions):
-    # the fold takes them as they are; from _FOLD_BELOW on numpy converts
-    # seeds it holds as integers
-    seeds = [[7, 2**62 + k] for k in range(sampling._FOLD_BELOW)]
-    for count in range(sampling._FOLD_BELOW):
-        keys = stream_keys(seeds[:count])
-        assert keys.tolist() == [oracles.stream_key(seed) for seed in seeds[:count]]
-    assert conversions == []
-    assert stream_keys(seeds).tolist() == [oracles.stream_key(seed) for seed in seeds]
-    assert len(conversions) == 1
-
-
-def test_seeds_numpy_would_not_hold_as_integers_are_not_converted(conversions):
-    # ragged seeds, words of 2**64 or more, and lists mixing words of 2**63
-    # or more with smaller ones take the fold as they are, however many
-    count = 2 * sampling._FOLD_BELOW
-    cases = (
-        [[1, 2], [3]] * count,
-        [[2**64 + k, 3] for k in range(count)],
-        [[7, 2**63 + k] for k in range(count)],
-        [2**63 + k for k in range(count)] + [5],
-        [np.uint64(2**63 + k) for k in range(count)] + [5],
-        [[1, 2], 3] * count,
-        [3, [1, 2]] * count,
-    )
-    for seeds in cases:
-        want = [oracles.stream_key([int(w) for w in (seed if isinstance(seed, list) else [seed])]) for seed in seeds]
-        assert stream_keys(seeds).tolist() == want
-    assert conversions == []
+    for seeds in rejected:
+        with pytest.raises(ValueError):
+            stream_keys(seeds)
+    with pytest.raises(ValueError):
+        seed_words(-1)
+    with pytest.raises(TypeError):
+        seed_words(1.0)
 
 
 def test_a_negative_word_is_rejected_by_an_explicit_check():
-    # numpy 2 refuses a negative int as uint64 with OverflowError, numpy
-    # 1.24 wraps it with a DeprecationWarning: neither may decide the error
-    cases = (
-        [[3, -2], [1, 1]], [[1, 1]] * 6 + [[3, -2]], [-1, 4], [4] * 6 + [-1], np.array([[5, -7]]),
-        np.array([[5, 1]] * 6 + [[5, -7]]), [[1, 2], [-(2**70)]], [[2**64, -3]],
-    )
-    for seeds, word in zip(cases, (-2, -2, -1, -1, -7, -7, -(2**70), -3)):
+    # numpy casts a signed array to uint64 by wrapping it, without a warning,
+    # so stream_keys checks a signed array's signs itself.  numpy 2 refuses a
+    # negative Python int as uint64; numpy 1.24 wrapped it with only a
+    # DeprecationWarning, which is why numpy 2 is the floor
+    cases = (np.array([[5, -7]]), np.array([[5, 1]] * 6 + [[5, -7]]), np.array([4] * 6 + [-7]), [-7], [[5, -7]])
+    for seeds in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^seed words must be non-negative, got {word}$"):
+            with pytest.raises(ValueError, match="-7"):
                 stream_keys(seeds)
 
 
