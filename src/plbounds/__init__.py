@@ -19,7 +19,6 @@ from .errors import (
     InsufficientSamples,
     LengthMismatch,
     MissingRecord,
-    NoNominalRecords,
     NonConvergence,
     NotPositiveDefinite,
     PlboundsError,
@@ -38,9 +37,9 @@ from .geometry import (
     quat_to_matrix,
 )
 from .estimator import (
+    LOSS_WEIGHTS,
     Estimator,
     FileEstimator,
-    LossWeights,
     MeasurementContext,
     RawEstimate,
     SyntheticEstimator,
@@ -114,7 +113,6 @@ __all__ = [
     "WeightSumViolation",
     "BracketingFailure",
     "NonConvergence",
-    "NoNominalRecords",
     "TimestepFailure",
     "ConfigError",
     # geometry
@@ -136,7 +134,7 @@ __all__ = [
     "FileEstimator",
     "assemble_covariance",
     "to_vehicle_frame",
-    "LossWeights",
+    "LOSS_WEIGHTS",
     "huber_loss",
     "gaussian_nll",
     "write_estimate_records",

@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__, io
 from .errors import ConfigError, NotPositiveDefinite, PlboundsError
 from .estimator import (
+    LOSS_WEIGHTS,
     FileEstimator,
-    LossWeights,
     RawEstimate,
     SyntheticEstimator,
     SyntheticEstimatorConfig,
@@ -387,7 +387,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out, "calibrate", {"predictions": str(args.predictions)})
 
-    weights = LossWeights()
     residuals = []
     huber_total = nll_total = angular_total = 0.0
     for raw, cov, pred_q, true_t, true_q in rows:
@@ -398,22 +397,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         angular_total += quat_angular_offset(residual)
         residuals.append(residual)
     n = len(residuals)
+    totals = {"alpha_huber": huber_total, "alpha_mle": nll_total, "alpha_angular": angular_total}
     doc = {
         "n_rows": n,
-        "loss_weights": {
-            "alpha_huber": weights.alpha_huber,
-            "alpha_mle": weights.alpha_mle,
-            "alpha_angular": weights.alpha_angular,
-        },
+        "loss_weights": LOSS_WEIGHTS,
         "mean_huber": huber_total / n,
         "mean_mle": nll_total / n,
         "mean_angular": angular_total / n,
-        "mean_total": (
-            weights.alpha_huber * huber_total
-            + weights.alpha_mle * nll_total
-            + weights.alpha_angular * angular_total
-        )
-        / n,
+        "mean_total": sum(LOSS_WEIGHTS[name] * total for name, total in totals.items()) / n,
         "rotation_residuals": "rotation_residuals.jsonl",
     }
     io.write_quaternion_lines(np.asarray(residuals), out / "rotation_residuals.jsonl")

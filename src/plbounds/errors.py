@@ -41,10 +41,6 @@ class NonConvergence(PlboundsError):
     """The quantile solver exhausted its iteration budget."""
 
 
-class NoNominalRecords(PlboundsError):
-    """No record qualifies for the nominal-operation statistic."""
-
-
 class TimestepFailure(PlboundsError):
     """Too few candidate evaluations survived to form a mixture."""
 

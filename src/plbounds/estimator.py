@@ -11,7 +11,6 @@ model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -159,11 +158,8 @@ def to_vehicle_frame(
 # training losses
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    alpha_huber: float = 1.0
-    alpha_mle: float = 1.0
-    alpha_angular: float = 1.0
+# the weight of each training loss in ``calibrate``'s ``mean_total``
+LOSS_WEIGHTS = {"alpha_huber": 1.0, "alpha_mle": 1.0, "alpha_angular": 1.0}
 
 
 def huber_loss(residual: np.ndarray, delta: float = 1.0) -> float:
@@ -381,10 +377,7 @@ class FileEstimator:
 
     def __init__(self, path: Path | str):
         sha, hashed = io.file_sha256(path)
-        (self._fields, self._rows), outcome = io.cached(
-            "table", sha, ".npz", lambda: _read_table(path),
-            lambda entry: _load_table(entry, sha), lambda table, fh: _dump_table(table, sha, fh),
-        )
+        (self._fields, self._rows), outcome = io.cached("table", sha, lambda: _read_table(path), _table)
         self.file_record = {"sha256": sha, "hashed": hashed, "records": len(self._fields[0]) - 1, "cache": outcome}
 
     def __len__(self) -> int:
@@ -464,9 +457,10 @@ def _one_at_a_time(estimator: Estimator, ctxs, positions, orientations, cloud) -
     return (*fields, failed)
 
 
-def _read_table(path: Path | str) -> tuple[tuple, dict[str, dict[int, int]]]:
+def _read_table(path: Path | str) -> tuple[dict[str, np.ndarray], dict]:
     """The checked field stacks of the records in ``path``, with a neutral last
-    row, and each record's row by payload key and candidate index."""
+    row, by field name, and ``rows``: by payload key, the candidate indexes
+    and their rows."""
     records = io.read_jsonl(path)
     try:
         keys = [(str(record["payload_key"]), int(record["candidate_index"])) for record in records]
@@ -479,27 +473,17 @@ def _read_table(path: Path | str) -> tuple[tuple, dict[str, dict[int, int]]]:
     rows: dict[str, dict[int, int]] = {}
     for row, (payload_key, index) in enumerate(keys):
         rows.setdefault(payload_key, {})[index] = row
-    return fields, rows
+    return dict(zip(RECORD_FIELDS, fields)), {"rows": {key: [list(r), list(r.values())] for key, r in rows.items()}}
 
 
-def _dump_table(table: tuple, sha: str, fh) -> None:
-    """A ``_read_table`` result as an ``.npz`` of the field stacks and one JSON
-    text: the file's hash and, by payload key, the indexes and their rows."""
-    fields, rows = table
-    doc = [sha, {key: [list(records), list(records.values())] for key, records in rows.items()}]
-    np.savez(fh, rows=np.array(json.dumps(doc).encode()), **dict(zip(RECORD_FIELDS, fields)))
-
-
-def _load_table(entry: Path, sha: str) -> tuple[tuple, dict[str, dict[int, int]]]:
-    """The table ``_dump_table`` stored for the file of hash ``sha``, checked
-    again but not normalized again; raises ValueError for any other entry."""
-    with np.load(entry, allow_pickle=False) as npz:
-        fields = tuple(npz[name] for name in RECORD_FIELDS)
-        entry_sha, rows = json.loads(npz["rows"][()])
-    neutral = all(f[-1].tolist() == v for f, v in zip(fields, _NEUTRAL.values()))
-    if entry_sha != sha or {f.dtype for f in fields} != {np.dtype(float)} or not neutral:
-        raise ValueError(f"{entry} is not the checked table of {sha}")
-    rows = {key: dict(zip(*pair, strict=True)) for key, pair in rows.items()}
+def _table(arrays: dict[str, np.ndarray], values: dict) -> tuple[tuple, dict[str, dict[int, int]]]:
+    """The field stacks and row index ``_read_table`` derived, checked again
+    but not normalized again; raises ValueError unless the stacks end in the
+    neutral row."""
+    fields = tuple(arrays[name] for name in RECORD_FIELDS)
+    if not all(f[-1].tolist() == v for f, v in zip(fields, _NEUTRAL.values())):
+        raise ValueError("the last row of an estimate table must be neutral")
+    rows = {key: dict(zip(*pair, strict=True)) for key, pair in values["rows"].items()}
     return check_estimates(*fields, (len(fields[0]),), normalized=True), rows
 
 

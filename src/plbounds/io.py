@@ -10,12 +10,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import re
 import struct
 import tempfile
 import time
-import zipfile
 from functools import cache
 from io import BytesIO
 from pathlib import Path
@@ -43,7 +43,7 @@ def read_cloud_bin(path: Path | str) -> PointCloud:
     if len(raw) != expect:
         raise ValueError(f"{path}: expected {expect} bytes for {count} points, got {len(raw)}")
     pts = np.frombuffer(raw, dtype="<f8", offset=8).reshape(count, 3)
-    return PointCloud(pts.astype(float))
+    return PointCloud(pts)  # PointCloud keeps its own copy
 
 
 def write_json(obj, path: Path | str) -> None:
@@ -248,6 +248,9 @@ def read_results_csv(path: Path | str) -> np.ndarray:
 # no user can set back, even where the file system's clock is coarse.  Only
 # a settled file's digest is remembered (git's "racily clean" rule).
 _SETTLED_NS = 2_000_000_000
+# A file in the cache directory that no command has read or written for
+# this long is deleted by the next miss.
+UNUSED_NS = 30 * 24 * 3600 * 1_000_000_000
 
 
 def file_sha256(path: Path | str) -> tuple[str, str]:
@@ -270,6 +273,8 @@ def file_sha256(path: Path | str) -> tuple[str, str]:
         with contextlib.suppress(OSError, ValueError, LookupError, TypeError, RecursionError):
             doc = json.loads(memo.read_bytes())
             if doc["stat"] == stat and re.fullmatch("[0-9a-f]{64}", doc["sha256"]):
+                with contextlib.suppress(OSError):
+                    os.utime(memo)  # used now: see ``UNUSED_NS``
                 return doc["sha256"], "memo"
     began = time.time_ns()
     digest = hashlib.sha256()
@@ -303,24 +308,66 @@ def cache_dir() -> Path:
     return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "plbounds"
 
 
-def cached(kind: str, key: str, suffix: str, derive, load, dump):
-    """``derive()``, kept in ``cache_dir()`` as ``<kind>-<SHA-256 of "<key>
-    <code_tag()>"><suffix>`` (``key`` names the inputs), and ``hit``, ``miss``
-    or ``unavailable`` (no cache directory could be found or written).
+def cached(kind: str, key: str, derive, load):
+    """``load(*derive())``, kept in ``cache_dir()`` as ``<kind>-<SHA-256 of
+    "<key> <code_tag()>">.entry`` (``key`` names the inputs), and ``hit``,
+    ``miss`` or ``unavailable`` (no cache directory could be found or written).
 
-    An entry that ``load(entry)`` cannot read or rejects by raising is a
-    miss.  Only derivations that succeed are stored, by ``dump(value, fh)``
-    into a temporary file that ``os.replace`` puts in place."""
+    ``derive()`` returns a dict of named float64 arrays and a dict of JSON
+    values.  An entry is one JSON line, ``{"key": key, "shapes": {name:
+    shape}, "values": values}``, then each array's little-endian bytes in
+    that order.  ``load(arrays, values)`` checks them as any input is checked
+    and builds the value; an entry that cannot be read, or that ``load``
+    rejects by raising, is a miss.  A hit sets its entry's mtime to now; a
+    miss first deletes every file in the cache directory unused for
+    ``UNUSED_NS``, then stores the derivation, if it succeeds, through a
+    temporary file that ``os.replace`` puts in place."""
     try:
         name = hashlib.sha256(f"{key} {code_tag()}".encode()).hexdigest()
-        entry = cache_dir() / f"{kind}-{name}{suffix}"
+        entry = cache_dir() / f"{kind}-{name}.entry"
     except (OSError, RuntimeError):  # RuntimeError: no home directory
-        return derive(), "unavailable"
-    unreadable = (OSError, EOFError, zipfile.BadZipFile, ValueError, LookupError, TypeError, ArithmeticError)
-    with contextlib.suppress(*unreadable, RecursionError):
-        return load(entry), "hit"
-    value = derive()
-    return value, "miss" if _replace_entry(entry, lambda fh: dump(value, fh)) else "unavailable"
+        return load(*derive()), "unavailable"
+    unreadable = (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RecursionError)
+    with contextlib.suppress(*unreadable):
+        value = load(*_read_entry(entry, key))
+        with contextlib.suppress(OSError):
+            os.utime(entry)
+        return value, "hit"
+    arrays, values = derive()
+    value = load(arrays, values)
+    head = json.dumps({"key": key, "shapes": {n: a.shape for n, a in arrays.items()}, "values": values})
+    data = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values()]
+    _evict_unused(entry.parent)
+    stored = _replace_entry(entry, lambda fh: fh.writelines([head.encode(), b"\n", *data]))
+    return value, "miss" if stored else "unavailable"
+
+
+def _read_entry(entry: Path, key: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and values of the entry ``cached`` wrote for ``key``;
+    raises unless the entry is whole and names ``key``."""
+    with open(entry, "rb") as fh:
+        line, data = fh.readline(), fh.read()
+    head = json.loads(line)
+    if not line.endswith(b"\n") or head["key"] != key:
+        raise ValueError(f"{entry} is not a whole entry of {key!r}")
+    arrays, at = {}, 0
+    for name, shape in head["shapes"].items():
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(data, dtype="<f8", count=count, offset=at).reshape(shape)
+        at += 8 * count
+    if at != len(data):
+        raise ValueError(f"{entry} holds {len(data) - at} bytes beyond its arrays")
+    return arrays, head["values"]
+
+
+def _evict_unused(directory: Path) -> None:
+    """Delete every file in ``directory`` (entries, memos, temporary files) unused for ``UNUSED_NS``."""
+    oldest = time.time_ns() - UNUSED_NS
+    with contextlib.suppress(OSError), os.scandir(directory) as files:
+        for file in files:
+            with contextlib.suppress(OSError):
+                if file.stat(follow_symlinks=False).st_mtime_ns < oldest:
+                    os.unlink(file.path)
 
 
 def _replace_entry(entry: Path, write) -> bool:

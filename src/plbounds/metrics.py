@@ -14,8 +14,6 @@ from typing import Generic, TypeVar
 
 import numpy as np
 
-from .errors import NoNominalRecords
-
 T = TypeVar("T")
 
 DIRECTIONS = ("lateral", "longitudinal", "vertical")
@@ -70,24 +68,19 @@ def _limits(limits: AlarmLimits) -> np.ndarray:
     return np.array([limits.lateral, limits.longitudinal, limits.vertical])
 
 
-def bound_gap(pl: np.ndarray, error: np.ndarray, limits: AlarmLimits, require_nominal: bool = False) -> PerDirection:
-    """Mean slack of the bound, ``pl - |err|``, over nominal records; ``pl``
-    and ``error`` are the (T, 3) bounds and true errors of T records.
-
-    A direction with no nominal record yields None, or raises
-    NoNominalRecords when ``require_nominal`` is set.
-    """
-    return _bound_gap(*_magnitudes(pl, error), limits, require_nominal)
+def bound_gap(pl: np.ndarray, error: np.ndarray, limits: AlarmLimits) -> PerDirection:
+    """Mean slack of the bound, ``pl - |err|``, over nominal records (None in a
+    direction without one); ``pl`` and ``error`` are the (T, 3) bounds and
+    true errors of T records."""
+    return _bound_gap(*_magnitudes(pl, error), limits)
 
 
-def _bound_gap(pl: np.ndarray, err: np.ndarray, limits: AlarmLimits, require_nominal: bool = False) -> PerDirection:
+def _bound_gap(pl: np.ndarray, err: np.ndarray, limits: AlarmLimits) -> PerDirection:
     nominal = ((err <= pl) & (pl <= _limits(limits))).T
     gaps = (pl - err).T
     values = []
-    for name, mask, gap in zip(DIRECTIONS, nominal, gaps):
+    for mask, gap in zip(nominal, gaps):
         if not mask.any():
-            if require_nominal:
-                raise NoNominalRecords(f"no nominal record in the {name} direction")
             values.append(None)
         else:  # np.mean's sum and division, of one axis's 1-D nominal subset at a time
             subset = gap[mask]

@@ -14,11 +14,11 @@ Four pipeline variants are supported:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io
 from .errors import PlboundsError, TimestepFailure
 from .estimator import Estimator, MeasurementContext, SyntheticEstimator, answers, to_vehicle_frame
 from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
@@ -30,7 +30,7 @@ from .uncertainty import (
     MIN_ROTATION_SAMPLES,
     ROTATION_BLOCK,
     RotationUncertainty,
-    cached_tensor,
+    load_tensor,
     outlier_weights,
     precompute_q,
     project_directional,
@@ -251,12 +251,12 @@ def default_rotation_uncertainty(estimator: Estimator, config: PipelineConfig) -
     Anything else falls back to the zero tensor (no inflation).
     """
     if isinstance(estimator, SyntheticEstimator) and estimator.config.sigma_rot > 0.0:
-        def derive() -> tuple[RotationUncertainty, int]:
+        def derive() -> tuple[dict, dict]:
             blocks = estimator.rotation_residual_blocks(config.q_samples, config.seed, ROTATION_BLOCK)
-            return precompute_q(blocks, count=config.q_samples), config.q_samples
+            return {"q": precompute_q(blocks, count=config.q_samples).q}, {"samples": config.q_samples}
 
-        drawn = f"{estimator.config.sigma_rot!r} {config.q_samples} {config.seed}".encode()
-        return cached_tensor("default-rotation", hashlib.sha256(drawn).hexdigest(), derive)[0][0]
+        drawn = f"{estimator.config.sigma_rot!r} {config.q_samples} {config.seed}"
+        return io.cached("default-rotation", drawn, derive, load_tensor)[0][0]
     return RotationUncertainty.zero()
 
 

@@ -13,7 +13,6 @@ Three steps happen between the estimator and the mixture model:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,31 +102,21 @@ def rotation_uncertainty_from_file(path: Path | str) -> tuple[RotationUncertaint
     its ``samples`` and the ``cache`` outcome."""
     sha, hashed = io.file_sha256(path)
 
-    def derive() -> tuple[RotationUncertainty, int]:
+    def derive() -> tuple[dict, dict]:
         samples = io.read_quaternion_lines(path)
-        return precompute_q(samples), len(samples)
+        return {"q": precompute_q(samples).q}, {"samples": len(samples)}
 
-    (tensor, samples), outcome = cached_tensor("rotation", sha, derive)
+    (tensor, samples), outcome = io.cached("rotation", sha, derive, load_tensor)
     return tensor, {"sha256": sha, "hashed": hashed, "samples": samples, "cache": outcome}
 
 
-def cached_tensor(kind: str, sha: str, derive) -> tuple[tuple[RotationUncertainty, int], str]:
-    """``io.cached`` of ``derive()``, a tensor and its sample count, as a JSON
-    entry of the tensor's 81 entries as ``repr``s (which read back with the
-    same bits), the count and ``sha``, the hash of the inputs.  A hit passes
-    the ``RotationUncertainty`` checks and names ``sha``."""
-
-    def load(entry: Path) -> tuple[RotationUncertainty, int]:
-        doc = json.loads(entry.read_text())
-        tensor = RotationUncertainty(np.array(doc["q"], dtype=float))
-        if doc["sha256"] != sha or type(doc["samples"]) is not int:
-            raise ValueError(f"{entry} is not the entry of {sha}")
-        return tensor, doc["samples"]
-
-    def dump(value: tuple[RotationUncertainty, int], fh) -> None:
-        fh.write(json.dumps({"q": value[0].q.tolist(), "samples": value[1], "sha256": sha}).encode())
-
-    return io.cached(kind, sha, ".json", derive, load, dump)
+def load_tensor(arrays: dict[str, np.ndarray], values: dict) -> tuple[RotationUncertainty, int]:
+    """The tensor ``q`` and the integer count of ``samples`` it was reduced
+    from, as ``io.cached`` holds them: the tensor passes the
+    ``RotationUncertainty`` checks."""
+    if type(values["samples"]) is not int:
+        raise ValueError(f"the sample count must be an integer, got {values['samples']!r}")
+    return RotationUncertainty(arrays["q"]), values["samples"]
 
 
 def transform_error(

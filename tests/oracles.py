@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -185,6 +186,33 @@ def outlier_weights_per_column(errors, gamma: float = 0.6745) -> np.ndarray:
         ex = np.exp(logits)
         weights[:, d] = ex / ex.sum()
     return weights
+
+
+# ---------------------------------------------------------------------------
+# derived-input cache entries, by the layout's definition
+
+
+def read_entry(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The JSON header of a cache entry and its arrays: after the header's
+    line, the little-endian float64 values of each array its ``shapes`` name,
+    in that order, and nothing more."""
+    head, newline, data = Path(path).read_bytes().partition(b"\n")
+    doc = json.loads(head)
+    arrays, at = {}, 0
+    for name, shape in doc["shapes"].items():
+        size = 8 * math.prod(shape)
+        arrays[name] = np.frombuffer(data[at : at + size], dtype="<f8").reshape(shape)
+        at += size
+    assert newline and at == len(data)
+    return doc, arrays
+
+
+def write_entry(path, doc, arrays: dict[str, np.ndarray]) -> None:
+    """``doc`` as the header line, its ``shapes`` those of ``arrays``, then
+    the bytes of each array in its own dtype (a float32 array writes half
+    the bytes its shape asks for)."""
+    doc = dict(doc, shapes={name: list(a.shape) for name, a in arrays.items()})
+    Path(path).write_bytes(json.dumps(doc).encode() + b"\n" + b"".join(a.tobytes() for a in arrays.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from plbounds.pipeline import VARIANTS, PipelineConfig
 from plbounds.sampling import SamplingConfig
 from plbounds.scenario import ScenarioConfig
 
+import oracles
+
 RUN_CONFIG = {
     "schema": 1,
     "seed": 4,
@@ -603,7 +605,8 @@ def test_a_warm_run_writes_the_bytes_of_a_cold_one(scenario_dir, tmp_path, rotat
     assert cold[2] == {"sha256": sha, "hashed": "read", "samples": 1200, "cache": "miss"}
     assert warm[2] == {"sha256": sha, "hashed": "read", "samples": 1200, "cache": "hit"}
     entry, = _entries(Path(os.environ["XDG_CACHE_HOME"]))
-    assert entry.suffix == ".json" and json.loads(entry.read_text())["sha256"] == sha
+    assert entry.name.startswith("rotation-") and entry.suffix == ".entry"
+    assert oracles.read_entry(entry)[0]["key"] == sha
     # the bytes of a run that derives the tensor itself, with no cache to use
     settings = load_config(tmp_path / "cold_config.json")
     scenario = plbounds.load_scenario(scenario_dir / "scenario.json")
@@ -627,28 +630,34 @@ def test_a_changed_rotation_file_misses(scenario_dir, tmp_path, rotation_file, m
     assert _file_run(scenario_dir, tmp_path, changed, "fresh")[:2] == (0, outputs)
 
 
+def _rewritten(entry: Path, doc=lambda doc: doc, q=lambda q: q) -> None:
+    header, arrays = oracles.read_entry(entry)
+    oracles.write_entry(entry, doc(header), {"q": q(arrays["q"])})
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda text, doc: text[: len(text) // 2],
-        lambda text, doc: "not json",
-        lambda text, doc: json.dumps(dict(doc, q=np.reshape(doc["q"], (9, 9)).tolist())),
-        lambda text, doc: json.dumps(dict(doc, q=(np.array(doc["q"]) + np.eye(81)[1].reshape(3, 3, 3, 3)).tolist())),
-        lambda text, doc: json.dumps(dict(doc, q=np.full((3, 3, 3, 3), np.nan).tolist())),
-        lambda text, doc: json.dumps(dict(doc, sha256="0" * 64)),
-        lambda text, doc: json.dumps(dict(doc, samples="1200")),
-        lambda text, doc: json.dumps(doc["q"]),
+        lambda entry: entry.write_bytes(entry.read_bytes()[: len(entry.read_bytes()) // 2]),
+        lambda entry: entry.write_bytes(b"not json"),
+        lambda entry: _rewritten(entry, q=lambda q: q.reshape(9, 9)),
+        lambda entry: _rewritten(entry, q=lambda q: q + np.eye(81)[1].reshape(3, 3, 3, 3)),
+        lambda entry: _rewritten(entry, q=lambda q: np.full((3, 3, 3, 3), np.nan)),
+        lambda entry: _rewritten(entry, doc=lambda doc: dict(doc, key="0" * 64)),
+        lambda entry: _rewritten(entry, doc=lambda doc: dict(doc, values={"samples": "1200"})),
+        lambda entry: entry.write_bytes(json.dumps(list(oracles.read_entry(entry)[0].values())).encode() + b"\n"),
     ],
     ids=["truncated", "not_json", "wrong_shape", "asymmetric", "not_finite", "other_file", "samples_text", "not_a_dict"],
 )
 def test_a_corrupt_cache_entry_is_replaced(scenario_dir, tmp_path, rotation_file, corrupt):
     cold = _file_run(scenario_dir, tmp_path, rotation_file, "cold")
     entry, = _entries(Path(os.environ["XDG_CACHE_HOME"]))
-    text = entry.read_text()
-    entry.write_text(corrupt(text, json.loads(text)))
+    stored = entry.read_bytes()
+    corrupt(entry)
+    assert entry.read_bytes() != stored
     code, outputs, record = _file_run(scenario_dir, tmp_path, rotation_file, "again")
     assert (code, outputs, record["cache"]) == (0, cold[1], "miss")
-    assert _entries(Path(os.environ["XDG_CACHE_HOME"])) == [entry] and entry.read_text() == text
+    assert _entries(Path(os.environ["XDG_CACHE_HOME"])) == [entry] and entry.read_bytes() == stored
     assert _file_run(scenario_dir, tmp_path, rotation_file, "warm")[2]["cache"] == "hit"
 
 
@@ -734,7 +743,7 @@ def test_the_manifest_records_the_table_cold_warm_and_unavailable(
     assert cold[2] == {"sha256": sha, "hashed": "read", "records": 29, "cache": "miss"}
     assert warm[2] == {"sha256": sha, "hashed": "read", "records": 29, "cache": "hit"}
     entry, = _entries(Path(os.environ["XDG_CACHE_HOME"]))
-    assert entry.name.startswith("table-") and entry.suffix == ".npz"
+    assert entry.name.startswith("table-") and entry.suffix == ".entry"
     blocked = tmp_path / "blocked"
     blocked.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))

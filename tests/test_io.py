@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plbounds.estimator import SyntheticEstimator, SyntheticEstimatorConfig
 from plbounds.geometry import PointCloud
@@ -413,3 +415,114 @@ def test_an_unusable_cache_directory_gives_the_true_digest(tmp_path, monkeypatch
     assert [io.file_sha256(path) for _ in range(2)] == [(sha, "read")] * 2
     with pytest.raises(FileNotFoundError):
         io.file_sha256(tmp_path / "missing.bin")
+
+
+# ---------------------------------------------------------------------------
+# the derived-input cache
+
+
+def _entries() -> list[Path]:
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "plbounds").glob("*.entry"))
+
+
+def _cached(arrays, values, key="inputs"):
+    """``io.cached`` of ``arrays`` and ``values``, loaded as they are read,
+    and its outcome."""
+    return io.cached("layout", key, lambda: (arrays, values), lambda a, v: (a, v))
+
+
+_bits = st.sampled_from([
+    0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0x7FF0000000000001, 0xFFF4000000000123, 0x7FFDEADBEEF00042,
+]) | st.integers(0, 2**64 - 1)  # -0.0, subnormals, +-inf, NaNs with payload bits, and any other double
+_arrays = hnp.arrays(np.uint64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4), elements=_bits)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), _arrays, max_size=4), st.dictionaries(st.text(max_size=4), _json), st.text())
+def test_an_entry_gives_back_any_arrays_bit_for_bit(words, values, key):
+    arrays = {name: a.view(np.float64) for name, a in words.items()}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"XDG_CACHE_HOME": tmp}):
+        (_, miss), ((got, got_values), hit) = _cached(arrays, values, key), _cached(None, None, key)
+    assert (miss, hit, list(got), got_values) == ("miss", "hit", list(arrays), values)
+    for name, a in arrays.items():
+        assert (got[name].dtype, got[name].shape, got[name].tobytes()) == (np.float64, a.shape, a.tobytes())
+
+
+_ENTRIES = {
+    "arrays": ({"q": np.array([[-0.0, 5e-324], [np.inf, np.nan]]), "none": np.empty((0, 3))}, {"samples": 3}),
+    "only_empty_arrays": ({"none": np.empty((2, 0))}, {}),
+}
+
+
+def _misses_and_is_rewritten(arrays, values, corrupt: bytes) -> None:
+    entry, = _entries()
+    stored = entry.read_bytes()
+    entry.write_bytes(corrupt)
+    assert _cached(arrays, values)[1] == "miss" and entry.read_bytes() == stored
+    assert _cached(arrays, values)[1] == "hit"
+
+
+@pytest.mark.parametrize("name", _ENTRIES)
+def test_an_entry_cut_short_or_grown_is_a_miss_and_is_rewritten(name):
+    arrays, values = _ENTRIES[name]
+    assert _cached(arrays, values)[1] == "miss"
+    stored = _entries()[0].read_bytes()
+    for size in range(len(stored)):
+        _misses_and_is_rewritten(arrays, values, stored[:size])
+    _misses_and_is_rewritten(arrays, values, stored + b"\0")
+
+
+def test_an_entry_with_a_foreign_header_is_a_miss_and_is_rewritten():
+    arrays, values = _ENTRIES["arrays"]
+    assert _cached(arrays, values)[1] == "miss"
+    head, data = _entries()[0].read_bytes().split(b"\n", 1)
+    doc = json.loads(head)
+    for header in (b"{not json", json.dumps(list(doc.values())).encode(), json.dumps(dict(doc, key="other")).encode()):
+        _misses_and_is_rewritten(arrays, values, header + b"\n" + data)
+
+
+_DAY_NS = 86_400_000_000_000
+
+
+def _age(path: Path, days: float) -> None:
+    then = time.time_ns() - int(days * _DAY_NS)
+    os.utime(path, ns=(then, then))
+
+
+def test_a_miss_deletes_the_files_no_command_used_for_30_days(tmp_path, monkeypatch, settled):
+    assert io.UNUSED_NS == 30 * _DAY_NS
+    arrays, values = _ENTRIES["arrays"]
+    cache = Path(os.environ["XDG_CACHE_HOME"]) / "plbounds"
+    assert _cached(arrays, values, "used")[1] == "miss"
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"input")
+    io.file_sha256(path)
+    used = [*_entries(), *_memos()]
+    unused = [cache / "layout-unused.entry", cache / "stat-unused.json", cache / "tmpunused.tmp"]
+    fresh = cache / "layout-fresh.entry"
+    for file in (*unused, fresh):
+        file.write_bytes(b"")
+    for file in (*unused, *used):
+        _age(file, 31)
+    _age(fresh, 29)
+    # a hit, of an entry or of a memo, sets its file's mtime to now and deletes nothing
+    assert _cached(arrays, values, "used")[1] == "hit" and io.file_sha256(path)[1] == "memo"
+    assert all(file.exists() for file in unused)
+    assert _cached(arrays, values, "new")[1] == "miss"
+    new, = set(_entries()) - {*used, fresh}
+    assert sorted(cache.iterdir()) == sorted([*used, fresh, new])
+    # a cache directory that is a file can hold no entry: the value is derived as before
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    (blocked / "plbounds").write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    for _ in range(2):
+        (got, got_values), outcome = _cached(arrays, values, "new")
+        assert (outcome, got is arrays, got_values) == ("unavailable", True, values)
+    assert (blocked / "plbounds").read_bytes() == b""

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plbounds import io
-from plbounds.errors import NoNominalRecords
 from plbounds.metrics import (
     DIRECTIONS,
     AlarmLimits,
@@ -132,8 +131,6 @@ def test_bound_gap_without_nominal_records():
     table = records(*[(1.5, 0.1)] * 3)  # always alarming
     gap = bound_gap(*table, UNIT_LIMITS)
     assert gap.lateral is None and gap.longitudinal is None and gap.vertical is None
-    with pytest.raises(NoNominalRecords):
-        bound_gap(*table, UNIT_LIMITS, require_nominal=True)
 
 
 def test_metrics_reject_empty_lists():

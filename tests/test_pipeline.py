@@ -471,14 +471,17 @@ def test_the_default_tensor_is_derived_once_per_draw(tmp_path, monkeypatch):
         estimator = SyntheticEstimator(SyntheticEstimatorConfig(sigma_rot=sigma_rot, seed=5))
         want = precompute_q(estimator.rotation_residual_samples(cfg.q_samples, cfg.seed)).q
         assert default_rotation_uncertainty(estimator, cfg).q.tobytes() == want.tobytes()
-    entries = sorted(cache.glob("default-rotation-*.json"), key=lambda e: e.stat().st_mtime_ns)
-    assert len(derived) == len(entries) == 4
+    entries = {oracles.read_entry(e)[0]["key"]: e for e in cache.glob("default-rotation-*.entry")}
+    assert len(derived) == len(entries) == 4 and "0.03 2000 23" in entries
     # a corrupt entry is a miss and is replaced; without a cache every call derives
     noisy = SyntheticEstimator(SyntheticEstimatorConfig(sigma_rot=0.03))
     want = precompute_q(noisy.rotation_residual_samples(2000, 23)).q
-    entries[0].write_text(entries[0].read_text().replace('"samples": 2000', '"samples": 2000.0'))
+    entry = entries["0.03 2000 23"]
+    stored = entry.read_bytes()
+    doc, arrays = oracles.read_entry(entry)
+    oracles.write_entry(entry, dict(doc, values={"samples": 2000.0}), arrays)
     assert default_rotation_uncertainty(noisy, config).q.tobytes() == want.tobytes()
-    assert len(derived) == 5 and '"samples": 2000,' in entries[0].read_text()
+    assert len(derived) == 5 and entry.read_bytes() == stored
     (tmp_path / "blocked").write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocked"))
     assert default_rotation_uncertainty(noisy, config).q.tobytes() == want.tobytes()

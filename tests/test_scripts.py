@@ -4,7 +4,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from plbounds.pipeline import VARIANTS
+from plbounds.estimator import SyntheticEstimator, SyntheticEstimatorConfig
+from plbounds.pipeline import VARIANTS, PipelineConfig, run_sequence
+from plbounds.scenario import ScenarioConfig, generate_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,22 +18,34 @@ def _main(name):
     return module.main
 
 
+def _assert_rows_are_the_reports(rows, n_timesteps):
+    scenario = generate_scenario(ScenarioConfig(n_timesteps=n_timesteps), 0)
+    for row in rows:
+        estimator = SyntheticEstimator(SyntheticEstimatorConfig(seed=0, miscalibration=row.pop("miscalibration")))
+        report = run_sequence(estimator, scenario, PipelineConfig(variant=row.pop("variant"), seed=0)).report.to_dict()
+        assert row == {name: report[name] for name in ("failure_rate", "bound_gap", "false_alarm_rate")}
+
+
 def test_run_ablation_reports_every_variant(tmp_path, capsys):
+    # the ablation is the sweep at one overconfident factor over all four variants
     out = tmp_path / "ablation.json"
-    assert _main("run_ablation")(["--timesteps", "5", "--json", str(out)]) == 0
-    reports = json.loads(out.read_text())
-    assert sorted(reports) == sorted(VARIANTS)
-    assert all(report["n_records"] == 5 for report in reports.values())
+    argv = ["--timesteps", "5", "--factors", "0.5", "--variants", *VARIANTS, "--json", str(out)]
+    assert _main("sweep_miscalibration")(argv) == 0
+    rows = json.loads(out.read_text())
+    assert [(row["miscalibration"], row["variant"]) for row in rows] == [(0.5, variant) for variant in VARIANTS]
+    _assert_rows_are_the_reports(rows, 5)
     assert f"wrote {out}" in capsys.readouterr().out
 
 
 def test_sweep_miscalibration_reports_every_factor_and_variant(tmp_path, capsys):
     out = tmp_path / "sweep.json"
-    assert _main("sweep_miscalibration")(["--timesteps", "5", "--factors", "0.5", "1", "--json", str(out)]) == 0
+    argv = ["--timesteps", "5", "--factors", "0.5", "1", "--json", str(out)]
+    assert _main("sweep_miscalibration")(argv) == 0
     rows = json.loads(out.read_text())
     assert [(row["miscalibration"], row["variant"]) for row in rows] == [
         (factor, variant) for factor in (0.5, 1.0) for variant in ("VAR", "VAR_EO")
     ]
+    _assert_rows_are_the_reports(rows, 5)
     assert f"wrote {out}" in capsys.readouterr().out
 
 

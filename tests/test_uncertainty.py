@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 from pathlib import Path
 from unittest import mock
@@ -133,9 +132,10 @@ def test_a_cached_tensor_has_the_bits_of_its_derivation(tmp_path):
         assert record == {"sha256": sha, "hashed": "read", "samples": 1500, "cache": outcome}
         assert tensor.q.flags.c_contiguous and tensor.q.tobytes() == want.tobytes()
     entry, = (Path(os.environ["XDG_CACHE_HOME"]) / "plbounds").iterdir()
-    doc = json.loads(entry.read_text())
-    assert sorted(doc) == ["q", "samples", "sha256"] and (doc["samples"], doc["sha256"]) == (1500, sha)
-    assert all(repr(float(v)) in entry.read_text() for v in want.ravel())
+    doc, arrays = oracles.read_entry(entry)
+    assert entry.name.startswith("rotation-") and entry.suffix == ".entry"
+    assert doc == {"key": sha, "shapes": {"q": [3, 3, 3, 3]}, "values": {"samples": 1500}}
+    assert arrays["q"].tobytes() == want.tobytes()
 
 
 def test_another_code_tag_misses(tmp_path, monkeypatch):
