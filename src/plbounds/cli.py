@@ -332,7 +332,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report = summarize(table[:, 1:4], table[:, 4:7], settings.limits)
     io.write_json(report.to_dict(), out / "report.json")
     manifest.finish(["report.json"])
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(io.json_text(report.to_dict()))
     return 0
 
 

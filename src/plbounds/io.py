@@ -1,8 +1,8 @@
 """File formats (point clouds, quaternion lines, result tables, JSON documents) and the derived-input cache.
 
-All binary formats are little-endian.  JSON documents are written with
-sorted keys and a fixed indentation so identical inputs produce identical
-bytes.
+All binary formats are little-endian.  Every JSON document is written as
+exactly ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, so
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import tempfile
 import time
 from functools import cache
 from io import BytesIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +47,48 @@ def read_cloud_bin(path: Path | str) -> PointCloud:
     return PointCloud(pts)  # PointCloud keeps its own copy
 
 
+def _floatstr(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_SCALAR_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: _floatstr, np.float64: _floatstr}
+_SCALAR_TEXT[bool] = _SCALAR_TEXT[type(None)] = {True: "true", False: "false", None: "null"}.get
+_NUMBERS = {int, float, np.float64, bool}
+
+
+def _text(value, newline: str) -> str:
+    kind = type(value)
+    if kind in _SCALAR_TEXT:
+        return _SCALAR_TEXT[kind](value)
+    if kind not in (dict, list, tuple):
+        raise TypeError(kind)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner, deeper = newline + "  ", newline + "    "
+    if kind is dict:  # a key that is not a str fails to encode
+        items = (f"{_SCALAR_TEXT[str](k)}: {_text(value[k], inner)}" for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # numbers never hold "[", "]" or ", ": the C encoder's compact text of a
+    # list of numbers, or of a matrix of them, needs only its separators indented
+    if (kinds := set(map(type, value))) <= _NUMBERS:
+        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + newline + "]"
+    if kinds <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) <= _NUMBERS:
+        rows = json.dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{deeper}").replace(", ", "," + deeper)
+        return "[" + inner + "[" + deeper + rows + inner + "]" + newline + "]"
+    return "[" + inner + ("," + inner).join(_text(v, inner) for v in value) + newline + "]"
+
+
+def json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, sort_keys=True, indent=2)``, by joins; a document holding anything but exact
+    JSON types (or ``np.float64``) is left whole to ``json.dumps``, so its text or error stays that function's."""
+    with contextlib.suppress(TypeError, RecursionError):
+        return _text(doc, "\n")
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
 def write_json(obj, path: Path | str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json_text(obj) + "\n")
 
 
 def read_json(path: Path | str):

@@ -271,9 +271,9 @@ def run_sequence(
 
     Timesteps are bounded in blocks of up to ``BLOCK_TIMESTEPS`` by
     ``run_block``; a block that raises is bounded again one timestep at a
-    time, and a package error of a timestep is raised again, the same
-    object with ``timestep <k> (payload_key <key>): `` put in front of its
-    message, k counted from 0.
+    time, and a package error or ValueError of a timestep is raised again,
+    the same object with ``timestep <k> (payload_key <key>): `` put in front
+    of its message, k counted from 0.
     Candidate offsets are redrawn per timestep from streams derived
     from the run seed and the timestep index, so results are reproducible
     and do not depend on where blocks start or end.  ``config.threads``
@@ -298,7 +298,7 @@ def run_sequence(
         except Exception:
             # whatever failed, one timestep at a time: the first error in
             # timestep order is then raised as that timestep alone raises it,
-            # a package error with the timestep named in front
+            # a package error or ValueError with the timestep named in front
             parts = []
             for k, (ctx, pose) in enumerate(zip(ctxs, poses)):
                 alone = None if offsets is None else tuple(a[k] for a in offsets)
@@ -306,7 +306,7 @@ def run_sequence(
                     parts.append(
                         run_timestep(estimator, ctx, pose, scenario.cloud, alone, rotation_uncertainty, config)
                     )
-                except PlboundsError as exc:  # the same object, so its type and attributes stay
+                except (PlboundsError, ValueError) as exc:  # the same object, so its type and attributes stay
                     exc.args = (f"timestep {first + k} (payload_key {ctx.payload_key}): {exc}",)
                     raise
         for k, part in enumerate(parts):  # the whole block, or its k-th timestep

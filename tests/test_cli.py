@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import plbounds
-from plbounds import __version__
+from plbounds import __version__, cli
 from plbounds.cli import (
     CALIBRATION_COLUMNS,
     OUT_ENV_VAR,
@@ -298,6 +298,10 @@ def test_run_outputs(config_path, scenario_dir, tmp_path, capsys):
     assert "failure rate" in capsys.readouterr().out
     report = json.loads((out / "report.json").read_text())
     assert report["n_records"] == 5
+    # every JSON document is its canonical encoding, and a newline
+    for path in (out / "diagram.json", out / "report.json", out / "manifest.json", scenario_dir / "scenario.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
 
 
 def test_run_rerun_is_byte_identical(config_path, scenario_dir, tmp_path):
@@ -325,8 +329,9 @@ def test_metrics_reproduces_run_report(config_path, scenario_dir, tmp_path, caps
     assert main(["metrics", str(run_out / "results.csv"), "--config", str(config_path), "--out", str(met_out)]) == 0
     # the CSV stores exact float reprs, so the re-derived report is identical
     assert (met_out / "report.json").read_bytes() == (run_out / "report.json").read_bytes()
-    printed = json.loads(capsys.readouterr().out.split("failure rate")[-1].split("\n", 1)[1])
-    assert printed["n_records"] == 5
+    printed = capsys.readouterr().out.split("failure rate")[-1].split("\n", 1)[1]
+    assert printed == (met_out / "report.json").read_text()  # the document, as it is written
+    assert json.loads(printed)["n_records"] == 5
 
 
 def test_diagram_reproduces_run_diagram(config_path, scenario_dir, tmp_path):
@@ -528,6 +533,33 @@ def test_var_estimate_errors_exit_4(scenario_dir, tmp_path, capsys):
         argv = ["run", str(scenario_dir / "scenario.json"), "--config", str(path), "--out", str(tmp_path / f"run{k}")]
         assert main(argv) == 4
         assert capsys.readouterr().err == f"pipeline failure: {message}\n"
+
+
+class _SpoiledSigma:
+    """Synthetic batch answers with a sigma of -1 for candidate 1 of the
+    timestep at ``timestamp``."""
+
+    def __init__(self, inner, timestamp):
+        self.inner, self.timestamp = inner, timestamp
+
+    def estimate_batch(self, ctxs, positions, orientations, cloud=None):
+        fields = [np.array(a) for a in self.inner.estimate_batch(ctxs, positions, orientations, cloud)]
+        for t, ctx in enumerate(ctxs):
+            if ctx.timestamp == self.timestamp:
+                fields[2][t, 1, 0] = -1.0
+        return tuple(fields)
+
+
+def test_a_bad_estimator_row_exits_3_naming_its_timestep(scenario_dir, config_path, tmp_path, capsys, monkeypatch):
+    build = cli._build_estimator
+    timestamp = plbounds.load_scenario(scenario_dir / "scenario.json").timesteps[3].timestamp
+    monkeypatch.setattr(cli, "_build_estimator", lambda settings: _SpoiledSigma(build(settings), timestamp))
+    capsys.readouterr()
+    argv = ["run", str(scenario_dir / "scenario.json"), "--config", str(config_path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "input error: timestep 3 (payload_key t000003): sigma must be finite and strictly positive\n"
+    )
 
 
 @pytest.mark.parametrize("variant, huge", [("VAR", [0, 1]), ("VAR_E", [1])])

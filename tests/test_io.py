@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -53,6 +54,84 @@ def test_json_deterministic_bytes(tmp_path):
     io.write_json(dict(reversed(list(doc.items()))), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert io.read_json(p1) == doc
+
+
+def _dumps_outcome(encode, doc):
+    """The text ``encode`` gives ``doc``, or the type and message of its error."""
+    try:
+        return encode(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _canonical(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+_JSON_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(-(10**80), 10**80),
+    st.floats(),  # -0.0, NaN and the infinities among them
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2**64, -(2**63)]),
+)
+_AWKWARD = ['"', "\\", "\x00", "\x1f", "\n", "\u2028", "é", "漢", "\U0001f600", ", ", "[", "]"]
+_JSON_TEXT = st.one_of(st.text(), st.lists(st.sampled_from(_AWKWARD)).map("".join))
+_NUMBER_KEYS = st.one_of(st.integers(-9, 9), st.floats(allow_nan=False))  # json.dumps cannot sort them among str keys
+_NOT_JSON = st.sampled_from([np.int64(3), {1, 2}, set(), b"bytes", np.bool_(True)])
+
+
+def _json_values(leaves, keys=_NUMBER_KEYS):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(_JSON_TEXT, inner, max_size=5),
+            st.dictionaries(keys, inner, max_size=3),
+            st.lists(st.one_of(_JSON_NUMBERS, st.booleans()), max_size=6),
+            st.lists(st.lists(st.integers(-5, 10**6), min_size=1, max_size=4), max_size=4),
+            st.lists(st.lists(st.one_of(_JSON_NUMBERS, st.booleans()), max_size=3), max_size=3),
+        ),
+        max_leaves=30,
+    )
+
+
+_JSON_SCALARS = st.one_of(_JSON_NUMBERS, _JSON_TEXT, st.booleans(), st.none())
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_json_values(_JSON_SCALARS))
+def test_json_text_is_the_indented_sorted_dumps(doc):
+    assert io.json_text(doc) == _canonical(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_json_values(st.one_of(_JSON_SCALARS, _NOT_JSON), st.one_of(_NUMBER_KEYS, _JSON_TEXT)))
+def test_json_text_fails_where_dumps_fails(doc):
+    assert _dumps_outcome(io.json_text, doc) == _dumps_outcome(_canonical, doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        np.int64(1), [1, np.int64(2)], [[1, 2], [3, np.int64(4)]], {"a": {"b": {1, 2}}}, [set()], (b"x",),
+        {"k": [np.float32(1.5)]},
+    ],
+)
+def test_json_text_raises_the_type_error_dumps_raises(doc):
+    with pytest.raises(TypeError) as want:
+        _canonical(doc)
+    with pytest.raises(TypeError) as got:
+        io.json_text(doc)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_text_leaves_a_cycle_to_dumps():
+    cycle = {"a": [1]}
+    cycle["a"].append(cycle)
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        io.json_text(cycle)
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -623,22 +623,26 @@ class BatchesThatRaise:
 
 @dataclass
 class OneBadRow:
-    """Synthetic batch answers with entry ``(0, -1, component)`` of one
-    field, by its index in ``RECORD_FIELDS``, set to ``value``, or the
-    answers as they are when ``value`` is None."""
+    """Synthetic batch answers with entry ``(t, candidate, component)`` of
+    one field, by its index in ``RECORD_FIELDS``, set to ``value``, where t
+    is the timestep at ``timestamp``, or the batch's first when that is
+    None; the answers as they are when ``value`` is None."""
 
     inner: SyntheticEstimator
     field_index: int
     value: float | None
     component: int = 0
+    candidate: int = -1
+    timestamp: float | None = None
 
     def estimate(self, ctx, candidate, cloud=None):
         return self.inner.estimate(ctx, candidate, cloud)
 
     def estimate_batch(self, ctxs, positions, orientations, cloud=None):
         fields = [np.array(a) for a in self.inner.estimate_batch(ctxs, positions, orientations, cloud)]
-        if self.value is not None:
-            fields[self.field_index][0, -1, self.component] = self.value
+        for t, ctx in enumerate(ctxs):
+            if self.value is not None and (ctx.timestamp == self.timestamp if self.timestamp is not None else t == 0):
+                fields[self.field_index][t, self.candidate, self.component] = self.value
         return tuple(fields)
 
 
@@ -658,7 +662,8 @@ def test_a_batch_sigma_or_correlation_out_of_range_aborts_the_run(variant):
         (1, 1.5, 0, unit), (1, 0.3, 3, unit), (0, np.nan, 0, finite), (0, np.inf, 0, finite),
     ):
         bad = OneBadRow(synthetic, field_index, value, component)
-        with pytest.raises(ValueError, match=message):
+        # the first timestep's last candidate is bad, so it fails first
+        with pytest.raises(ValueError, match=message.replace("^", r"^timestep 0 \(payload_key t000000\): ")):
             run_sequence(bad, scenario, config, RotationUncertainty.zero())
     # fields that pass go on with their bits
     want = run_sequence(synthetic, scenario, config, RotationUncertainty.zero())
@@ -680,26 +685,47 @@ def test_raising_timestep_in_a_block_raises_its_own_error():
     config = PipelineConfig(sampling=FAST_SAMPLING, seed=3)
     synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
     # a package error excludes every candidate of its timestep, which then
-    # fails, and the sequence names the timestep in front; any other error
-    # is raised as it is
+    # fails, and the sequence names the timestep in front of that failure
+    # and of a ValueError, which stays the same object; any other error is
+    # raised as it is
     cases = (
         (InfeasibleContext("no answer"), TimestepFailure, "0 usable candidates at t=3.0 (minimum 2); candidate 0 excluded"),
         (ValueError("bad answer"), ValueError, "bad answer"),
+        (RuntimeError("broken"), RuntimeError, "broken"),
     )
     for error, raised, message in cases:
-        prefix = "timestep 3 (payload_key t000003): " if raised is TimestepFailure else ""
+        prefix = "" if raised is RuntimeError else "timestep 3 (payload_key t000003): "
         estimator = BatchesThatRaise(synthetic, ts.timestamp, error)
         with pytest.raises(raised) as alone:
             offsets = _offsets(FAST_SAMPLING, [3, 2, 3])
             run_timestep(estimator, ctx, ts.estimate_pose, None, offsets, RotationUncertainty.zero(), config)
+        alone_message = str(alone.value)  # before the sequence renames the same object
         estimator.calls.clear()
         with pytest.raises(raised) as in_block:
             run_sequence(estimator, scenario, config, RotationUncertainty.zero())
         assert type(in_block.value) is raised
-        assert str(in_block.value) == prefix + str(alone.value)
-        assert str(alone.value).startswith(message)
+        assert str(in_block.value) == prefix + alone_message
+        assert alone_message.startswith(message)
+        assert raised is TimestepFailure or in_block.value is error
         # the block, then its timesteps one at a time up to the failing one
         assert estimator.calls == [len(scenario.timesteps), 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "field_index, value, message",
+    [(0, np.nan, "translation_error must be finite"), (2, -1.0, "sigma must be finite and strictly positive")],
+)
+def test_a_bad_estimator_row_names_its_timestep(field_index, value, message):
+    # check_estimates' ValueError gets the timestep and its payload key in
+    # front, as a package error does
+    scenario = _scenario(seed=3)
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
+    estimator = OneBadRow(synthetic, field_index, value, candidate=1, timestamp=scenario.timesteps[3].timestamp)
+    config = PipelineConfig(variant="VAR_EO", sampling=FAST_SAMPLING, seed=3)
+    with pytest.raises(ValueError) as raised:
+        run_sequence(estimator, scenario, config, RotationUncertainty.zero())
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"timestep 3 (payload_key t000003): {message}"
 
 
 def test_a_named_error_is_the_object_the_timestep_raised():
