@@ -7,8 +7,10 @@ load hits every size alike), and fits ``time = fixed + T * marginal`` by
 least squares.  A short call pays mostly the fixed cost; a long one mostly
 the marginal cost.  It also counts the Python-level calls (``sys.setprofile``
 "call" events) of one untimed one-timestep call: a proxy for the fixed cost
-that machine load does not move, though numpy's version does.  Run it from a
-checkout, e.g.
+that machine load does not move, though numpy's version does.  And it
+counts the mixture solver's rounds per solved tail (``cdf_evals_per_quantile``)
+in one untimed call over the largest size: the solver's share of the
+marginal cost, free of machine load.  Run it from a checkout, e.g.
 
     PYTHONPATH=src python3 scripts/call_cost.py
     PYTHONPATH=src python3 scripts/call_cost.py --variants VAR_EO --sizes 1 10 100 --repeats 5
@@ -29,6 +31,7 @@ from time import perf_counter
 
 import numpy as np
 
+from plbounds import gmm
 from plbounds.estimator import SyntheticEstimator, SyntheticEstimatorConfig
 from plbounds.pipeline import VARIANTS, PipelineConfig, default_rotation_uncertainty, run_sequence
 from plbounds.sampling import SamplingConfig
@@ -60,6 +63,7 @@ def call_costs(variant: str, sizes, repeats: int, seed: int) -> dict:
         "fixed_us": 1e6 * fixed,
         "marginal_us": 1e6 * marginal,
         "python_calls_one_timestep": calls,
+        "cdf_evals_per_quantile": cdf_evals_per_quantile(run_sequence, estimator, heads[max(sizes)], config, rotation),
     }
 
 
@@ -80,6 +84,36 @@ def python_calls(function, *args) -> int:
     return calls
 
 
+def cdf_evals_per_quantile(function, *args) -> float:
+    """The mixture CDF evaluations per solved tail that ``function(*args)``
+    makes: the rows of every CDF evaluation in ``gmm._search`` over the rows
+    handed to it, so a tail whose start bracket is one cell wide counts with
+    none; 0 when no tail is solved."""
+    search, cdf = gmm._search, gmm._cdf
+    tails = evaluations = 0
+
+    def counted_cdf(means, *rest):
+        nonlocal evaluations
+        evaluations += len(means)
+        return cdf(means, *rest)
+
+    def counted_search(means, *rest):
+        nonlocal tails
+        tails += len(means)
+        gmm._cdf = counted_cdf
+        try:
+            return search(means, *rest)
+        finally:
+            gmm._cdf = cdf
+
+    gmm._search = counted_search
+    try:
+        function(*args)
+    finally:
+        gmm._search = search
+    return evaluations / tails if tails else 0.0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--variants", nargs="+", choices=VARIANTS, default=list(VARIANTS))
@@ -95,13 +129,13 @@ def main(argv=None) -> int:
     print(f"timesteps per call {' '.join(map(str, sizes))}; best of {args.repeats}; "
           f"{CANDIDATES} candidates, seed {args.seed}")
     print(f"{'variant':<20} {'fixed us/call':>14} {'us/timestep':>12} {'ms at T=' + str(sizes[0]):>12} "
-          f"{'ms at T=' + str(sizes[-1]):>12} {'calls at T=1':>13}")
+          f"{'ms at T=' + str(sizes[-1]):>12} {'calls at T=1':>13} {'CDF evals/tail':>15}")
     costs = {}
     for variant in args.variants:
         cost = costs[variant] = call_costs(variant, sizes, args.repeats, args.seed)
         first, last = (1e3 * cost["seconds"][str(t)] for t in (sizes[0], sizes[-1]))
         print(f"{variant:<20} {cost['fixed_us']:>14.0f} {cost['marginal_us']:>12.1f} {first:>12.2f} {last:>12.2f} "
-              f"{cost['python_calls_one_timestep']:>13}")
+              f"{cost['python_calls_one_timestep']:>13} {cost['cdf_evals_per_quantile']:>15.2f}")
 
     if args.json is not None:
         args.json.write_text(json.dumps(costs, indent=2, sort_keys=True) + "\n")

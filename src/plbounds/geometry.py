@@ -213,9 +213,17 @@ class PointCloud:
             p = p.reshape(-1, 3)
         if p.ndim != 2 or p.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {np.shape(self.points)}")
-        if not np.all(np.isfinite(p)):
+        object.__setattr__(self, "points", self.adopt(np.array(p)).points)  # its own copy
+
+    @classmethod
+    def adopt(cls, points: np.ndarray) -> "PointCloud":
+        """A cloud that keeps ``points``, a fresh (N, 3) float array, not a copy."""
+        if not np.all(np.isfinite(points)):
             raise ValueError("points must be finite")
-        object.__setattr__(self, "points", _readonly(p))
+        points.setflags(write=False)
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "points", points)
+        return cloud
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -5,9 +5,9 @@ position error: the magnitude the error exceeds only with the configured
 integrity risk.  It is computed from the weighted mixture of per-candidate
 error distributions by solving the mixture CDF for both tail quantiles at
 half the risk each and taking the larger magnitude of their outer bracket
-edges.  Each quantile is bracketed on the fixed lattice of multiples of the
-solver tolerance, so a bound is a lattice point and moves monotonically
-with the risk.
+edges.  Each quantile is found on the fixed lattice of multiples of the
+solver tolerance, in the cell bisection would end on (see ``_search``), so
+a bound is a lattice point and moves monotonically with the risk.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import BracketingFailure, LengthMismatch, NonConvergence, WeightSum
 _WEIGHT_TOL = 1e-12
 _START_MARGIN = 1e-10  # probability margin of the start bracket; see _start
 _SQRT2 = math.sqrt(2.0)
+_ITP_SLACK = 4  # ITP's n0: rounds a row may take beyond bisection's ceil(log2 width)
 
 
 @functools.cache
@@ -125,15 +126,19 @@ class ProtectionLevelQuery:
             raise ValueError("max_iterations must be positive")
 
 
-def _cdf(means: np.ndarray, sigmas: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """CDF of each (K, N) mixture row at its own point ``x[k]``."""
+def _cdf(means: np.ndarray, sigmas: np.ndarray, weights: np.ndarray, x: np.ndarray, pdf_weights=None):
+    """CDF of each (K, N) mixture row at its own point ``x[k]``, and the pdf too given ``pdf_weights``."""
     # a stacked (1, N) @ (N, 1) per row keeps the bits of a lone row's dot
     # product, which einsum and sum(axis=1) do not.  Operand layout is part
     # of the bits: numpy picks the BLAS kernel, and with it the order of the
     # sum, from the strides, so these operands stay C-contiguous
     z = x[:, None] - means
     z /= sigmas
-    return (std_normal_cdf(z)[:, None, :] @ weights[:, :, None])[:, 0, 0]
+    cdf = (std_normal_cdf(z)[:, None, :] @ weights[:, :, None])[:, 0, 0]
+    if pdf_weights is None:
+        return cdf
+    z *= -0.5 * z
+    return cdf, (np.exp(z, out=z)[:, None, :] @ pdf_weights[:, :, None])[:, 0, 0]
 
 
 def _start(means: np.ndarray, sigmas: np.ndarray, probabilities, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +153,7 @@ def _start(means: np.ndarray, sigmas: np.ndarray, probabilities, tolerance: floa
     at ``hi * tolerance`` without being evaluated.  This holds while the
     rounding of x is small against every sigma (|mu_i| / sigma_i below
     about 1e5).  A p within eps of 0 or 1, or an end beyond the float range
-    in lattice units, gives non-finite ends, which ``_bisect`` rejects.
+    in lattice units, gives non-finite ends, which ``_search`` rejects.
     """
     p = np.asarray(probabilities, dtype=float)[..., None]
     with np.errstate(over="ignore"):
@@ -157,25 +162,27 @@ def _start(means: np.ndarray, sigmas: np.ndarray, probabilities, tolerance: floa
     return lo, hi
 
 
-def _bisect(
-    means: np.ndarray,
-    sigmas: np.ndarray,
-    weights: np.ndarray,
-    probabilities: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tolerance: float,
-    max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect each row's bracket of lattice indices, with
-    ``cdf(lo * tolerance) < p <= cdf(hi * tolerance)``, down to one cell.
+def _search(means, sigmas, weights, probabilities, lo, hi, tolerance: float, max_iterations: int):
+    """Narrow each row's bracket of lattice indices, with
+    ``cdf(lo * tolerance) < p <= cdf(hi * tolerance)``, to one cell by an ITP
+    search (Oliveira and Takahashi, ACM TOMS 2020) with Newton's step as
+    interpolant.  The first probe is the moment-matched normal's p-quantile,
+    each later one the last probe's Newton estimate, floored if that probe's
+    CDF reached p, else ceiled, then put strictly inside the bracket and, in
+    round j, within ``2^(n - j - 1) - width / 2`` of its midpoint, where
+    ``n = ceil(log2 w) + _ITP_SLACK`` for a start of w cells.  So a bracket
+    is at most ``2^(n - j)`` cells wide before round j, and one cell wide,
+    and done, within n rounds, however poor the Newton estimates.
 
-    The K rows are solved together.  A bracket of w cells is one cell wide
-    after ``ceil(log2 w)`` steps; every row takes as many steps as the
-    widest, because a one-cell bracket's midpoint is its ``lo``, which
-    leaves it as it is.  Since the lattice does not depend on p or on the
-    start, the final cell is the one where the computed CDF crosses p.
-    A bracket with a non-finite end or width raises ``BracketingFailure``.
+    The cell is bisection's: both keep the bracket and probe strictly
+    inside it, so both end on the first lattice point whose computed CDF
+    reaches p, which is unique as that CDF does not decrease along the
+    lattice (the lattice point, subtraction, division, erf, the affine step
+    and the fixed-order dot product with non-negative weights are each
+    monotone under round-to-nearest, and ``_cdf`` gives a point the same
+    bits in any stack).  A non-finite bracket raises ``BracketingFailure``,
+    one bisection would need over ``max_iterations`` halvings to close
+    ``NonConvergence``.
     """
     with np.errstate(invalid="ignore"):
         width = hi - lo
@@ -186,26 +193,46 @@ def _bisect(
     steps = (int(np.max(width, initial=1.0)) - 1).bit_length()
     if steps > max_iterations:
         raise NonConvergence(f"no convergence within {max_iterations} bisection steps (needs {steps})")
-    for _ in range(steps):
-        mid = (lo + hi) // 2
-        above = _cdf(means, sigmas, weights, mid * tolerance) >= probabilities
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+    rows = np.flatnonzero(width > 1.0)
+    if not rows.size:
+        return lo, hi
+    lo, hi = lo.copy(), hi.copy()
+    m, s, w = means[rows], sigmas[rows], weights[rows]
+    p, a, b, gap = np.broadcast_to(probabilities, width.shape)[rows], lo[rows], hi[rows], width[rows] - 1.0
+    ball = np.ldexp(1.0, np.frexp(gap)[1] + (_ITP_SLACK - 1))  # 2^(n - 1): the ball's radius plus half the width
+    pdf_weights = w / (s * math.sqrt(2.0 * math.pi))  # for _cdf's pdf
+    mean = (w * m).sum(axis=1)
+    sd = np.sqrt((w * (s * s + (m - mean[:, None]) ** 2)).sum(axis=1))
+    x = np.floor((mean + sd * std_normal_quantile(p)) / tolerance)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(steps + _ITP_SLACK):
+            reach = np.minimum(ball, gap)
+            x = np.fmin(np.fmax(x, b - reach), a + reach)  # a NaN or infinite estimate goes to an end of the ball
+            cdf, pdf = _cdf(m, s, w, x * tolerance, pdf_weights)
+            above = cdf >= p
+            a, b = np.where(above, a, x), np.where(above, x, b)
+            x -= (cdf - p) / (pdf * tolerance)
+            x = np.where(above, np.floor(x), np.ceil(x))
+            ball *= 0.5
+            gap = b - a - 1.0
+            done = gap < 1.0
+            if done.any():
+                lo[rows[done]], hi[rows[done]] = a[done], b[done]
+                keep = ~done
+                rows, m, s, w, pdf_weights, p, a, b, gap, x, ball = (
+                    v[keep] for v in (rows, m, s, w, pdf_weights, p, a, b, gap, x, ball)
+                )
+                if not rows.size:
+                    break
+    lo[rows], hi[rows] = a, b  # rows left open: lattice indices too large for a float to hold them all
     return lo, hi
 
 
-def _brackets(
-    means: np.ndarray,
-    sigmas: np.ndarray,
-    weights: np.ndarray,
-    probabilities,
-    tolerance: float,
-    max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _brackets(means, sigmas, weights, probabilities, tolerance: float, max_iterations: int):
     """Final brackets ``(lo, hi)``, one lattice cell ``tolerance`` wide, of
     ``cdf_k(x) = probabilities[k]`` for the K mixtures whose components are
     the rows of the (K, N) means, standard deviations and weights, solved
-    together; the edges are multiples of ``tolerance``.
+    together by ``_search``; the edges are multiples of ``tolerance``.
 
     The start bracket comes from the component quantiles (see ``_start``).
     A p too close to 0 or 1 for that starts from the span of the components
@@ -226,16 +253,16 @@ def _brackets(
         outside = p[wide] > _cdf(*rows, hi[wide] * tolerance)  # the CDF is exactly 0 < p at lo
         if outside.any():
             raise BracketingFailure(f"could not bracket probability {p[wide][outside][0]}")
-    lo, hi = _bisect(means, sigmas, weights, p, lo, hi, tolerance, max_iterations)
+    lo, hi = _search(means, sigmas, weights, p, lo, hi, tolerance, max_iterations)
     return lo * tolerance, hi * tolerance
 
 
 def gmm_quantile(
     mixture: GaussianMixture, probability: float, tolerance: float = 1e-4, max_iterations: int = 200
 ) -> float:
-    """Solve one mixture's ``cdf(x) = probability`` for x by bisection on
-    the lattice of multiples of ``tolerance``; returns the midpoint of the
-    final one-cell bracket (see ``_brackets``)."""
+    """Solve one mixture's ``cdf(x) = probability`` for x on the lattice of
+    multiples of ``tolerance``; returns the midpoint of the final one-cell
+    bracket (see ``_brackets``)."""
     mixture = _one(mixture)
     if not 0.0 < probability < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
@@ -249,14 +276,14 @@ def protection_level(
 ) -> float | np.ndarray:
     """Two-sided error bound at the queried integrity risk: a float for one
     mixture, the array of its rows' bounds for a stack, all solved in one
-    bisection.
+    search.
 
     Each tail gets half the risk.  The bound is the larger magnitude of the
     outer edges of the two tail brackets (the upper edge of the ``1 - risk/2``
     bracket, the lower edge of the ``risk/2`` one), so the mass beyond it is
     at most the risk whatever the tolerance.  When a tail's start bracket
     lies beyond every magnitude the other tail's can reach, that tail sets
-    the bound, and only it is bisected; the bound has the bits that solving
+    the bound, and only it is solved; the bound has the bits that solving
     both tails gives.
     """
     half = 0.5 * query.integrity_risk
@@ -268,7 +295,7 @@ def protection_level(
     upper_alone = lo[:, 0] > reach[:, 1]
     lower_alone = -hi[:, 1] > reach[:, 0]
     rows, tails = np.nonzero(np.stack((~lower_alone, ~upper_alone), axis=1))
-    lo[rows, tails], hi[rows, tails] = _bisect(
+    lo[rows, tails], hi[rows, tails] = _search(
         means[rows], sigmas[rows], weights[rows], p[tails], lo[rows, tails], hi[rows, tails],
         query.tolerance, query.max_iterations,
     )
@@ -289,7 +316,7 @@ def protection_levels_all(
 
     Columns are the lateral, longitudinal and vertical sample sets; each
     column forms its own mixture, and all of them are solved in one
-    bisection.
+    search.
     """
     means, variances, weights = (np.asarray(a, dtype=float) for a in (means, variances, weights))
     if not (means.shape == variances.shape == weights.shape) or means.ndim not in (2, 3) or means.shape[-1] != 3:

@@ -36,15 +36,18 @@ def write_cloud_bin(cloud: PointCloud, path: Path | str) -> None:
 
 
 def read_cloud_bin(path: Path | str) -> PointCloud:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise ValueError(f"{path}: truncated point-cloud file")
-    (count,) = struct.unpack_from("<Q", raw)
-    expect = 8 + count * 24
-    if len(raw) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes for {count} points, got {len(raw)}")
-    pts = np.frombuffer(raw, dtype="<f8", offset=8).reshape(count, 3)
-    return PointCloud(pts)  # PointCloud keeps its own copy
+    with open(path, "rb") as fh:
+        head, size = fh.read(8), os.fstat(fh.fileno()).st_size
+        if len(head) < 8:
+            raise ValueError(f"{path}: truncated point-cloud file")
+        (count,) = struct.unpack("<Q", head)
+        expect = 8 + count * 24
+        if size != expect:
+            raise ValueError(f"{path}: expected {expect} bytes for {count} points, got {size}")
+        pts = np.empty((count, 3), dtype="<f8")
+        if fh.readinto(pts) != count * 24:  # the file shrank since fstat
+            raise ValueError(f"{path}: truncated point-cloud file")
+    return PointCloud.adopt(pts)  # read straight into the array the cloud keeps
 
 
 def _floatstr(x: float) -> str:

@@ -273,7 +273,7 @@ def run_sequence(
     ``run_block``; a block that raises is bounded again one timestep at a
     time, and a package error or ValueError of a timestep is raised again,
     the same object with ``timestep <k> (payload_key <key>): `` put in front
-    of its message, k counted from 0.
+    of the message it first had, k counted from 0.
     Candidate offsets are redrawn per timestep from streams derived
     from the run seed and the timestep index, so results are reproducible
     and do not depend on where blocks start or end.  ``config.threads``
@@ -307,7 +307,8 @@ def run_sequence(
                         run_timestep(estimator, ctx, pose, scenario.cloud, alone, rotation_uncertainty, config)
                     )
                 except (PlboundsError, ValueError) as exc:  # the same object, so its type and attributes stay
-                    exc.args = (f"timestep {first + k} (payload_key {ctx.payload_key}): {exc}",)
+                    message = vars(exc).setdefault("_unprefixed_message", str(exc))
+                    exc.args = (f"timestep {first + k} (payload_key {ctx.payload_key}): {message}",)
                     raise
         for k, part in enumerate(parts):  # the whole block, or its k-th timestep
             rows = slice(first + k, first + k + len(part.kept))

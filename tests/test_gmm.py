@@ -1,5 +1,6 @@
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -594,13 +595,13 @@ def test_protection_level_has_the_bits_of_both_tails_solved(rows, n, seed, mirro
 
 
 def test_protection_level_bisects_only_the_tail_that_sets_the_bound(monkeypatch):
-    solved, bisect = [], gmm._bisect
+    solved, search = [], gmm._search
 
     def counted(means, *rest):
-        solved.append(len(means))  # rows bisected
-        return bisect(means, *rest)
+        solved.append(len(means))  # rows searched
+        return search(means, *rest)
 
-    monkeypatch.setattr(gmm, "_bisect", counted)
+    monkeypatch.setattr(gmm, "_search", counted)
     query = ProtectionLevelQuery(integrity_risk=0.01, tolerance=1e-4)
     for means, tails in (([4.0, 4.2], 1), ([-4.0, -4.2], 1), ([-1.0, 1.0], 2)):
         solved.clear()
@@ -648,6 +649,44 @@ def test_a_wider_start_bracket_ends_in_the_same_cell(n, seed, risk, upper, toler
     means, sigmas, weights = _wide_stack(seed, (1, n), spread=5.0)
     p = np.array([1.0 - 0.5 * risk if upper else 0.5 * risk])
     lo, hi = gmm._start(means, sigmas, p, tolerance)
-    want = gmm._bisect(means, sigmas, weights, p, lo, hi, tolerance, 200)
-    got = gmm._bisect(means, sigmas, weights, p, lo - below, hi + above, tolerance, 200)
+    want = gmm._search(means, sigmas, weights, p, lo, hi, tolerance, 200)
+    got = gmm._search(means, sigmas, weights, p, lo - below, hi + above, tolerance, 200)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+_SEARCH_CASES = dict(
+    n=st.integers(1, 96),
+    seed=st.integers(0, 2**32 - 1),
+    risk=st.floats(1e-9, 0.5),
+    tolerance=st.sampled_from([1e-2, 1e-4, 1e-7]),
+    below=st.integers(0, 10**6),
+    above=st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4), **_SEARCH_CASES)
+def test_the_search_ends_on_the_scalar_bisection_cell(rows, n, seed, risk, tolerance, below, above):
+    # rows of both tails solved together, from start brackets widened by up
+    # to a million cells, end where a scalar bisection from its own start does
+    means, sigmas, weights = _wide_stack(seed, (rows, n))
+    p = np.where(np.arange(rows) % 2 == 0, 1.0 - 0.5 * risk, 0.5 * risk)
+    lo, hi = gmm._start(means, sigmas, p, tolerance)
+    lo, hi = gmm._search(means, sigmas, weights, p, lo - below, hi + above, tolerance, 200)
+    for k in range(rows):
+        want = oracles.scalar_bisection(means[k], sigmas[k] ** 2, weights[k], p[k], tolerance, 200)
+        assert (lo[k] * tolerance, hi[k] * tolerance) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(upper=st.booleans(), **_SEARCH_CASES)
+def test_no_row_takes_more_rounds_than_its_budget(n, seed, risk, upper, tolerance, below, above):
+    # one CDF evaluation per round; a row's rounds depend on it alone
+    means, sigmas, weights = _wide_stack(seed, (1, n))
+    p = np.array([1.0 - 0.5 * risk if upper else 0.5 * risk])
+    lo, hi = gmm._start(means, sigmas, p, tolerance)
+    lo, hi = lo - below, hi + above
+    with mock.patch.object(gmm, "_cdf", wraps=gmm._cdf) as cdf:
+        end = gmm._search(means, sigmas, weights, p, lo, hi, tolerance, 200)
+    assert end[1] - end[0] == 1.0
+    assert cdf.call_count <= (int(hi[0] - lo[0]) - 1).bit_length() + gmm._ITP_SLACK

@@ -747,6 +747,26 @@ def test_a_named_error_is_the_object_the_timestep_raised():
     assert str(raised.value) == "timestep 3 (payload_key t000003): code 7"
 
 
+@pytest.mark.parametrize("variant", ["VAR", "VAR_EO"])
+def test_a_stored_error_raised_again_keeps_one_timestep_prefix(variant):
+    # an estimator that raises one stored instance gets one prefix, naming
+    # the timestep that raised it this time, in front of its own message
+    scenario = _scenario(seed=3)
+    synthetic = SyntheticEstimator(SyntheticEstimatorConfig(seed=3))
+    config = PipelineConfig(sampling=FAST_SAMPLING, variant=variant, seed=3)
+    cases = [(ValueError("bad answer"), "bad answer")]
+    if variant == "VAR":  # a package error reaches the sequence as it is only under VAR
+        cases.append((InfeasibleContext("no answer"), "no answer"))
+    for error, message in cases:
+        estimator = BatchesThatRaise(synthetic, error=error)
+        for k in (3, 3, 5):
+            estimator.timestamp = scenario.timesteps[k].timestamp
+            with pytest.raises(type(error)) as raised:
+                run_sequence(estimator, scenario, config, RotationUncertainty.zero())
+            assert raised.value is error
+            assert str(error) == f"timestep {k} (payload_key t{k:06d}): {message}"
+
+
 def test_first_failing_timestep_in_order_is_reported(tmp_path):
     # candidates 1..7 of timesteps 4 and 6 have no record: both fail, 4 is reported
     est = SyntheticEstimator(SyntheticEstimatorConfig(seed=2))

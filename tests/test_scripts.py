@@ -58,4 +58,7 @@ def test_call_cost_fits_every_variant(tmp_path, capsys):
         assert sorted(cost["seconds"]) == ["1", "3"] and min(cost["seconds"].values()) > 0.0
         # two sizes: the line passes through both times
         assert abs(cost["fixed_us"] + 3 * cost["marginal_us"] - 1e6 * cost["seconds"]["3"]) < 1e-3
+    # the sampled variants' mixtures need solver rounds; most VAR tails need none
+    assert costs["VAR"]["cdf_evals_per_quantile"] < 1.0
+    assert all(1.0 < costs[v]["cdf_evals_per_quantile"] <= 8.0 for v in VARIANTS if v != "VAR")
     assert f"wrote {out}" in capsys.readouterr().out
