@@ -200,11 +200,11 @@ def _search(means, sigmas, weights, probabilities, lo, hi, tolerance: float, max
     m, s, w = means[rows], sigmas[rows], weights[rows]
     p, a, b, gap = np.broadcast_to(probabilities, width.shape)[rows], lo[rows], hi[rows], width[rows] - 1.0
     ball = np.ldexp(1.0, np.frexp(gap)[1] + (_ITP_SLACK - 1))  # 2^(n - 1): the ball's radius plus half the width
-    pdf_weights = w / (s * math.sqrt(2.0 * math.pi))  # for _cdf's pdf
-    mean = (w * m).sum(axis=1)
-    sd = np.sqrt((w * (s * s + (m - mean[:, None]) ** 2)).sum(axis=1))
-    x = np.floor((mean + sd * std_normal_quantile(p)) / tolerance)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pdf_weights = w / (s * math.sqrt(2.0 * math.pi))  # for _cdf's pdf
+        mean = (w * m).sum(axis=1)
+        sd = np.sqrt((w * (s * s + (m - mean[:, None]) ** 2)).sum(axis=1))
+        x = np.floor((mean + sd * std_normal_quantile(p)) / tolerance)
         for _ in range(steps + _ITP_SLACK):
             reach = np.minimum(ball, gap)
             x = np.fmin(np.fmax(x, b - reach), a + reach)  # a NaN or infinite estimate goes to an end of the ball

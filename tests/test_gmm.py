@@ -201,6 +201,21 @@ def test_brackets_match_scalar_loop_bit_for_bit():
             assert (lo[k], hi[k]) == want
 
 
+def test_components_whose_spread_squared_overflows_solve_without_a_warning():
+    # the search's first probe squares the components' distances from the
+    # mixture mean, which overflow here; the brackets are still the scalar
+    # bisection's
+    for means in ([0.0, 3e160], [-2e160, 1e160, 3e160]):
+        n = len(means)
+        m = GaussianMixture(means, [1e300] * n, [1.0 / n] * n)
+        for p in (0.005, 0.5, 0.995):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lo, hi = gmm._brackets(*_stacks([m]), [p], 1e158, 200)
+            assert hi[0] - lo[0] == pytest.approx(1e158)
+            assert (lo[0], hi[0]) == oracles.scalar_bisection(m.means, m.variances, m.weights, p, 1e158, 200)
+
+
 def test_one_failing_row_fails_the_solve():
     # components at -5 and +5 span 1e13 cells of 1e-12: 44 steps, beyond 40
     narrow = GaussianMixture([0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
