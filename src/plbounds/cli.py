@@ -73,25 +73,34 @@ class Settings(PipelineConfig):
 
 
 def _pop(section: dict, key: str, default, context: str):
-    """``section[key]``, removed, as the type of ``default`` (a bool must be
-    a JSON boolean, a tuple a list of 3 numbers); ``default`` if absent."""
+    """``section[key]``, removed, as the type of ``default`` (see ``_as``; a
+    tuple takes a list of 3 numbers); ``default`` if absent."""
     if key not in section:
         return default
     value = section.pop(key)
-    if isinstance(default, tuple):
-        if isinstance(value, (list, tuple)) and len(value) == 3:
-            try:
-                return tuple(float(v) for v in value)
-            except (OverflowError, TypeError, ValueError):
-                pass
-        raise ConfigError(f"{context}.{key}: expected a list of 3 numbers, got {value!r}")
-    kind = type(default)
     try:
-        if kind is bool and not isinstance(value, bool):
-            raise TypeError
-        return kind(value)
-    except (OverflowError, TypeError, ValueError):
-        raise ConfigError(f"{context}.{key}: expected {kind.__name__}, got {value!r}") from None
+        if not isinstance(default, tuple):
+            return _as(type(default), value)
+        if isinstance(value, list) and len(value) == 3:
+            return tuple(_as(float, v) for v in value)
+    except (OverflowError, TypeError):
+        pass
+    expected = "a list of 3 numbers" if isinstance(default, tuple) else type(default).__name__
+    raise ConfigError(f"{context}.{key}: expected {expected}, got {value!r}")
+
+
+def _as(kind, value):
+    """The JSON value ``value`` as ``kind``, TypeError if it is not of that
+    type: a bool takes a boolean and a str a string, a float any number and
+    an int one with no fraction (such as 1e5), neither of them a boolean."""
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
+    if not ok:
+        raise TypeError
+    return kind(value)
 
 
 def _fields(section: dict, context: str, cls, names=None) -> dict:

@@ -38,7 +38,8 @@ class BracketingFailure(PlboundsError):
 
 
 class NonConvergence(PlboundsError):
-    """The quantile solver exhausted its iteration budget."""
+    """The solver tolerance is too fine for the quantile search to close a
+    bracket: its lattice indices reach 2^52."""
 
 
 class TimestepFailure(PlboundsError):

@@ -24,6 +24,7 @@ _WEIGHT_TOL = 1e-12
 _START_MARGIN = 1e-10  # probability margin of the start bracket; see _start
 _SQRT2 = math.sqrt(2.0)
 _ITP_SLACK = 4  # ITP's n0: rounds a row may take beyond bisection's ceil(log2 width)
+_INDEX_LIMIT = 2.0**52  # a float holds lattice indices below it and their differences exactly
 
 
 @functools.cache
@@ -111,19 +112,16 @@ def gmm_cdf(mixture: GaussianMixture, x) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class ProtectionLevelQuery:
-    """Integrity risk and solver controls for a protection-level request."""
+    """Integrity risk and solver tolerance for a protection-level request."""
 
     integrity_risk: float = 0.01
     tolerance: float = 1e-4
-    max_iterations: int = 200
 
     def __post_init__(self) -> None:
         if not 1e-9 <= self.integrity_risk < 1.0:
             raise ValueError("integrity_risk must lie in [1e-9, 1)")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 def _cdf(means: np.ndarray, sigmas: np.ndarray, weights: np.ndarray, x: np.ndarray, pdf_weights=None):
@@ -162,7 +160,7 @@ def _start(means: np.ndarray, sigmas: np.ndarray, probabilities, tolerance: floa
     return lo, hi
 
 
-def _search(means, sigmas, weights, probabilities, lo, hi, tolerance: float, max_iterations: int):
+def _search(means, sigmas, weights, probabilities, lo, hi, tolerance: float):
     """Narrow each row's bracket of lattice indices, with
     ``cdf(lo * tolerance) < p <= cdf(hi * tolerance)``, to one cell by an ITP
     search (Oliveira and Takahashi, ACM TOMS 2020) with Newton's step as
@@ -181,8 +179,9 @@ def _search(means, sigmas, weights, probabilities, lo, hi, tolerance: float, max
     and the fixed-order dot product with non-negative weights are each
     monotone under round-to-nearest, and ``_cdf`` gives a point the same
     bits in any stack).  A non-finite bracket raises ``BracketingFailure``,
-    one bisection would need over ``max_iterations`` halvings to close
-    ``NonConvergence``.
+    and a start index of magnitude 2^52 or more ``NonConvergence``: below
+    that every index, width and probe is an integer a float holds exactly,
+    so the n rounds close every row.
     """
     with np.errstate(invalid="ignore"):
         width = hi - lo
@@ -190,9 +189,11 @@ def _search(means, sigmas, weights, probabilities, lo, hi, tolerance: float, max
     if not finite.all():
         p = np.broadcast_to(probabilities, width.shape)[~finite][0]
         raise BracketingFailure(f"could not bracket probability {p}: the start bracket is not finite")
+    ends = np.concatenate((lo, hi))
+    if np.abs(ends).max(initial=0.0) >= _INDEX_LIMIT:
+        index = ends[np.argmax(np.abs(ends))]
+        raise NonConvergence(f"tolerance {tolerance!r} too fine: start lattice index {index:.17g} is not below 2^52")
     steps = (int(np.max(width, initial=1.0)) - 1).bit_length()
-    if steps > max_iterations:
-        raise NonConvergence(f"no convergence within {max_iterations} bisection steps (needs {steps})")
     rows = np.flatnonzero(width > 1.0)
     if not rows.size:
         return lo, hi
@@ -224,51 +225,31 @@ def _search(means, sigmas, weights, probabilities, lo, hi, tolerance: float, max
                 )
                 if not rows.size:
                     break
-    lo[rows], hi[rows] = a, b  # rows left open: lattice indices too large for a float to hold them all
     return lo, hi
 
 
-def _brackets(means, sigmas, weights, probabilities, tolerance: float, max_iterations: int):
-    """Final brackets ``(lo, hi)``, one lattice cell ``tolerance`` wide, of
-    ``cdf_k(x) = probabilities[k]`` for the K mixtures whose components are
-    the rows of the (K, N) means, standard deviations and weights, solved
-    together by ``_search``; the edges are multiples of ``tolerance``.
-
-    The start bracket comes from the component quantiles (see ``_start``).
-    A p too close to 0 or 1 for that starts from the span of the components
-    widened by ten standard deviations, where the normal CDF is exactly 0
-    and 1 in double precision.  A target beyond the CDF at its upper end
-    therefore exceeds the weight sum, which no widening can reach, and
-    raises ``BracketingFailure``.
-    """
-    means, sigmas, weights = (np.ascontiguousarray(a, dtype=float) for a in (means, sigmas, weights))
-    p = np.asarray(probabilities, dtype=float)
-    lo, hi = _start(means, sigmas, p, tolerance)
-    wide = ~(np.isfinite(lo) & np.isfinite(hi))
-    if wide.any():
-        rows = means[wide], sigmas[wide], weights[wide]
-        with np.errstate(over="ignore"):
-            lo[wide] = np.floor(np.min(rows[0] - 10.0 * rows[1], axis=1) / tolerance)
-            hi[wide] = np.ceil(np.max(rows[0] + 10.0 * rows[1], axis=1) / tolerance)
-        outside = p[wide] > _cdf(*rows, hi[wide] * tolerance)  # the CDF is exactly 0 < p at lo
-        if outside.any():
-            raise BracketingFailure(f"could not bracket probability {p[wide][outside][0]}")
-    lo, hi = _search(means, sigmas, weights, p, lo, hi, tolerance, max_iterations)
-    return lo * tolerance, hi * tolerance
-
-
-def gmm_quantile(
-    mixture: GaussianMixture, probability: float, tolerance: float = 1e-4, max_iterations: int = 200
-) -> float:
+def gmm_quantile(mixture: GaussianMixture, probability: float, tolerance=ProtectionLevelQuery.tolerance) -> float:
     """Solve one mixture's ``cdf(x) = probability`` for x on the lattice of
-    multiples of ``tolerance``; returns the midpoint of the final one-cell
-    bracket (see ``_brackets``)."""
+    multiples of ``tolerance`` by ``_search``; returns the midpoint of the
+    final one-cell bracket.  The start bracket comes from the component
+    quantiles (see ``_start``).  A p too close to 0 or 1 for that starts
+    from the components widened by ten standard deviations, where the normal
+    CDF is exactly 0 and 1 in double precision, so a target beyond the CDF
+    at the upper end exceeds the weight sum and raises ``BracketingFailure``.
+    """
     mixture = _one(mixture)
     if not 0.0 < probability < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
-    stack = (mixture.means[None], mixture.sigmas[None], mixture.weights[None])
-    lo, hi = _brackets(*stack, [probability], tolerance, max_iterations)
-    return float(0.5 * (lo[0] + hi[0]))
+    means, sigmas, weights = mixture.means[None], mixture.sigmas[None], mixture.weights[None]
+    lo, hi = _start(means, sigmas, [probability], tolerance)
+    if not (np.isfinite(lo[0]) and np.isfinite(hi[0])):
+        with np.errstate(over="ignore"):
+            lo = np.floor(np.min(means - 10.0 * sigmas, axis=1) / tolerance)
+            hi = np.ceil(np.max(means + 10.0 * sigmas, axis=1) / tolerance)
+        if probability > _cdf(means, sigmas, weights, hi * tolerance)[0]:  # the CDF is exactly 0 < p at lo
+            raise BracketingFailure(f"could not bracket probability {probability}")
+    lo, hi = _search(means, sigmas, weights, [probability], lo, hi, tolerance)
+    return float(0.5 * (lo[0] * tolerance + hi[0] * tolerance))
 
 
 def protection_level(
@@ -296,8 +277,7 @@ def protection_level(
     lower_alone = -hi[:, 1] > reach[:, 0]
     rows, tails = np.nonzero(np.stack((~lower_alone, ~upper_alone), axis=1))
     lo[rows, tails], hi[rows, tails] = _search(
-        means[rows], sigmas[rows], weights[rows], p[tails], lo[rows, tails], hi[rows, tails],
-        query.tolerance, query.max_iterations,
+        means[rows], sigmas[rows], weights[rows], p[tails], lo[rows, tails], hi[rows, tails], query.tolerance
     )
     upper, lower = np.abs(hi[:, 0] * query.tolerance), np.abs(lo[:, 1] * query.tolerance)
     bounds = np.where(lower > upper, lower, upper).reshape(mixture.means.shape[:-1])  # max(upper, lower)

@@ -17,6 +17,7 @@ import numpy as np
 T = TypeVar("T")
 
 DIRECTIONS = ("lateral", "longitudinal", "vertical")
+DIAGRAM_BINS = 40  # default bins per axis of an integrity diagram
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,9 @@ class IntegrityDiagram:
         }
 
 
-def integrity_diagram(pl: np.ndarray, error: np.ndarray, limits: AlarmLimits, bins: int = 40) -> IntegrityDiagram:
+def integrity_diagram(
+    pl: np.ndarray, error: np.ndarray, limits: AlarmLimits, bins: int = DIAGRAM_BINS
+) -> IntegrityDiagram:
     """Bin the (T, 3) bounds and true errors of T records into the
     (|error|, pl) plane, one grid per direction, all three at once.
 

@@ -23,7 +23,7 @@ from .errors import PlboundsError, TimestepFailure
 from .estimator import Estimator, MeasurementContext, SyntheticEstimator, answers, to_vehicle_frame
 from .geometry import PointCloud, Pose, quat_normalize, quat_to_matrix
 from .gmm import GaussianMixture, ProtectionLevelQuery, protection_level, protection_levels_all
-from .metrics import AlarmLimits, IntegrityDiagram, IntegrityReport, integrity_diagram, summarize
+from .metrics import DIAGRAM_BINS, AlarmLimits, IntegrityDiagram, IntegrityReport, integrity_diagram, summarize
 from .sampling import SamplingConfig, apply_offset, sample_candidates, seed_words
 from .scenario import Scenario, vehicle_frame_error
 from .uncertainty import (
@@ -55,7 +55,7 @@ class PipelineConfig:
     threads: int = 1  # accepted and checked; timesteps run one after another
     min_candidates: int = 2
     q_samples: int = 100000
-    diagram_bins: int = 40
+    diagram_bins: int = DIAGRAM_BINS
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -66,6 +66,11 @@ class PipelineConfig:
             raise ValueError("threads must be at least 1")
         if self.min_candidates < 2:
             raise ValueError("min_candidates must be at least 2")
+        if self.variant != "VAR" and self.min_candidates > self.sampling.n_candidates:
+            raise ValueError(
+                f"min_candidates ({self.min_candidates}) exceeds sampling.n_candidates "
+                f"({self.sampling.n_candidates}), so no {self.variant} timestep could be bounded"
+            )
         if self.diagram_bins < 1:
             raise ValueError("diagram_bins must be at least 1")
         if self.q_samples < MIN_ROTATION_SAMPLES:
@@ -182,10 +187,9 @@ def run_block(
         t = int(short[0])
         if config.variant == "VAR":  # the estimate is the only candidate: its error is the timestep's
             raise excluded[t, 0]
-        diagnostics = "; ".join(f"candidate {i} excluded: {excluded[t, i]}" for i in range(n) if (t, i) in excluded)
+        diagnostics = "".join(f"; candidate {i} excluded: {excluded[t, i]}" for i in range(n) if (t, i) in excluded)
         raise TimestepFailure(
-            f"{kept[t]} usable candidates at t={ctxs[t].timestamp} "
-            f"(minimum {config.min_candidates}); {diagnostics}"
+            f"{kept[t]} usable candidates at t={ctxs[t].timestamp} (minimum {config.min_candidates}){diagnostics}"
         )
 
     # timesteps that kept equally many candidates are stacked together

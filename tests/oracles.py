@@ -102,12 +102,13 @@ def scalar_bisection(means, variances, weights, p: float, tolerance: float, max_
     return lo * tolerance, hi * tolerance
 
 
-def midpoint_protection_level(mixture, query):
+def midpoint_protection_level(mixture, query, max_iterations: int = 200):
     """``protection_level`` as the package computed it before it bisected
     on a lattice: both tails of every row bisected together, by midpoints,
     from the components widened by ten standard deviations, until the
-    bracket half-width is below the tolerance; the bound is the larger
-    magnitude of the two outer bracket edges."""
+    bracket half-width is below the tolerance, in at most
+    ``max_iterations`` halvings; the bound is the larger magnitude of the
+    two outer bracket edges."""
     from plbounds.gmm import std_normal_cdf
 
     half = 0.5 * query.integrity_risk
@@ -124,12 +125,12 @@ def midpoint_protection_level(mixture, query):
     hi = np.max(means + 10.0 * sigmas, axis=1)
     if not ((cdf(lo) <= p) & (p <= cdf(hi))).all():
         raise ArithmeticError("could not bracket a tail probability")
-    for iterations in range(query.max_iterations + 1):
+    for iterations in range(max_iterations + 1):
         active = 0.5 * (hi - lo) > query.tolerance
         if not active.any():
             break
-        if iterations == query.max_iterations:
-            raise ArithmeticError(f"no convergence within {query.max_iterations} bisection steps")
+        if iterations == max_iterations:
+            raise ArithmeticError(f"no convergence within {max_iterations} bisection steps")
         mid = 0.5 * (lo + hi)
         above = cdf(mid) >= p
         hi = np.where(active & above, mid, hi)

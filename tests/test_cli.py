@@ -165,6 +165,22 @@ def test_load_config_rejections(tmp_path):
         {"estimator": {"corr": [0.0, 0.0]}},
         {"seed": -3},
         {"estimator": {"seed": -3}},
+        # a value keeps its JSON type: no fraction, string or bool converts
+        {"seed": 2.7},
+        {"scenario": {"n_timesteps": 3.9}},
+        {"seed": "5"},
+        {"seed": True},
+        {"limits": {"lateral": True}},
+        {"query": {"tolerance": "1e-4"}},
+        {"estimator": {"sigma_noise": [0.1, True, 0.1]}},
+        {"estimator": {"kind": "file", "path": 5}},
+        # a tolerance must be finite (Python's parser reads NaN and Infinity)
+        {"query": {"tolerance": float("nan")}},
+        {"query": {"tolerance": float("inf")}},
+        # no sampled timestep could keep 30 of 24 candidates
+        {"pipeline": {"min_candidates": 30}},
+        # the solver has no iteration limit to set
+        {"query": {"max_iterations": 200}},
     ]
     for idx, doc in enumerate(cases):
         path = tmp_path / f"bad{idx}.json"
@@ -179,6 +195,13 @@ def test_load_config_rejections(tmp_path):
     fewest = tmp_path / "fewest.json"
     fewest.write_text(json.dumps({"rotation_uncertainty": {"n_samples": 1000}}))
     assert load_config(fewest).q_samples == 1000
+    integral = tmp_path / "integral.json"  # an integer written as a number with no fraction
+    integral.write_text(json.dumps({"seed": 1e5, "query": {"tolerance": 1}, "variant": "VAR", "pipeline": {"min_candidates": 30}}))
+    settings = load_config(integral)
+    assert type(settings.seed) is int and settings.seed == 100000
+    assert type(settings.query.tolerance) is float and settings.query.tolerance == 1.0
+    with pytest.raises(ConfigError, match="command line: min_candidates"):
+        _apply_overrides(settings, argparse.Namespace(variant="VAR_EO"))
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{broken")
     with pytest.raises(ConfigError):

@@ -148,9 +148,11 @@ def test_quantile_probability_domain():
 
 
 def test_quantile_non_convergence():
+    # the start bracket of 1.96 on a 1e-16 lattice reaches index 2e16 > 2^52
     m = GaussianMixture([0.0], [1.0], [1.0])
-    with pytest.raises(NonConvergence):
-        gmm_quantile(m, 0.975, tolerance=1e-12, max_iterations=1)
+    with pytest.raises(NonConvergence, match="tolerance 1e-16 too fine"):
+        gmm_quantile(m, 0.975, tolerance=1e-16)
+    assert abs(gmm_quantile(m, 0.975, tolerance=1e-15) - Z_975) <= 1e-15
 
 
 def test_a_bracket_beyond_the_float_range_fails_cleanly():
@@ -181,6 +183,14 @@ def _stacks(mixtures):
     return [np.stack([getattr(m, name) for m in mixtures]) for name in ("means", "sigmas", "weights")]
 
 
+def _brackets(means, sigmas, weights, probabilities, tolerance):
+    """Final brackets ``(lo, hi)`` of each (K, N) row's quantile, searched
+    together from their start brackets, in lengths, not lattice indices."""
+    lo, hi = gmm._start(means, sigmas, probabilities, tolerance)
+    lo, hi = gmm._search(means, sigmas, weights, probabilities, lo, hi, tolerance)
+    return lo * tolerance, hi * tolerance
+
+
 def test_brackets_match_scalar_loop_bit_for_bit():
     # rows converge after different numbers of steps (different widths and
     # probabilities).  Half the targets are the CDF at a lattice point inside
@@ -195,7 +205,7 @@ def test_brackets_match_scalar_loop_bit_for_bit():
             m = mixtures[k]
             lo, hi = gmm._start(m.means, m.sigmas, probabilities[k], tolerance)
             probabilities[k] = gmm_cdf(m, float((lo + hi) // 2 * tolerance))
-        lo, hi = gmm._brackets(*_stacks(mixtures), probabilities, tolerance, 200)
+        lo, hi = _brackets(*_stacks(mixtures), probabilities, tolerance)
         for k, (m, p) in enumerate(zip(mixtures, probabilities)):
             want = oracles.scalar_bisection(m.means, m.variances, m.weights, p, tolerance, 200)
             assert (lo[k], hi[k]) == want
@@ -211,23 +221,71 @@ def test_components_whose_spread_squared_overflows_solve_without_a_warning():
         for p in (0.005, 0.5, 0.995):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                lo, hi = gmm._brackets(*_stacks([m]), [p], 1e158, 200)
+                lo, hi = _brackets(*_stacks([m]), [p], 1e158)
             assert hi[0] - lo[0] == pytest.approx(1e158)
             assert (lo[0], hi[0]) == oracles.scalar_bisection(m.means, m.variances, m.weights, p, 1e158, 200)
 
 
 def test_one_failing_row_fails_the_solve():
-    # components at -5 and +5 span 1e13 cells of 1e-12: 44 steps, beyond 40
+    # on a 1e-15 lattice the narrow rows' start brackets stay within 2e15
+    # cells of 0, below 2^52 (4.5e15), and the wide row's reaches -5e16
     narrow = GaussianMixture([0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
-    wide = GaussianMixture([-5.0, 5.0], [1.0, 1.0], [0.5, 0.5])
-    with pytest.raises(NonConvergence):
-        gmm._brackets(*_stacks([narrow, wide]), [0.975, 0.5], 1e-12, 40)
-    gmm._brackets(*_stacks([narrow, narrow]), [0.975, 0.5], 1e-12, 40)
+    wide = GaussianMixture([-50.0, 50.0], [1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(NonConvergence, match="start lattice index -5"):
+        _brackets(*_stacks([narrow, wide]), [0.975, 0.5], 1e-15)
+    lo, hi = _brackets(*_stacks([narrow, narrow]), [0.975, 0.5], 1e-15)
+    assert hi - lo == pytest.approx([1e-15, 1e-15])
     # the CDF tops out at the weight sum, 1 - 5e-13, below this target
-    m = GaussianMixture([0.0], [1.0], [1.0])
     short = GaussianMixture([1.0], [1.0], [1.0 - 5e-13])
-    with pytest.raises(BracketingFailure):
-        gmm._brackets(*_stacks([m, short]), [0.5, 1.0 - 1e-14], 1e-4, 200)
+    with pytest.raises(BracketingFailure, match="could not bracket probability 0.99999999999999"):
+        gmm_quantile(short, 1.0 - 1e-14)
+
+
+def test_quantile_within_the_start_margin_of_0_or_1_starts_ten_sigmas_out():
+    # p - 1e-10 or p + 1e-10 leaves (0, 1), so the component quantiles give
+    # no start bracket; the scalar loop starts ten standard deviations out
+    m = GaussianMixture([-1.0, 2.0], [0.25, 2.25], [0.3, 0.7])
+    for p in (1e-12, 1.0 - 1e-12):
+        assert not np.isfinite(gmm._start(m.means, m.sigmas, p, 1e-4)).all()
+        for tolerance in (1e-2, 1e-4, 1e-9):
+            lo, hi = oracles.scalar_bisection(m.means, m.variances, m.weights, p, tolerance, 200)
+            assert gmm_quantile(m, p, tolerance) == 0.5 * (lo + hi)
+    # the wider component's tails, beyond six of its standard deviations
+    assert gmm_quantile(m, 1e-12) < 2.0 - 6.0 * 1.5 and gmm_quantile(m, 1.0 - 1e-12) > 2.0 + 6.0 * 1.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.05, 2.0), st.floats(0.1, 1.0)), min_size=1, max_size=6),
+    risk=st.floats(1e-9, 0.5),
+    exponent=st.floats(-30.0, -2.0),
+)
+@example(data=[(0.0, 1.0, 1.0)], risk=0.01, exponent=-20.0)
+@example(data=[(0.0, 1.0, 1.0)], risk=0.01, exponent=-15.0)
+def test_a_solve_closes_each_searched_tail_or_raises_non_convergence(data, risk, exponent):
+    # tolerances from 1e-2 down to 1e-30 of the bound: the searched tails
+    # all end one lattice cell wide, or, exactly when a start bracket's
+    # index reaches 2^52, the solve raises NonConvergence
+    means, sigmas, weights = (np.array(column) for column in zip(*data))
+    m = GaussianMixture(means, sigmas**2, weights / weights.sum())
+    magnitude = protection_level(m, ProtectionLevelQuery(integrity_risk=risk, tolerance=1e-6))
+    query = ProtectionLevelQuery(integrity_risk=risk, tolerance=magnitude * 10.0**exponent)
+    starts, ends, search = [], [], gmm._search
+
+    def recorded(means, sigmas, weights, p, lo, hi, *rest):
+        starts.append(np.concatenate((lo, hi)))
+        ends.append(search(means, sigmas, weights, p, lo, hi, *rest))
+        return ends[-1]
+
+    with mock.patch.object(gmm, "_search", recorded):
+        try:
+            protection_level(m, query)
+        except NonConvergence:
+            assert not ends
+        else:
+            assert len(ends) == 1 and np.all(ends[0][1] - ends[0][0] == 1.0)
+    assert len(starts) == 1
+    assert (np.abs(starts[0]).max() >= 2.0**52) == (not ends)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +340,11 @@ def test_query_validation():
         ProtectionLevelQuery(integrity_risk=0.0)
     with pytest.raises(ValueError):
         ProtectionLevelQuery(integrity_risk=1.0)
-    with pytest.raises(ValueError):
-        ProtectionLevelQuery(tolerance=0.0)
-    with pytest.raises(ValueError):
-        ProtectionLevelQuery(max_iterations=0)
+    for tolerance in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ProtectionLevelQuery(tolerance=tolerance)
+    with pytest.raises(TypeError):  # the search's round budget follows from the lattice
+        ProtectionLevelQuery(max_iterations=200)
 
 
 def test_protection_levels_all_matches_per_column():
@@ -602,7 +661,7 @@ def test_protection_level_has_the_bits_of_both_tails_solved(rows, n, seed, mirro
     query = ProtectionLevelQuery(integrity_risk=risk, tolerance=tolerance)
     half = 0.5 * risk
     tails = [np.repeat(a, 2, axis=0) for a in (means, sigmas, weights)]
-    lo, hi = gmm._brackets(*tails, np.tile([1.0 - half, half], rows), tolerance, query.max_iterations)
+    lo, hi = _brackets(*tails, np.tile([1.0 - half, half], rows), tolerance)
     upper, lower = np.abs(hi[0::2]), np.abs(lo[1::2])
     want = np.where(lower > upper, lower, upper)
     got = protection_level(GaussianMixture(means, sigmas**2, weights), query)
@@ -664,8 +723,8 @@ def test_a_wider_start_bracket_ends_in_the_same_cell(n, seed, risk, upper, toler
     means, sigmas, weights = _wide_stack(seed, (1, n), spread=5.0)
     p = np.array([1.0 - 0.5 * risk if upper else 0.5 * risk])
     lo, hi = gmm._start(means, sigmas, p, tolerance)
-    want = gmm._search(means, sigmas, weights, p, lo, hi, tolerance, 200)
-    got = gmm._search(means, sigmas, weights, p, lo - below, hi + above, tolerance, 200)
+    want = gmm._search(means, sigmas, weights, p, lo, hi, tolerance)
+    got = gmm._search(means, sigmas, weights, p, lo - below, hi + above, tolerance)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -687,7 +746,7 @@ def test_the_search_ends_on_the_scalar_bisection_cell(rows, n, seed, risk, toler
     means, sigmas, weights = _wide_stack(seed, (rows, n))
     p = np.where(np.arange(rows) % 2 == 0, 1.0 - 0.5 * risk, 0.5 * risk)
     lo, hi = gmm._start(means, sigmas, p, tolerance)
-    lo, hi = gmm._search(means, sigmas, weights, p, lo - below, hi + above, tolerance, 200)
+    lo, hi = gmm._search(means, sigmas, weights, p, lo - below, hi + above, tolerance)
     for k in range(rows):
         want = oracles.scalar_bisection(means[k], sigmas[k] ** 2, weights[k], p[k], tolerance, 200)
         assert (lo[k] * tolerance, hi[k] * tolerance) == want
@@ -702,6 +761,6 @@ def test_no_row_takes_more_rounds_than_its_budget(n, seed, risk, upper, toleranc
     lo, hi = gmm._start(means, sigmas, p, tolerance)
     lo, hi = lo - below, hi + above
     with mock.patch.object(gmm, "_cdf", wraps=gmm._cdf) as cdf:
-        end = gmm._search(means, sigmas, weights, p, lo, hi, tolerance, 200)
+        end = gmm._search(means, sigmas, weights, p, lo, hi, tolerance)
     assert end[1] - end[0] == 1.0
     assert cdf.call_count <= (int(hi[0] - lo[0]) - 1).bit_length() + gmm._ITP_SLACK

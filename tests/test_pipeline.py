@@ -111,6 +111,30 @@ def test_config_validation():
     assert PipelineConfig().variant in VARIANTS
 
 
+def test_min_candidates_beyond_the_sampled_candidates_is_rejected():
+    # no sampled timestep could keep 30 of 24 candidates; VAR ignores the
+    # minimum, and a variant swapped in later is checked again
+    with pytest.raises(ValueError, match=re.escape("min_candidates (30) exceeds sampling.n_candidates (24)")):
+        PipelineConfig(min_candidates=30)
+    PipelineConfig(min_candidates=24)
+    PipelineConfig(min_candidates=30, sampling=SamplingConfig(n_candidates=30))
+    lone = PipelineConfig(min_candidates=30, variant="VAR")
+    with pytest.raises(ValueError, match="no VAR_E timestep could be bounded"):
+        replace(lone, variant="VAR_E")
+
+
+def test_a_timestep_short_of_candidates_without_exclusions_names_none():
+    # offsets for fewer candidates than the minimum, none of them excluded:
+    # the message ends at the minimum, with no empty exclusion list
+    ts = _scenario(seed=1).timesteps[0]
+    ctx = MeasurementContext(ts.timestamp, ts.payload_key, ts.true_pose)
+    offsets = tuple(a[:3] for a in _offsets(FAST_SAMPLING, [1, 2, ts.index]))
+    config = PipelineConfig(sampling=FAST_SAMPLING, min_candidates=4)
+    with pytest.raises(TimestepFailure) as failure:
+        run_timestep(_noiseless(), ctx, ts.estimate_pose, None, offsets, RotationUncertainty.zero(), config)
+    assert str(failure.value) == f"3 usable candidates at t={ts.timestamp} (minimum 4)"
+
+
 def test_var_single_gaussian_hits_normal_quantile():
     # a fixed zero-mean unit-sigma estimate makes each axis a standard
     # normal, so the bound at 1% risk is the 0.995 quantile
